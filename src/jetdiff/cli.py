@@ -5,12 +5,13 @@ invariant spaces, transition / associated for the matrices, v1 for the
 order-1 frame certificate, theta for the threshold audit.  Every
 subcommand takes --json for machine-readable output and --golden DIR to
 additionally write that JSON to a deterministically named file; JSON is
-byte-stable across runs and thread counts (set JETDIFF_JOBS to
-parallelize constraint-row construction, output is unchanged).
+byte-stable across runs.
 
 Exit codes: 0 on success, 1 on a mathematical error (singular Jacobian,
 chart breakdown, pole of the bound, weight outside the audited range),
-2 on usage errors including expression syntax errors.
+2 on usage errors including expression syntax errors, 3 when a
+computation fails one of its own consistency checks (for instance a
+basis that is not adapted to the isotypic decomposition).
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ def _matrix_human(tm: TransitionMatrix) -> str:
     return _format_table([[str(v) for v in row] for row in tm.entries])
 
 
-def _label_str(label) -> str:
-    return "(" + ",".join(str(x) for x in label.highest_weight) + ")"
+def _label_str(weight: Sequence[int]) -> str:
+    return "(" + ",".join(str(x) for x in weight) + ")"
 
 
 # ---- subcommand handlers ----
@@ -175,21 +176,16 @@ def _cmd_basis(args) -> int:
         "basis:",
     ]
     for q, w in zip(space.basis, space.torus_weights()):
-        wstr = "(" + ",".join(str(x) for x in w) + ")"
-        lines.append(f"  [{wstr}]  {q}")
+        lines.append(f"  [{_label_str(w)}]  {q}")
     if payload["decomposition"] is not None:
         parts = ", ".join(
-            f"{_label_str_from(d['highest_weight'])} x{d['multiplicity']}"
+            f"{_label_str(d['highest_weight'])} x{d['multiplicity']}"
             for d in payload["decomposition"]
         )
         lines.append(f"decomposition: {parts}")
     name = f"basis_r{args.rank}_k{args.order}_m{args.weight}.json"
     _emit(args, payload, "\n".join(lines), name)
     return 0
-
-
-def _label_str_from(hw: Sequence[int]) -> str:
-    return "(" + ",".join(str(x) for x in hw) + ")"
 
 
 def _cmd_dim(args) -> int:
@@ -234,7 +230,7 @@ def _cmd_decompose(args) -> int:
         ],
     }
     human = f"dimension {space.dimension} = " + " + ".join(
-        f"{_label_str(l)} x{l.multiplicity} (dim {l.dimension()})" for l in labels
+        f"{_label_str(l.highest_weight)} x{l.multiplicity} (dim {l.dimension()})" for l in labels
     )
     name = f"decompose_r{args.rank}_k{args.order}_m{args.weight}.json"
     _emit(args, payload, human, name)
@@ -269,7 +265,7 @@ def _cmd_transition(args) -> int:
     tm = differential_transition(space, psi, point)
     partition = irrep_partition(space)
     verdict = splitting_check(tm, partition)
-    closure = s_block_closure(space, psi, point)
+    closure = s_block_closure(tm)
     payload = {
         "spec": {"rank": spec.rank, "order": spec.order},
         "weight": space.weight,
@@ -290,8 +286,8 @@ def _cmd_transition(args) -> int:
         w = verdict.witnesses[0]
         lines.append(
             f"witness: entry ({w.row}, {w.col}) = {w.value} crosses "
-            f"from block {_label_str(_block_of(verdict, w.col))} "
-            f"into block {_label_str(_block_of(verdict, w.row))}"
+            f"from block {_label_str(_block_of(verdict, w.col).highest_weight)} "
+            f"into block {_label_str(_block_of(verdict, w.row).highest_weight)}"
         )
     lines.append(
         "pure first-derivative block closed: " + ("yes" if closure.closed else "NO (bug)")
@@ -401,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact computation of reparametrization-invariant jet differentials, "
             "their decomposition into irreducibles, and their behavior under "
             "polynomial coordinate changes."
-        ),
-        epilog=(
-            "Set JETDIFF_JOBS=<n> to build constraint rows in a thread pool; "
-            "results are byte-identical for any value."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -516,6 +508,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"{PROG}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

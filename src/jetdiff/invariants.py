@@ -23,15 +23,13 @@ into irreducibles is computed from per-weight kernels of raising.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
 from .linalg import RationalMatrix, nullspace, solve_in_span
-from .linalg import rank as matrix_rank
+from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
 from .poly import (
     JET,
     Monomial,
@@ -45,8 +43,6 @@ from .poly import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-JOBS_ENV = "JETDIFF_JOBS"
 
 
 def mono_weight(m: Monomial) -> int:
@@ -113,11 +109,6 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     rows are indexed by the mixed monomials (parameters and jet variables
     together) appearing in any residual, in canonical order.  Order 1 has
     no unipotent part, so the matrix has zero rows there.
-
-    Row construction is embarrassingly parallel over columns; set the
-    JETDIFF_JOBS environment variable to use a thread pool.  Results are
-    merged in column order either way, so output is identical for any job
-    count.
     """
     monomials = enumerate_monomials(spec, weight)
     ncols = len(monomials)
@@ -125,16 +116,10 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
         return RationalMatrix(0, ncols, [])
     bindings = _unipotent_moved_entries(spec)
 
-    def residual(mono: Monomial) -> SparsePolynomial:
+    residuals = []
+    for mono in monomials:
         original = SparsePolynomial.monomial(mono)
-        return original.substitute(bindings) - original
-
-    jobs = int(os.environ.get(JOBS_ENV, "1") or "1")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            residuals = list(pool.map(residual, monomials))
-    else:
-        residuals = [residual(m) for m in monomials]
+        residuals.append(original.substitute(bindings) - original)
 
     row_keys = sorted({key for res in residuals for key in res.terms}, key=mono_sort_key)
     row_index = {key: i for i, key in enumerate(row_keys)}
@@ -358,34 +343,44 @@ def decompose(space: InvariantSpace) -> List[IrrepLabel]:
     representation and raises.  The dimension identity
     sum (l1 - l2 + 1) * multiplicity = dim is checked before returning.
     """
+    return [label for label, _, _ in _highest_weight_vectors(space)]
+
+
+def _highest_weight_vectors(
+    space: InvariantSpace,
+) -> List[Tuple[IrrepLabel, List[int], List[List[Fraction]]]]:
+    """Each irreducible label, highest weight first, with the basis
+    indices of its torus weight block and the kernel vectors of raising
+    on that block (coordinates over those indices).
+
+    Every basis element is raised once and the results are expanded with
+    one solve; each torus weight block then gives one nullspace.
+    """
     if space.spec.rank != 2:
         raise ValueError(
             "irreducible labels are only certified for two components; dimensions "
             "are available at any rank"
         )
-    if space.dimension == 0:
-        return []
     raised = [raising_action(q, from_comp=2, to_comp=1) for q in space.basis]
     columns = _raising_columns(space, raised)
-    labels: List[IrrepLabel] = []
+    found: List[Tuple[IrrepLabel, List[int], List[List[Fraction]]]] = []
     for wt, idxs in sorted(_weight_blocks(space).items(), reverse=True):
         block = [columns[i] for i in idxs]
         mat = RationalMatrix.from_rows(_transpose(block, space.dimension))
-        kernel = len(nullspace(mat))
-        if kernel == 0:
+        kernel = nullspace(mat)
+        if not kernel:
             continue
         if wt[0] < wt[1]:
             raise RuntimeError(
                 f"highest-weight vector found at non-dominant torus weight {wt}"
             )
-        labels.append(IrrepLabel(wt, kernel))
-    labels.sort(key=lambda l: l.highest_weight, reverse=True)
-    total = sum(l.dimension() * l.multiplicity for l in labels)
+        found.append((IrrepLabel(wt, len(kernel)), idxs, kernel))
+    total = sum(l.dimension() * l.multiplicity for l, _, _ in found)
     if total != space.dimension:
         raise RuntimeError(
             f"decomposition dimensions sum to {total}, expected {space.dimension}"
         )
-    return labels
+    return found
 
 
 def _raising_columns(
@@ -419,68 +414,49 @@ def irrep_partition(
     """Assign each basis index to the isotypic component containing it.
 
     Isotypic spans are generated by lowering strings from the per-weight
-    highest-weight kernels.  The canonical basis must be adapted (each
-    basis vector inside exactly one isotypic span); when it is not, this
+    highest-weight vectors; together the strings form an adapted basis P.
+    Basis element i lies in the span of label l exactly when column i of
+    P^-1 is supported on l's strings.  The canonical basis must be adapted
+    (each basis vector inside one isotypic span); when it is not, this
     raises rather than fabricating a partition.
     """
-    labels = decompose(space)
-    raised = [raising_action(q, from_comp=2, to_comp=1) for q in space.basis]
-    columns = _raising_columns(space, raised)
-    blocks = _weight_blocks(space)
-    spans: List[Tuple[IrrepLabel, List[List[Fraction]]]] = []
-    for label in labels:
-        idxs = blocks[label.highest_weight]
-        block = [columns[i] for i in idxs]
-        mat = RationalMatrix.from_rows(_transpose(block, space.dimension))
-        string_vectors: List[List[Fraction]] = []
-        for kvec in nullspace(mat):
-            head = SparsePolynomial.zero()
+    found = _highest_weight_vectors(space)
+    strings: List[SparsePolynomial] = []
+    owner: List[int] = []  # label index of each string element, i.e. column of P
+    for which, (label, idxs, kernel) in enumerate(found):
+        for kvec in kernel:
+            current = SparsePolynomial.zero()
             for coeff, idx in zip(kvec, idxs):
-                head = head + space.basis[idx] * coeff
-            current = head
+                current = current + space.basis[idx] * coeff
             for _ in range(label.dimension()):
-                try:
-                    string_vectors.append(space.expand_in_basis(current))
-                except ValueError as exc:
-                    raise RuntimeError(
-                        f"lowering left the invariant span: {exc}"
-                    ) from exc
+                strings.append(current)
+                owner.append(which)
                 current = raising_action(current, from_comp=1, to_comp=2)
             if not current.is_zero():
                 raise RuntimeError(
                     "lowering string did not terminate at the expected length"
                 )
-        spans.append((label, string_vectors))
-    partition: List[Tuple[IrrepLabel, Tuple[int, ...]]] = []
-    assigned: Dict[int, int] = {}
-    for which, (label, vectors) in enumerate(spans):
-        members = []
-        for idx in range(space.dimension):
-            unit = [_ZERO] * space.dimension
-            unit[idx] = _ONE
-            if _in_span(vectors, unit):
-                if idx in assigned:
-                    raise RuntimeError(
-                        f"basis element {idx} lies in two isotypic spans; basis "
-                        "is not adapted to the decomposition"
-                    )
-                assigned[idx] = which
-                members.append(idx)
-        partition.append((label, tuple(members)))
-    if len(assigned) != space.dimension:
-        missing = [i for i in range(space.dimension) if i not in assigned]
+    try:
+        adapted = space.expand_many(strings)
+    except ValueError as exc:
+        raise RuntimeError(f"lowering left the invariant span: {exc}") from exc
+    n = space.dimension
+    units = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    try:
+        coords = solve_in_span(adapted, units)
+    except ValueError as exc:
+        raise RuntimeError(f"lowering strings do not form a basis: {exc}") from exc
+    members: List[List[int]] = [[] for _ in found]
+    missing = []
+    for idx, vec in enumerate(coords):
+        owners = {owner[col] for col, v in enumerate(vec) if v}
+        if len(owners) == 1:
+            members[owners.pop()].append(idx)
+        else:
+            missing.append(idx)
+    if missing:
         raise RuntimeError(
             f"basis elements {missing} lie in no single isotypic span; basis "
             "is not adapted to the decomposition"
         )
-    return partition
-
-
-def _in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    if not vectors:
-        return not any(target)
-    n = len(target)
-    base = matrix_rank(RationalMatrix.from_rows(_transpose([list(v) for v in vectors], n)))
-    augmented = [list(v) for v in vectors] + [list(target)]
-    aug = matrix_rank(RationalMatrix.from_rows(_transpose(augmented, n)))
-    return aug == base
+    return [(label, tuple(idxs)) for (label, _, _), idxs in zip(found, members)]

@@ -4,8 +4,8 @@ Matrices are stored as sparse rows (dict column -> nonzero Fraction), one
 representation for every size; constraint systems arriving from the
 invariance machinery are naturally sparse and the small dense cases lose
 nothing.  All elimination is deterministic: columns are scanned left to
-right and the first available row is taken as pivot, so repeated runs and
-different thread counts produce byte-identical results.
+right and the first available row is taken as pivot, so repeated runs
+produce byte-identical results.
 
 Two independent rank paths exist on purpose: `rref`/`rank` eliminate over
 Fraction, `rank_modular_check` clears denominators row by row and

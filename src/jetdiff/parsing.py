@@ -81,11 +81,17 @@ def _tokenize(text: str) -> List[_Token]:
 Resolver = Callable[[_Token], SparsePolynomial]
 
 
+# Deeper parentheses would exhaust Python's recursion limit (each level
+# takes four parser frames) and surface as a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token], resolver: Resolver):
         self.tokens = tokens
         self.pos = 0
         self.resolver = resolver
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -158,8 +164,14 @@ class _Parser:
             self.advance()
             return self.resolver(tok)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column
+                )
             self.advance()
+            self.depth += 1
             inner = self.parse_sum()
+            self.depth -= 1
             self.expect("op", ")")
             return inner
         raise ParseError(

@@ -251,23 +251,21 @@ class ClosureVerdict:
     violations: Tuple[Witness, ...]
 
 
-def s_block_closure(
-    space: InvariantSpace, psi: TargetMap, basepoint: Sequence
-) -> ClosureVerdict:
+def s_block_closure(matrix: TransitionMatrix) -> ClosureVerdict:
     """Check that basis elements built purely from first derivatives stay
     inside their own span under the transition.
 
     Structurally this must hold for every map: the first derivative of
     psi o f involves only first derivatives of f, so a polynomial in the
-    f_j' alone transforms into another such.  The check recomputes it from
-    the actual matrix instead of trusting the argument.
+    f_j' alone transforms into another such.  The check reads the actual
+    matrix entries instead of trusting the argument.
     """
+    space = matrix.space
     pure = tuple(
         idx
         for idx, q in enumerate(space.basis)
         if all(v.order == 1 for v in q.variables())
     )
-    matrix = differential_transition(space, psi, basepoint)
     outside = [i for i in range(space.dimension) if i not in pure]
     violations = []
     for j in pure:

@@ -133,16 +133,13 @@ def test_theta_json(capsys):
     assert all(r["contradiction"] for r in payload["rows"])
 
 
-def test_json_is_byte_stable_across_runs_and_jobs(capsys, monkeypatch):
+def test_json_is_byte_stable_across_runs(capsys):
     argv = ["dim", "--rank", "2", "--order", "2", "--weight", "5", "--json"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
     second = capsys.readouterr().out
-    monkeypatch.setenv("JETDIFF_JOBS", "4")
-    assert main(argv) == 0
-    third = capsys.readouterr().out
-    assert first == second == third
+    assert first == second
 
 
 GOLDEN_CASES = [
@@ -232,6 +229,29 @@ def test_exit_code_two_on_usage_errors(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_three_on_internal_consistency_failure():
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "jetdiff",
+            "transition",
+            "--rank", "2",
+            "--order", "3",
+            "--weight", "6",
+            "--map", SHEAR,
+            "--point", "0,0",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("jetdiff: ")
+    assert "lie in no single isotypic span" in lines[0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_guardrail_exit_and_override(capsys):

@@ -291,15 +291,31 @@ def test_irrep_partition_r2_k2_m3():
 
 
 def test_irrep_partition_covers_basis():
-    for weight in (3, 4, 5, 6):
+    for weight in range(3, 13):
         space = invariant_basis(JetSpec(2, 2), weight)
         partition = irrep_partition(space)
         seen = []
         for label, indices in partition:
             assert len(indices) == label.dimension() * label.multiplicity
             seen.extend(indices)
+            # each block is a subrepresentation: raising and lowering its
+            # elements lands in its own span
+            moved = [
+                raising_action(space.basis[i], a, b)
+                for i in indices
+                for a, b in ((2, 1), (1, 2))
+            ]
+            outside = set(range(space.dimension)) - set(indices)
+            for coords in space.expand_many([p for p in moved if not p.is_zero()]):
+                assert not any(coords[j] for j in outside)
         assert sorted(seen) == list(range(len(space.basis)))
         assert len(seen) == len(set(seen))
+
+
+def test_irrep_partition_raises_on_non_adapted_basis():
+    space = invariant_basis(JetSpec(2, 3), 6)
+    with pytest.raises(RuntimeError, match=r"basis elements \[12\] lie in no single"):
+        irrep_partition(space)
 
 
 # ---- coordinate bookkeeping ----
@@ -313,11 +329,3 @@ def test_expand_in_basis():
     assert space.expand_in_basis(mixed) == [2, 0, 0, 0, -1]
     with pytest.raises(ValueError):
         space.expand_in_basis(var(jet_var(1, 1)) * var(jet_var(1, 2)))
-
-
-def test_parallel_row_construction_matches_serial(monkeypatch):
-    spec = JetSpec(2, 2)
-    serial = invariance_system(spec, 5)
-    monkeypatch.setenv("JETDIFF_JOBS", "3")
-    parallel = invariance_system(spec, 5)
-    assert parallel == serial

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jetdiff.jets import JetSpec, ReparamJet, TargetMap
-from jetdiff.parsing import ParseError, parse_map, parse_polynomial, parse_reparam
+from jetdiff.parsing import MAX_NESTING, ParseError, parse_map, parse_polynomial, parse_reparam
 from jetdiff.poly import SparsePolynomial, base_var, jet_var, param_var
 
 from helpers import random_poly
@@ -73,6 +73,16 @@ def test_parse_error_cases():
             parse_polynomial(bad, SPEC22)
     with pytest.raises(ParseError):
         parse_polynomial("f1'^(2)", SPEC22)  # exponent must be a literal
+
+
+def test_parse_nesting_limit():
+    nested = "(" * MAX_NESTING + "f1'" + ")" * MAX_NESTING
+    assert parse_polynomial(nested, SPEC22) == parse_polynomial("f1'", SPEC22)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("(" + nested + ")", SPEC22)
+    assert err.value.column == MAX_NESTING + 1
+    with pytest.raises(ParseError):
+        parse_polynomial("(" * 3000 + "f1'" + ")" * 3000, SPEC22)
 
 
 def test_parse_error_is_value_error():

@@ -195,14 +195,14 @@ def test_cocycle_identity_truncated_at_origin():
 def test_pure_first_order_block_is_closed():
     rng = random.Random(229)
     space = weight3_space()
-    verdict = s_block_closure(space, shear_map(), [0, 0])
+    verdict = s_block_closure(differential_transition(space, shear_map(), [0, 0]))
     assert verdict.closed
     assert verdict.indices == (0, 1, 2, 3)
     assert verdict.violations == ()
     for _ in range(5):
         pt = [rational(rng, -2, 2, 1), rational(rng, -2, 2, 1)]
         psi = random_target_map(rng, 2, 2, points=(pt,))
-        assert s_block_closure(space, psi, pt).closed
+        assert s_block_closure(differential_transition(space, psi, pt)).closed
 
 
 # ---- the order-one frame certificate ----
