@@ -8,11 +8,22 @@ reparametrization with leading coefficient a1 rescales it by exactly a1^m:
 
 Weighted homogeneity already settles the a1 scaling, so the condition
 reduces to invariance under the unipotent part (a1 = 1, formal a2..ak).
-The module builds that linear condition on the coefficients of a general
-weight-m polynomial, one constraint row per mixed monomial in (parameters
-x jet variables), and reads the invariants off the exact nullspace.  Every
-basis element is re-verified against the fully formal action, including
+That group is connected and its Lie algebra is generated by t^2 d/dt and
+t^3 d/dt, so invariance is the same as D1 Q = D2 Q = 0 for the derivations
+
+    D_s f_j^(i) = i!/(i-s-1)! * f_j^(i-s)    (i > s, else 0),
+
+the first-order terms of phi = t + eps*t^(s+1) (Demailly 1997; Merker
+2010).  Both derivations keep the component counts of a monomial (its
+torus weight), so the linear system splits into one small integer block
+per torus weight.  `invariant_basis` takes the exact nullspace of each
+block and merges the kernels in the global column order; every basis
+element is then re-verified against the fully formal action, including
 formal a1, before it is returned.
+
+`invariance_system` is the independent route: one constraint row per mixed
+monomial (parameters x jet variables) of the series-substitution residuals.
+It backs `dim` and the tests that check the derivation kernel against it.
 
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
@@ -25,7 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from math import factorial
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
 from .linalg import RationalMatrix, nullspace, solve_in_span
@@ -36,7 +50,7 @@ from .poly import (
     SparsePolynomial,
     Variable,
     jet_var,
-    mono_degree,
+    mono_mul,
     mono_sort_key,
     param_var,
 )
@@ -87,18 +101,37 @@ def enumerate_monomials(spec: JetSpec, weight: int) -> List[Monomial]:
     return results
 
 
-def _unipotent_moved_entries(spec: JetSpec) -> Dict[Variable, SparsePolynomial]:
-    """jet variable -> its image under the formal unipotent action."""
-    phi = ReparamJet.formal(spec.order, unipotent=True)
-    moved = act_reparam(JetPoint.formal(spec), phi)
+def _derive_monomial(mono: Monomial, s: int) -> Dict[Monomial, int]:
+    """D_s of one jet monomial: image monomial -> integer coefficient.
+
+    D_s is the derivation with D_s f_j^(i) = i!/(i-s-1)! * f_j^(i-s) for
+    i > s and 0 otherwise, extended to monomials by the Leibniz rule.
+    """
+    out: Dict[Monomial, int] = {}
+    for idx, (v, e) in enumerate(mono):
+        if v.order <= s:
+            continue
+        rest = mono[:idx] + (((v, e - 1),) if e > 1 else ()) + mono[idx + 1:]
+        image = mono_mul(rest, ((jet_var(v.comp, v.order - s), 1),))
+        coeff = e * factorial(v.order) // factorial(v.order - s - 1)
+        out[image] = out.get(image, 0) + coeff
+    return out
+
+
+@lru_cache(maxsize=16)
+def _formal_action(rank: int, order: int, unipotent: bool) -> Mapping[Variable, SparsePolynomial]:
+    """jet variable -> its image under the formal action (a1 = 1 when
+    unipotent), computed once per shape and shared read-only."""
+    spec = JetSpec(rank, order, allow_large=True)
+    moved = act_reparam(JetPoint.formal(spec), ReparamJet.formal(order, unipotent))
     out: Dict[Variable, SparsePolynomial] = {}
-    for i in range(1, spec.order + 1):
-        for j in range(1, spec.rank + 1):
+    for i in range(1, order + 1):
+        for j in range(1, rank + 1):
             value = moved.entry(i, j)
             if isinstance(value, Fraction):
                 value = SparsePolynomial.constant(value)
             out[jet_var(j, i)] = value
-    return out
+    return MappingProxyType(out)
 
 
 def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
@@ -114,7 +147,7 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     ncols = len(monomials)
     if spec.order == 1:
         return RationalMatrix(0, ncols, [])
-    bindings = _unipotent_moved_entries(spec)
+    bindings = _formal_action(spec.rank, spec.order, True)
 
     residuals = []
     for mono in monomials:
@@ -164,13 +197,7 @@ def verify_invariance(q: SparsePolynomial, spec: JetSpec) -> InvarianceVerdict:
             "weighted-homogeneous polynomials"
         )
     weight = weights.pop() if weights else 0
-    phi = ReparamJet.formal(spec.order)
-    moved = act_reparam(JetPoint.formal(spec), phi)
-    bindings = {
-        jet_var(j, i): moved.entry(i, j)
-        for i in range(1, spec.order + 1)
-        for j in range(1, spec.rank + 1)
-    }
+    bindings = _formal_action(spec.rank, spec.order, False)
     scaled = SparsePolynomial.variable(param_var(1)) ** weight * q
     residual = q.substitute(bindings) - scaled
     if residual.is_zero():
@@ -202,7 +229,7 @@ class InvariantSpace:
     fully formal action before returning.
     """
 
-    __slots__ = ("spec", "weight", "monomials", "coefficients", "basis", "system_shape")
+    __slots__ = ("spec", "weight", "monomials", "coefficients", "basis")
 
     def __init__(
         self,
@@ -210,13 +237,11 @@ class InvariantSpace:
         weight: int,
         monomials: Sequence[Monomial],
         coefficients: Sequence[Sequence[Fraction]],
-        system_shape: Tuple[int, int],
     ):
         self.spec = spec
         self.weight = weight
         self.monomials = tuple(monomials)
         self.coefficients = tuple(tuple(v) for v in coefficients)
-        self.system_shape = system_shape
         basis = []
         for vec in self.coefficients:
             poly = SparsePolynomial(
@@ -261,16 +286,40 @@ class InvariantSpace:
 
 
 def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
-    """Solve the unipotent constraint system and package the nullspace.
+    """The kernel of D1 and D2, one torus block at a time.
+
+    Each block holds the monomials of one torus weight, in global column
+    order; its rows are the image monomials of each D_s, kept apart by s.
+    The block kernels are embedded in the global columns and sorted by
+    free column (the last nonzero entry), which reproduces the canonical
+    nullspace of the whole system: the reduced kernel basis is unique
+    once the kernel and the column order are fixed.
 
     Every returned element is checked to be invariant under the fully
     formal action (formal a1 too); a failure there would be a bug in the
     construction, not in the input, hence RuntimeError.
     """
     monomials = enumerate_monomials(spec, weight)
-    system = invariance_system(spec, weight)
-    vectors = nullspace(system)
-    space = InvariantSpace(spec, weight, monomials, vectors, (system.nrows, system.ncols))
+    derivations = [s for s in (1, 2) if s < spec.order]
+    blocks: Dict[Tuple[int, ...], List[int]] = {}
+    for col, mono in enumerate(monomials):
+        blocks.setdefault(_mono_torus_weight(mono, spec.rank), []).append(col)
+    keyed: List[Tuple[int, List[Fraction]]] = []
+    for cols in blocks.values():
+        rows: Dict[Tuple[int, Monomial], Dict[int, Fraction]] = {}
+        for local, col in enumerate(cols):
+            for s in derivations:
+                for image, coeff in _derive_monomial(monomials[col], s).items():
+                    rows.setdefault((s, image), {})[local] = Fraction(coeff)
+        block = RationalMatrix(len(rows), len(cols), list(rows.values()))
+        for vec in nullspace(block):
+            full = [_ZERO] * len(monomials)
+            for col, value in zip(cols, vec):
+                full[col] = value
+            free = max(col for col, value in zip(cols, vec) if value)
+            keyed.append((free, full))
+    keyed.sort(key=lambda item: item[0])
+    space = InvariantSpace(spec, weight, monomials, [vec for _, vec in keyed])
     for q in space.basis:
         verdict = verify_invariance(q, spec)
         if not verdict.invariant:
@@ -281,18 +330,23 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     return space
 
 
+def _mono_torus_weight(mono: Monomial, rank: int) -> Tuple[int, ...]:
+    """Component-count vector (d1..dr) of one jet monomial."""
+    counts = [0] * rank
+    for v, e in mono:
+        if v.kind != JET:
+            raise ValueError(f"not a jet polynomial: contains {v.name}")
+        counts[v.comp - 1] += e
+    return tuple(counts)
+
+
 def _torus_weight_of(p: SparsePolynomial, rank: int) -> Tuple[int, ...]:
     """Component-count vector (d1..dr), demanding all terms agree."""
     if p.is_zero():
         raise ValueError("torus weight of the zero polynomial is undefined")
     seen = None
     for mono in p.terms:
-        counts = [0] * rank
-        for v, e in mono:
-            if v.kind != JET:
-                raise ValueError(f"not a jet polynomial: contains {v.name}")
-            counts[v.comp - 1] += e
-        counts = tuple(counts)
+        counts = _mono_torus_weight(mono, rank)
         if seen is None:
             seen = counts
         elif seen != counts:

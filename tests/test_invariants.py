@@ -9,6 +9,7 @@ import pytest
 
 from jetdiff.invariants import (
     IrrepLabel,
+    _derive_monomial,
     decompose,
     enumerate_monomials,
     invariance_system,
@@ -19,8 +20,8 @@ from jetdiff.invariants import (
     torus_weights,
     verify_invariance,
 )
-from jetdiff.jets import JetSpec
-from jetdiff.linalg import rank, rank_modular_check
+from jetdiff.jets import JetPoint, JetSpec, ReparamJet, act_reparam
+from jetdiff.linalg import nullspace, rank, rank_modular_check
 from jetdiff.poly import (
     SparsePolynomial,
     base_var,
@@ -114,7 +115,8 @@ def test_invariant_basis_rank_one():
 def test_invariant_basis_r2_k2_m3():
     space = invariant_basis(JetSpec(2, 2), 3)
     assert len(space.basis) == 5
-    assert space.system_shape == (3, 8)
+    system = invariance_system(JetSpec(2, 2), 3)
+    assert (system.nrows, system.ncols) == (3, 8)
     assert [str(q) for q in space.basis] == [
         "f1'^3",
         "f1'^2*f2'",
@@ -127,6 +129,56 @@ def test_invariant_basis_r2_k2_m3():
         assert verdict.invariant
         assert verdict.weight == 3
         assert verdict.residual is None
+
+
+def test_derivation_kernel_matches_substitution_nullspace():
+    # Two constructions of one space: the torus-block kernel of D1, D2
+    # and the nullspace of the series-substitution system must agree
+    # vector for vector, in the same order.
+    for r in (1, 2, 3, 4):
+        for k in (1, 2, 3, 4):
+            top = 7 if r <= 2 else 5 if r * k <= 9 else 4
+            for m in range(0, top + 1):
+                spec = JetSpec(r, k)
+                derived = [list(v) for v in invariant_basis(spec, m).coefficients]
+                assert derived == nullspace(invariance_system(spec, m)), (r, k, m)
+
+
+def derivation(q, s):
+    """D_s applied term by term through the monomial rule under test."""
+    out = SparsePolynomial.zero()
+    for mono, coeff in q.terms.items():
+        out = out + SparsePolynomial(
+            {m: coeff * c for m, c in _derive_monomial(mono, s).items()}
+        )
+    return out
+
+
+def test_derivation_is_first_order_term_of_reparametrization():
+    # D_s must be the eps-linear part of the action of t + eps*t^(s+1),
+    # read off act_reparam with eps a formal parameter.
+    eps = param_var(9)
+    for k in (1, 2, 3, 4):
+        spec = JetSpec(2, k)
+        for s in (1, 2):
+            if s + 1 > k:
+                continue
+            coeffs = [1] + [0] * (k - 1)
+            coeffs[s] = var(eps)
+            moved = act_reparam(JetPoint.formal(spec), ReparamJet(k, coeffs))
+            bindings = {}
+            for i in range(1, k + 1):
+                for j in (1, 2):
+                    entry = moved.entry(i, j)
+                    first = entry.collect([eps]).get(((eps, 1),), SparsePolynomial.zero())
+                    assert derivation(var(jet_var(j, i)), s) == first
+                    bindings[jet_var(j, i)] = entry
+            # ... and on products, by the Leibniz rule
+            for mono in enumerate_monomials(spec, 4):
+                q = SparsePolynomial.monomial(mono)
+                image = q.substitute(bindings).collect([eps])
+                first = image.get(((eps, 1),), SparsePolynomial.zero())
+                assert derivation(q, s) == first
 
 
 def test_dimension_table_with_modular_cross_check():
