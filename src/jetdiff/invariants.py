@@ -149,10 +149,20 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
         return RationalMatrix(0, ncols, [])
     bindings = _formal_action(spec.rank, spec.order, True)
 
+    # Every variable of a column monomial is bound, so its image is a
+    # product of powers; one power table serves every column.
+    powers: Dict[Tuple[Variable, int], SparsePolynomial] = {}
     residuals = []
     for mono in monomials:
-        original = SparsePolynomial.monomial(mono)
-        residuals.append(original.substitute(bindings) - original)
+        image = None
+        for key in mono:
+            power = powers.get(key)
+            if power is None:
+                power = powers[key] = bindings[key[0]] ** key[1]
+            image = power if image is None else image * power
+        if image is None:
+            image = SparsePolynomial.constant(1)
+        residuals.append(image - SparsePolynomial.monomial(mono))
 
     row_keys = sorted({key for res in residuals for key in res.terms}, key=mono_sort_key)
     row_index = {key: i for i, key in enumerate(row_keys)}
@@ -227,6 +237,10 @@ class InvariantSpace:
     leading entry, ordered by free column), and the torus weight of each
     basis element.  Construction verifies every basis element against the
     fully formal action before returning.
+
+    The constructor takes each basis vector as its (column, nonzero value)
+    pairs in increasing column order; `coefficients` holds the same
+    vectors densely.
     """
 
     __slots__ = ("spec", "weight", "monomials", "coefficients", "basis")
@@ -236,18 +250,22 @@ class InvariantSpace:
         spec: JetSpec,
         weight: int,
         monomials: Sequence[Monomial],
-        coefficients: Sequence[Sequence[Fraction]],
+        vectors: Sequence[Sequence[Tuple[int, Fraction]]],
     ):
         self.spec = spec
         self.weight = weight
         self.monomials = tuple(monomials)
-        self.coefficients = tuple(tuple(v) for v in coefficients)
+        coefficients = []
         basis = []
-        for vec in self.coefficients:
-            poly = SparsePolynomial(
-                {m: c for m, c in zip(self.monomials, vec) if c}
+        for pairs in vectors:
+            dense = [_ZERO] * len(self.monomials)
+            for col, value in pairs:
+                dense[col] = value
+            coefficients.append(tuple(dense))
+            basis.append(
+                SparsePolynomial({self.monomials[col]: value for col, value in pairs})
             )
-            basis.append(poly)
+        self.coefficients = tuple(coefficients)
         self.basis = tuple(basis)
 
     @property
@@ -304,7 +322,7 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     blocks: Dict[Tuple[int, ...], List[int]] = {}
     for col, mono in enumerate(monomials):
         blocks.setdefault(_mono_torus_weight(mono, spec.rank), []).append(col)
-    keyed: List[Tuple[int, List[Fraction]]] = []
+    keyed: List[Tuple[int, List[Tuple[int, Fraction]]]] = []
     for cols in blocks.values():
         rows: Dict[Tuple[int, Monomial], Dict[int, Fraction]] = {}
         for local, col in enumerate(cols):
@@ -313,13 +331,10 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
                     rows.setdefault((s, image), {})[local] = Fraction(coeff)
         block = RationalMatrix(len(rows), len(cols), list(rows.values()))
         for vec in nullspace(block):
-            full = [_ZERO] * len(monomials)
-            for col, value in zip(cols, vec):
-                full[col] = value
-            free = max(col for col, value in zip(cols, vec) if value)
-            keyed.append((free, full))
+            pairs = [(col, value) for col, value in zip(cols, vec) if value]
+            keyed.append((pairs[-1][0], pairs))
     keyed.sort(key=lambda item: item[0])
-    space = InvariantSpace(spec, weight, monomials, [vec for _, vec in keyed])
+    space = InvariantSpace(spec, weight, monomials, [pairs for _, pairs in keyed])
     for q in space.basis:
         verdict = verify_invariance(q, spec)
         if not verdict.invariant:

@@ -3,9 +3,17 @@
 Matrices are stored as sparse rows (dict column -> nonzero Fraction), one
 representation for every size; constraint systems arriving from the
 invariance machinery are naturally sparse and the small dense cases lose
-nothing.  All elimination is deterministic: columns are scanned left to
-right and the first available row is taken as pivot, so repeated runs
-produce byte-identical results.
+nothing.
+
+Both elimination kernels keep an index from each column to the rows with
+a nonzero there, updated on every fill-in and cancellation, so a pivot
+step visits only the rows holding the pivot column.  Columns are taken
+left to right; among the rows not yet used as pivots, the shortest one
+holding the column is the pivot (ties go to the lowest row index), which
+keeps fill-in low (Markowitz 1957).  Output does not depend on that
+choice: the reduced row echelon form of a matrix is unique, and so are
+the nullspace basis and the coordinates read off it, so results are
+byte-identical across runs and across pivot rules.
 
 Two independent rank paths exist on purpose: `rref`/`rank` eliminate over
 Fraction, `rank_modular_check` clears denominators row by row and
@@ -18,7 +26,7 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -95,59 +103,76 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
 
-def _eliminate(rows: List[Row], ncols: int) -> Tuple[List[Row], List[int]]:
-    """In-place reduced row echelon form.  Returns (rows, pivot columns).
+def _eliminate(rows: List[Row]) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form.  Returns (rows, pivot columns).
 
-    Deterministic: columns scanned in order, first nonzero row wins the
-    pivot, pivots normalized to 1, eliminated from every other row.
+    The input rows are reduced in place; the returned list holds the pivot
+    rows in pivot order (pivots normalized to 1, pivot columns cleared
+    everywhere else), followed by the zero rows.  `holders` is the column
+    index described in the module docstring.
     """
+    holders: Dict[int, Set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            found = holders.get(c)
+            if found is None:
+                holders[c] = {i}
+            else:
+                found.add(i)
+    used = [False] * len(rows)
+    order: List[int] = []
     pivots: List[int] = []
-    piv_row = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        if piv_row == nrows:
+    # Fill-in only lands in columns of the pivot row, which are already
+    # keys, so the key set never grows.
+    for col in sorted(holders):
+        if len(order) == len(rows):
             break
-        hit = None
-        for r in range(piv_row, nrows):
-            if col in rows[r]:
-                hit = r
-                break
-        if hit is None:
+        cands = holders.pop(col)
+        free = [i for i in cands if not used[i]]
+        if not free:
             continue
-        rows[piv_row], rows[hit] = rows[hit], rows[piv_row]
-        prow = rows[piv_row]
+        p = min(free, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
         inv = _ONE / prow[col]
         if inv != 1:
             prow = {c: v * inv for c, v in prow.items()}
-            rows[piv_row] = prow
-        for r in range(nrows):
-            if r == piv_row:
+            rows[p] = prow
+        tail = [(c, v) for c, v in prow.items() if c != col]
+        for t in cands:
+            if t == p:
                 continue
-            factor = rows[r].get(col)
-            if factor is None:
-                continue
-            target = rows[r]
-            for c, v in prow.items():
-                s = target.get(c, _ZERO) - factor * v
-                if s:
-                    target[c] = s
+            target = rows[t]
+            factor = target.pop(col)
+            for c, v in tail:
+                old = target.get(c)
+                if old is None:
+                    target[c] = -factor * v
+                    holders[c].add(t)
                 else:
-                    target.pop(c, None)
+                    s = old - factor * v
+                    if s:
+                        target[c] = s
+                    else:
+                        del target[c]
+                        holders[c].discard(t)
+        used[p] = True
+        order.append(p)
         pivots.append(col)
-        piv_row += 1
-    return rows, pivots
+    out = [rows[i] for i in order]
+    out.extend(row for i, row in enumerate(rows) if not used[i])
+    return out, pivots
 
 
 def rref(matrix: RationalMatrix) -> RationalMatrix:
     """Reduced row echelon form (pivots 1, pivot columns cleared)."""
     rows = [dict(r) for r in matrix.rows]
-    rows, _ = _eliminate(rows, matrix.ncols)
+    rows, _ = _eliminate(rows)
     return RationalMatrix(matrix.nrows, matrix.ncols, rows)
 
 
 def rank(matrix: RationalMatrix) -> int:
     rows = [dict(r) for r in matrix.rows]
-    _, pivots = _eliminate(rows, matrix.ncols)
+    _, pivots = _eliminate(rows)
     return len(pivots)
 
 
@@ -176,7 +201,7 @@ def nullspace(matrix: RationalMatrix) -> List[List[Fraction]]:
     entry.  The result is fully deterministic.
     """
     rows = [dict(r) for r in matrix.rows]
-    rows, pivots = _eliminate(rows, matrix.ncols)
+    rows, pivots = _eliminate(rows)
     pivot_set = set(pivots)
     basis: List[List[Fraction]] = []
     for free_col in range(matrix.ncols):
@@ -214,33 +239,42 @@ def _modular_rank(matrix: RationalMatrix, prime: int) -> int:
                 r[c] = iv
         if r:
             reduced.append(r)
+    holders: Dict[int, Set[int]] = {}
+    for i, r in enumerate(reduced):
+        for c in r:
+            found = holders.get(c)
+            if found is None:
+                holders[c] = {i}
+            else:
+                found.add(i)
     count = 0
-    for col in range(matrix.ncols):
-        if count == len(reduced):
-            break
-        hit = None
-        for i in range(count, len(reduced)):
-            if col in reduced[i]:
-                hit = i
-                break
-        if hit is None:
+    for col in sorted(holders):
+        cands = holders.pop(col)
+        if not cands:
             continue
-        reduced[count], reduced[hit] = reduced[hit], reduced[count]
-        prow = reduced[count]
+        p = min(cands, key=lambda i: (len(reduced[i]), i))
+        cands.discard(p)
+        prow = reduced[p]
+        for c in prow:
+            if c != col:
+                holders[c].discard(p)
         inv = pow(prow[col], -1, prime)
-        prow = {c: (v * inv) % prime for c, v in prow.items()}
-        reduced[count] = prow
-        for i in range(count + 1, len(reduced)):
-            factor = reduced[i].get(col)
-            if factor is None:
-                continue
-            target = reduced[i]
-            for c, v in prow.items():
-                s = (target.get(c, 0) - factor * v) % prime
-                if s:
-                    target[c] = s
+        tail = [(c, (v * inv) % prime) for c, v in prow.items() if c != col]
+        for t in cands:
+            target = reduced[t]
+            factor = target.pop(col)
+            for c, v in tail:
+                old = target.get(c)
+                if old is None:
+                    target[c] = (-factor * v) % prime
+                    holders[c].add(t)
                 else:
-                    target.pop(c, None)
+                    s = (old - factor * v) % prime
+                    if s:
+                        target[c] = s
+                    else:
+                        del target[c]
+                        holders[c].discard(t)
         count += 1
     return count
 
@@ -331,7 +365,7 @@ def solve_in_span(columns: List[List[Fraction]], targets: List[List[Fraction]]) 
             if tv[i]:
                 row[width + t] = tv[i]
         rows.append(row)
-    rows, pivots = _eliminate(rows, width + len(targets))
+    rows, pivots = _eliminate(rows)
     for p in pivots:
         if p >= width:
             raise ValueError(f"target {p - width} is outside the span")

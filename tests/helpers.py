@@ -35,6 +35,55 @@ def random_poly(rng, variables, terms=4, max_exp=3, lo=-5, hi=5):
     return p
 
 
+def scan_eliminate(rows):
+    """Reference Gauss-Jordan elimination with the same contract as
+    `jetdiff.linalg._eliminate`: reduces `rows` (dicts column -> nonzero
+    Fraction) and returns (pivot rows in pivot order then zero rows, pivot
+    columns).
+
+    This is the plain column scan: for each column in order, the first
+    row at or below the current pivot position holding it becomes the
+    pivot.  No index, no pivot choice, so it is the oracle for the
+    indexed kernels.
+    """
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    pivots = []
+    piv_row = 0
+    nrows = len(rows)
+    for col in range(ncols):
+        if piv_row == nrows:
+            break
+        hit = None
+        for r in range(piv_row, nrows):
+            if col in rows[r]:
+                hit = r
+                break
+        if hit is None:
+            continue
+        rows[piv_row], rows[hit] = rows[hit], rows[piv_row]
+        prow = rows[piv_row]
+        inv = 1 / prow[col]
+        if inv != 1:
+            prow = {c: v * inv for c, v in prow.items()}
+            rows[piv_row] = prow
+        for r in range(nrows):
+            if r == piv_row:
+                continue
+            factor = rows[r].get(col)
+            if factor is None:
+                continue
+            target = rows[r]
+            for c, v in prow.items():
+                s = target.get(c, Fraction(0)) - factor * v
+                if s:
+                    target[c] = s
+                else:
+                    target.pop(c, None)
+        pivots.append(col)
+        piv_row += 1
+    return rows, pivots
+
+
 def random_reparam(rng, order):
     coeffs = [nonzero_rational(rng)] + [rational(rng) for _ in range(order - 1)]
     return ReparamJet(order, coeffs)

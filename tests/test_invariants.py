@@ -192,6 +192,16 @@ def test_dimension_table_with_modular_cross_check():
         assert len(invariant_basis(spec, weight).basis) == dim
 
 
+def test_modular_rank_matches_exact_on_substitution_systems():
+    # The two rank routes share no elimination code; on the paper's own
+    # systems they must agree.
+    for r in (1, 2, 3):
+        for k in (1, 2, 3):
+            for m in range(0, 9):
+                system = invariance_system(JetSpec(r, k), m)
+                assert rank_modular_check(system) == rank(system), (r, k, m)
+
+
 def test_weight_zero_and_k_larger_than_m():
     assert [str(q) for q in invariant_basis(JetSpec(2, 2), 0).basis] == ["1"]
     low = invariant_basis(JetSpec(2, 2), 2)

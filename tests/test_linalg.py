@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetdiff import linalg
 from jetdiff.linalg import (
     PrimeFailure,
     RationalMatrix,
@@ -18,7 +19,7 @@ from jetdiff.linalg import (
     solve_in_span,
 )
 
-from helpers import rational
+from helpers import nonzero_rational, rational, scan_eliminate
 
 
 def dense(rows):
@@ -185,3 +186,122 @@ def test_solve_in_span_randomized():
             for i in range(dim)
         ]
         assert rebuilt == target
+
+
+# ---- the indexed kernels against the plain column scan ----
+
+
+def sparse_matrix(rng, nrows, ncols, density):
+    rows = [
+        {j: nonzero_rational(rng, -9, 9, 4) for j in range(ncols) if rng.random() < density}
+        for _ in range(nrows)
+    ]
+    return RationalMatrix(nrows, ncols, rows)
+
+
+def with_zero_lines(rng, m):
+    """Clear a random set of rows and of columns."""
+    dead_rows = {i for i in range(m.nrows) if rng.random() < 0.3}
+    dead_cols = {j for j in range(m.ncols) if rng.random() < 0.3}
+    rows = [
+        {} if i in dead_rows else {j: v for j, v in row.items() if j not in dead_cols}
+        for i, row in enumerate(m.rows)
+    ]
+    return RationalMatrix(m.nrows, m.ncols, rows)
+
+
+def with_duplicate_rows(rng, m):
+    """Overwrite some rows with scaled copies of others."""
+    rows = [dict(row) for row in m.rows]
+    for _ in range(rng.randint(1, 3)):
+        src, dst = rng.randrange(m.nrows), rng.randrange(m.nrows)
+        scale = nonzero_rational(rng)
+        rows[dst] = {j: v * scale for j, v in rows[src].items()}
+    return RationalMatrix(m.nrows, m.ncols, rows)
+
+
+def low_rank(rng, nrows, ncols):
+    k = rng.randint(1, 3)
+    return matmul(sparse_matrix(rng, nrows, k, 0.5), sparse_matrix(rng, k, ncols, 0.5))
+
+
+def arrow(rng, n):
+    """n rows over a dense column 0, row i also holding column i + 1.
+    The first pivot fills in its own column i + 1 in every other row, and
+    each later pivot does the same to the rows left."""
+    rows = []
+    for i in range(n):
+        row = {0: nonzero_rational(rng), i + 1: nonzero_rational(rng)}
+        if rng.random() < 0.3:
+            row[n] = nonzero_rational(rng)
+        rows.append(row)
+    rng.shuffle(rows)
+    return RationalMatrix(n, n + 1, rows)
+
+
+def oracle_matrices():
+    rng = random.Random(53)
+    out = [RationalMatrix(0, 4, []), RationalMatrix(4, 0), RationalMatrix(0, 0, [])]
+    for density in (0.1, 0.3, 0.6, 1.0):
+        for _ in range(8):
+            out.append(sparse_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), density))
+    for _ in range(8):
+        out.append(with_zero_lines(rng, sparse_matrix(rng, rng.randint(2, 8), rng.randint(2, 8), 0.5)))
+        out.append(with_duplicate_rows(rng, sparse_matrix(rng, rng.randint(2, 8), rng.randint(1, 8), 0.4)))
+        out.append(low_rank(rng, rng.randint(2, 9), rng.randint(2, 9)))
+        out.append(arrow(rng, rng.randint(2, 10)))
+    for _ in range(3):
+        out.append(sparse_matrix(rng, 20, 24, 0.12))
+        out.append(low_rank(rng, 20, 16))
+        out.append(arrow(rng, 24))
+    return out
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def reference(monkeypatch, fn, *args):
+    """fn evaluated with the column-scan kernel in place of the indexed one."""
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_eliminate", scan_eliminate)
+        return outcome(fn, *args)
+
+
+def test_kernels_match_column_scan(monkeypatch):
+    for m in oracle_matrices():
+        for fn in (rref, rank, nullspace):
+            assert fn(m) == reference(monkeypatch, fn, m), (fn.__name__, m.to_rows())
+        assert rank_modular_check(m) == rank(m), m.to_rows()
+
+
+def test_solve_in_span_matches_column_scan(monkeypatch):
+    rng = random.Random(59)
+    for m in oracle_matrices():
+        if not m.nrows:
+            continue
+        columns = m.to_rows()
+        n = m.ncols
+        targets = [
+            [sum((rational(rng) * col[i] for col in columns), Fraction(0)) for i in range(n)]
+            for _ in range(2)
+        ]
+        if rng.random() < 0.3:
+            targets.append([rational(rng) for _ in range(n)])
+        got = outcome(solve_in_span, columns, targets)
+        assert got == reference(monkeypatch, solve_in_span, columns, targets), columns
+
+
+def test_rank_needs_index_fill_in():
+    # Rows 1 and 2 tie as the shortest holders of column 0, so row 1 is
+    # the first pivot; eliminating it puts a new entry in column 2 of
+    # row 2.  Column 2 can only be pivoted on row 2, through that fill-in,
+    # so a kernel whose column index misses fill-in stops at rank 2.
+    m = dense([[0, 1, 0], [-1, 0, 2], [-1, -1, 0]])
+    assert rank(m) == 3
+    assert rank_modular_check(m) == 3
+    assert rref(m) == RationalMatrix.identity(3)
