@@ -259,7 +259,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_transition(args) -> int:
     spec = _spec(args)
-    psi = parse_map(args.map, spec.rank, spec.order)
+    # the jet is moved at --point, not at the origin: truncating the map
+    # about the origin would drop terms that reach the basepoint's jets
+    psi = parse_map(args.map, spec.rank, spec.order, truncate=False)
     point = _parse_point(args.point, spec.rank)
     space = invariant_basis(spec, args.weight)
     tm = differential_transition(space, psi, point)

@@ -53,6 +53,7 @@ from .poly import (
     mono_mul,
     mono_sort_key,
     param_var,
+    substitute_all,
 )
 
 _ZERO = Fraction(0)
@@ -148,21 +149,8 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     if spec.order == 1:
         return RationalMatrix(0, ncols, [])
     bindings = _formal_action(spec.rank, spec.order, True)
-
-    # Every variable of a column monomial is bound, so its image is a
-    # product of powers; one power table serves every column.
-    powers: Dict[Tuple[Variable, int], SparsePolynomial] = {}
-    residuals = []
-    for mono in monomials:
-        image = None
-        for key in mono:
-            power = powers.get(key)
-            if power is None:
-                power = powers[key] = bindings[key[0]] ** key[1]
-            image = power if image is None else image * power
-        if image is None:
-            image = SparsePolynomial.constant(1)
-        residuals.append(image - SparsePolynomial.monomial(mono))
+    images = substitute_all([SparsePolynomial.monomial(m) for m in monomials], bindings)
+    residuals = [image - SparsePolynomial.monomial(m) for m, image in zip(monomials, images)]
 
     row_keys = sorted({key for res in residuals for key in res.terms}, key=mono_sort_key)
     row_index = {key: i for i, key in enumerate(row_keys)}
@@ -191,6 +179,27 @@ def verify_invariance(q: SparsePolynomial, spec: JetSpec) -> InvarianceVerdict:
     are polynomials in the a_i, so the identity holds for all a1 != 0 as
     soon as the difference vanishes identically.
     """
+    return _verify_all([q], spec)[0]
+
+
+def _verify_all(polys: Sequence[SparsePolynomial], spec: JetSpec) -> List[InvarianceVerdict]:
+    """`verify_invariance` for a batch, with one substitution call."""
+    weights = [_homogeneous_weight(q, spec) for q in polys]
+    images = substitute_all(polys, _formal_action(spec.rank, spec.order, False))
+    a1 = SparsePolynomial.variable(param_var(1))
+    scales = {weight: a1 ** weight for weight in set(weights)}
+    verdicts = []
+    for q, weight, image in zip(polys, weights, images):
+        residual = image - scales[weight] * q
+        if residual.is_zero():
+            verdicts.append(InvarianceVerdict(True, weight, None))
+        else:
+            verdicts.append(InvarianceVerdict(False, weight, residual))
+    return verdicts
+
+
+def _homogeneous_weight(q: SparsePolynomial, spec: JetSpec) -> int:
+    """The weight of a weighted-homogeneous jet polynomial in the shape."""
     weights = set()
     for mono in q.terms:
         for v, _ in mono:
@@ -206,13 +215,7 @@ def verify_invariance(q: SparsePolynomial, spec: JetSpec) -> InvarianceVerdict:
             f"mixed weights {sorted(weights)}: invariance is only defined for "
             "weighted-homogeneous polynomials"
         )
-    weight = weights.pop() if weights else 0
-    bindings = _formal_action(spec.rank, spec.order, False)
-    scaled = SparsePolynomial.variable(param_var(1)) ** weight * q
-    residual = q.substitute(bindings) - scaled
-    if residual.is_zero():
-        return InvarianceVerdict(True, weight, None)
-    return InvarianceVerdict(False, weight, residual)
+    return weights.pop() if weights else 0
 
 
 @dataclass(frozen=True)
@@ -275,20 +278,15 @@ class InvariantSpace:
     def expand_many(self, polys: Sequence[SparsePolynomial]) -> List[List[Fraction]]:
         """Coordinates of each polynomial in the basis; raises ValueError
         when one of them leaves the span (or even the monomial support)."""
-        index = {m: i for i, m in enumerate(self.monomials)}
-        targets = []
+        support = set(self.monomials)
         for p in polys:
-            vec = [_ZERO] * len(self.monomials)
-            for m, c in p.terms.items():
-                if m not in index:
+            for m in p.terms:
+                if m not in support:
                     raise ValueError(
                         f"monomial {SparsePolynomial.monomial(m)} is outside the "
                         f"weight-{self.weight} support"
                     )
-                vec[index[m]] = c
-            targets.append(vec)
-        columns = [list(vec) for vec in self.coefficients]
-        return solve_in_span(columns, targets)
+        return solve_in_span([q.terms for q in self.basis], [p.terms for p in polys])
 
     def expand_in_basis(self, p: SparsePolynomial) -> List[Fraction]:
         return self.expand_many([p])[0]
@@ -335,8 +333,7 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
             keyed.append((pairs[-1][0], pairs))
     keyed.sort(key=lambda item: item[0])
     space = InvariantSpace(spec, weight, monomials, [pairs for _, pairs in keyed])
-    for q in space.basis:
-        verdict = verify_invariance(q, spec)
+    for q, verdict in zip(space.basis, _verify_all(space.basis, spec)):
         if not verdict.invariant:
             raise RuntimeError(
                 f"constructed element failed formal invariance: {q} "
@@ -509,8 +506,7 @@ def irrep_partition(
         adapted = space.expand_many(strings)
     except ValueError as exc:
         raise RuntimeError(f"lowering left the invariant span: {exc}") from exc
-    n = space.dimension
-    units = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    units = [{i: _ONE} for i in range(space.dimension)]
     try:
         coords = solve_in_span(adapted, units)
     except ValueError as exc:

@@ -277,7 +277,9 @@ class TargetMap:
     `order` is the jet order the map is meant for; construction truncates
     components beyond total degree order+1 (higher terms cannot influence
     the first `order` derivatives extracted at the map's own expansion
-    origin).  Compositions built internally keep all terms, see compose().
+    origin).  The truncation is exact only at basepoint 0: at any other
+    basepoint the dropped terms change the jets, so pass truncate=False
+    there.  Compositions built internally keep all terms, see compose().
     """
 
     __slots__ = ("rank", "order", "components")

@@ -26,12 +26,14 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Row = Dict[int, Fraction]
+# A vector for solve_in_span: sparse (coordinate -> value) or dense.
+Vector = Union[Mapping[Hashable, Fraction], Sequence[Fraction]]
 
 logger = logging.getLogger(__name__)
 
@@ -342,30 +344,36 @@ def dense_rank(dense_rows: Sequence[Sequence]) -> int:
     return rank(RationalMatrix.from_rows(dense_rows))
 
 
-def solve_in_span(columns: List[List[Fraction]], targets: List[List[Fraction]]) -> List[List[Fraction]]:
+def _nonzero_entries(vec: Vector):
+    """(coordinate, value) pairs of the nonzero entries of a sparse
+    (mapping) or dense (sequence) vector."""
+    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    return [(i, v) for i, v in items if v]
+
+
+def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]) -> List[List[Fraction]]:
     """Express each target vector in the span of `columns`.
 
-    `columns` are length-n vectors assumed linearly independent; each
-    target of length n is written as a unique combination of them.  Raises
+    A vector is either sparse, a mapping from coordinate to value, or
+    dense, a sequence indexed by coordinate.  The columns are assumed
+    linearly independent; each target is written as their unique
+    combination, returned densely (one coefficient per column).  Raises
     ValueError naming the first target that is outside the span.
     """
     if not columns:
-        if any(any(t) for t in targets):
+        if any(_nonzero_entries(t) for t in targets):
             raise ValueError("target 0 is outside the span (empty column set)")
         return [[] for _ in targets]
-    n = len(columns[0])
     width = len(columns)
-    rows: List[Row] = []
-    for i in range(n):
-        row: Row = {}
-        for j, col in enumerate(columns):
-            if col[i]:
-                row[j] = col[i]
-        for t, tv in enumerate(targets):
-            if tv[i]:
-                row[width + t] = tv[i]
-        rows.append(row)
-    rows, pivots = _eliminate(rows)
+    by_coord: Dict[Hashable, Row] = {}
+    for j, vec in enumerate([*columns, *targets]):
+        for i, v in _nonzero_entries(vec):
+            row = by_coord.get(i)
+            if row is None:
+                by_coord[i] = {j: v}
+            else:
+                row[j] = v
+    rows, pivots = _eliminate(list(by_coord.values()))
     for p in pivots:
         if p >= width:
             raise ValueError(f"target {p - width} is outside the span")

@@ -288,8 +288,9 @@ def parse_map(text: str, rank: int, order: int, truncate: bool = True) -> Target
 
     Every component w1..w<rank> must be assigned exactly once; components
     are truncated beyond total degree order+1 (the jets extracted at the
-    expansion origin cannot see higher terms).  Pass truncate=False for
-    chart-level consumers that evaluate derivatives away from the origin.
+    expansion origin cannot see higher terms).  The truncation is exact
+    only at basepoint 0; pass truncate=False for consumers that move jets
+    or evaluate derivatives away from the origin.
     """
     tokens = _tokenize(text)
     components: dict = {}

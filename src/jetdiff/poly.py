@@ -25,12 +25,39 @@ Fraction coefficients.  A monomial is a tuple of (variable, exponent)
 pairs sorted by variable, every exponent positive; the empty tuple is the
 constant monomial.  Coefficients are `fractions.Fraction`, so all results
 are exact and already in lowest terms.
+
+Substitution has one implementation, `substitute_all`, which pushes a
+batch of polynomials through one binding map; `SparsePolynomial.substitute`
+is its one-element call.  The kernel works on packed integers:
+
+    packed keys        the variables that can occur in a result (bound
+                       images plus pass-through variables) are numbered in
+                       global variable order, and a monomial becomes one
+                       int with one bit field per variable;
+    carry-free fields  each field is as wide as the largest exponent its
+                       variable can reach in any product, computed from the
+                       input monomials and the degrees of the images, so
+                       adding two keys multiplies the monomials and no sum
+                       ever carries into a neighbouring field;
+    common denominator each image is scaled by the lcm of its denominators,
+                       and each polynomial's terms by the lcm of theirs, so
+                       products are int adds (keys) and int multiplies
+                       (coefficients).  One (variable, exponent) -> power
+                       table serves the whole batch.
+
+Each result is accumulated in one dict from key to integer and unpacked at
+the end into canonical monomial tuples with Fraction(num, common_den)
+coefficients, dropping the integers that cancelled to zero.  The output is
+therefore the same canonical polynomial exact arithmetic defines, whatever
+the packing; since every printer sorts terms canonically, serialized
+output stays byte-stable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Tuple, Union
+from math import gcd
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -329,30 +356,10 @@ class SparsePolynomial:
         """Simultaneously replace variables by polynomials (or scalars).
 
         Unbound variables pass through unchanged.  The replacement is
-        simultaneous: {x -> y, y -> x} swaps.
+        simultaneous: {x -> y, y -> x} swaps.  This is the one-element
+        call of `substitute_all`.
         """
-        if not bindings or not self.terms:
-            return self
-        bound = {v: self._coerce(val) for v, val in bindings.items()}
-        pow_cache: Dict[Tuple[Variable, int], SparsePolynomial] = {}
-        total = SparsePolynomial({})
-        for mono, coeff in self.terms.items():
-            passthrough = []
-            factor = None
-            for v, e in mono:
-                if v in bound:
-                    p = pow_cache.get((v, e))
-                    if p is None:
-                        p = bound[v] ** e
-                        pow_cache[(v, e)] = p
-                    factor = p if factor is None else factor * p
-                else:
-                    passthrough.append((v, e))
-            term = SparsePolynomial({tuple(passthrough): coeff})
-            if factor is not None:
-                term = term * factor
-            total = total + term
-        return total
+        return substitute_all([self], bindings)[0]
 
     def derivative(self, v: Variable) -> "SparsePolynomial":
         """Formal partial derivative with respect to `v`."""
@@ -429,3 +436,151 @@ def poly_sum(items: Iterable[PolyLike]) -> SparsePolynomial:
     for item in items:
         total = total + item
     return total
+
+
+def _mul_into(
+    acc: Dict[int, int], left: List[Tuple[int, int]], right: List[Tuple[int, int]]
+) -> Dict[int, int]:
+    """Add the product of two packed polynomials into `acc`; returns it.
+
+    Packed keys add where monomials multiply, because no field carries.
+    """
+    get = acc.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def substitute_all(
+    polys: Sequence[SparsePolynomial], bindings: Mapping[Variable, PolyLike]
+) -> List[SparsePolynomial]:
+    """Substitute one binding map into every polynomial of a batch.
+
+    Same semantics as `SparsePolynomial.substitute` (simultaneous,
+    unbound variables pass through), returning one result per input in
+    order.  The batch shares one power table and one packing of the
+    variable universe; see the module docstring for the kernel.
+    """
+    if not bindings:
+        return list(polys)
+    images: Dict[Variable, SparsePolynomial] = {}
+    for v, value in bindings.items():
+        image = SparsePolynomial._coerce(value)
+        if image is None:
+            raise TypeError(f"cannot bind {v.name} to {value!r}")
+        images[v] = image
+
+    # Largest exponent each variable can reach in any product: pass-through
+    # exponents plus e times the image's degree in it, per input monomial.
+    degrees: Dict[Variable, List[Tuple[Variable, int]]] = {}
+    top: Dict[Variable, int] = {}
+    for mono in {mono for p in polys for mono in p.terms}:
+        need: Dict[Variable, int] = {}
+        for v, e in mono:
+            image = images.get(v)
+            if image is None:
+                need[v] = need.get(v, 0) + e
+                continue
+            degs = degrees.get(v)
+            if degs is None:
+                most: Dict[Variable, int] = {}
+                for m in image.terms:
+                    for w, d in m:
+                        if d > most.get(w, 0):
+                            most[w] = d
+                degs = degrees[v] = list(most.items())
+            for w, d in degs:
+                need[w] = need.get(w, 0) + e * d
+        for w, n in need.items():
+            if n > top.get(w, 0):
+                top[w] = n
+
+    # One bit field per variable, in global variable order, wide enough
+    # for its largest exponent: exponent sums never carry into a neighbour.
+    shift: Dict[Variable, int] = {}
+    fields: List[Tuple[Variable, int, int]] = []
+    offset = 0
+    for w in sorted(top):
+        width = top[w].bit_length()
+        shift[w] = offset
+        fields.append((w, offset, (1 << width) - 1))
+        offset += width
+
+    # Each used image as (common denominator, [(packed key, integer coeff)]).
+    cleared: Dict[Variable, Tuple[int, List[Tuple[int, int]]]] = {}
+    for v in degrees:
+        terms = images[v].terms
+        den = 1
+        for c in terms.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+        packed = []
+        for m, c in terms.items():
+            key = 0
+            for w, d in m:
+                key += d << shift[w]
+            packed.append((key, c.numerator * (den // c.denominator)))
+        cleared[v] = (den, packed)
+
+    powers: Dict[Tuple[Variable, int], List[Tuple[int, int]]] = {}
+
+    def power(v: Variable, e: int) -> List[Tuple[int, int]]:
+        found = powers.get((v, e))
+        if found is None:
+            base = cleared[v][1]
+            n = e - 1
+            while n and (v, n) not in powers:
+                n -= 1
+            found = powers[(v, n)] if n else [(0, 1)]
+            for n in range(n + 1, e + 1):
+                product = _mul_into({}, found, base)
+                found = powers[(v, n)] = [(k, c) for k, c in product.items() if c]
+        return found
+
+    unpacked: Dict[int, Monomial] = {}
+    out: List[SparsePolynomial] = []
+    for p in polys:
+        if not p.terms:
+            out.append(p)
+            continue
+        # Clear the denominators of this polynomial's terms, images included.
+        prepared = []
+        common = 1
+        for mono, coeff in p.terms.items():
+            key = 0
+            num, den = coeff.numerator, coeff.denominator
+            factors = []
+            for v, e in mono:
+                image = cleared.get(v)
+                if image is None:
+                    key += e << shift[v]
+                else:
+                    factors.append(power(v, e))
+                    if image[0] != 1:
+                        den *= image[0] ** e
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            common = common * den // gcd(common, den)
+            prepared.append((key, num, den, factors))
+        acc: Dict[int, int] = {}
+        for key, num, den, factors in prepared:
+            partial = [(key, num * (common // den))]
+            for factor in factors[:-1]:
+                partial = list(_mul_into({}, partial, factor).items())
+            _mul_into(acc, partial, factors[-1] if factors else [(0, 1)])
+        terms: Dict[Monomial, Fraction] = {}
+        for k, n in acc.items():
+            if not n:
+                continue
+            mono = unpacked.get(k)
+            if mono is None:
+                pairs = []
+                for w, off, mask in fields:
+                    e = (k >> off) & mask
+                    if e:
+                        pairs.append((w, e))
+                mono = unpacked[k] = tuple(pairs)
+            terms[mono] = Fraction(n, common)
+        out.append(SparsePolynomial(terms))
+    return out

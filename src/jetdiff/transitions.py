@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .invariants import InvariantSpace, IrrepLabel
 from .jets import JetPoint, TargetMap, act_target
 from .linalg import dense_rank
-from .poly import SparsePolynomial, jet_var
+from .poly import SparsePolynomial, jet_var, substitute_all
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -132,7 +132,7 @@ def differential_transition(
         for i in range(1, spec.order + 1)
         for j in range(1, spec.rank + 1)
     }
-    images = [q.substitute(bindings) for q in space.basis]
+    images = substitute_all(space.basis, bindings)
     try:
         columns = space.expand_many(images)
     except ValueError as exc:
@@ -165,7 +165,7 @@ def associated_action(g: Sequence[Sequence], space: InvariantSpace) -> Transitio
                 if rows[j - 1][l - 1]:
                     image = image + SparsePolynomial.variable(jet_var(l, i)) * rows[j - 1][l - 1]
             bindings[jet_var(j, i)] = image
-    images = [q.substitute(bindings) for q in space.basis]
+    images = substitute_all(space.basis, bindings)
     try:
         columns = space.expand_many(images)
     except ValueError as exc:

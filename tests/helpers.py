@@ -84,6 +84,39 @@ def scan_eliminate(rows):
     return rows, pivots
 
 
+def reference_substitute(p, bindings):
+    """Reference substitution with the contract of
+    `SparsePolynomial.substitute`: simultaneous, unbound variables pass
+    through.
+
+    Term by term in Fraction arithmetic: each monomial's bound factors
+    are powered and multiplied as polynomials, with a per-call power
+    cache.  No packing and no common denominator, so it is the oracle for
+    the packed substitution kernel.
+    """
+    if not bindings or not p.terms:
+        return p
+    bound = {v: SparsePolynomial._coerce(val) for v, val in bindings.items()}
+    pow_cache = {}
+    total = SparsePolynomial.zero()
+    for mono, coeff in p.terms.items():
+        passthrough = []
+        factor = None
+        for v, e in mono:
+            if v in bound:
+                power = pow_cache.get((v, e))
+                if power is None:
+                    power = pow_cache[(v, e)] = bound[v] ** e
+                factor = power if factor is None else factor * power
+            else:
+                passthrough.append((v, e))
+        term = SparsePolynomial({tuple(passthrough): coeff})
+        if factor is not None:
+            term = term * factor
+        total = total + term
+    return total
+
+
 def random_reparam(rng, order):
     coeffs = [nonzero_rational(rng)] + [rational(rng) for _ in range(order - 1)]
     return ReparamJet(order, coeffs)

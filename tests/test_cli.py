@@ -118,6 +118,20 @@ def test_associated_json(capsys):
     assert diag == ["8", "12", "18", "27", "6"]
 
 
+def test_transition_keeps_map_terms_above_the_order_away_from_the_origin(capsys):
+    # At order 1 the transition depends only on the Jacobian, here
+    # [[1, 4], [0, 1]] at (1, 1); the z2^4 term that produces the 4 has
+    # degree above order + 1 and must survive parsing.
+    shape = ["--rank", "2", "--order", "1", "--weight", "2"]
+    moved = run_json(
+        capsys,
+        ["transition", *shape, "--map", "w1 = z1 + z2^4; w2 = z2", "--point", "1,1"],
+    )
+    linear = run_json(capsys, ["associated", *shape, "--matrix", "1,4;0,1"])
+    assert moved["matrix"] == linear["matrix"]
+    assert moved["psi"] == "w1 = z2^4 + z1; w2 = z2"
+
+
 def test_v1_json(capsys):
     payload = run_json(capsys, ["v1", "--map", SHEAR, "--point", "0,0", "--slope", "0"])
     assert payload["matrix"] == [["1", "2"], ["0", "1"]]

@@ -279,6 +279,38 @@ def test_kernels_match_column_scan(monkeypatch):
         assert rank_modular_check(m) == rank(m), m.to_rows()
 
 
+def test_solve_in_span_sparse_matches_dense():
+    rng = random.Random(61)
+    for m in oracle_matrices():
+        if not m.nrows:
+            continue
+        columns = m.to_rows()
+        n = m.ncols
+        targets = [
+            [sum((rational(rng) * col[i] for col in columns), Fraction(0)) for i in range(n)]
+            for _ in range(2)
+        ]
+        if rng.random() < 0.3:
+            targets.append([rational(rng) for _ in range(n)])
+        # sparse vectors may use any hashable coordinates
+        sparse_cols = [{("c", i): v for i, v in enumerate(col) if v} for col in columns]
+        sparse_targets = [{("c", i): v for i, v in enumerate(t) if v} for t in targets]
+        got = outcome(solve_in_span, sparse_cols, sparse_targets)
+        assert got == outcome(solve_in_span, columns, targets), columns
+
+
+def test_solve_in_span_sparse_errors():
+    cols = [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}]
+    assert solve_in_span(cols, [{0: 1, 1: 1, 2: 2}, {}]) == [[1, 1], [0, 0]]
+    with pytest.raises(ValueError, match="target 1 is outside the span"):
+        solve_in_span(cols, [{}, {3: Fraction(1)}])
+    with pytest.raises(ValueError, match="not linearly independent"):
+        solve_in_span([{0: 1}, {0: 2}], [{0: 1}])
+    with pytest.raises(ValueError, match="empty column set"):
+        solve_in_span([], [{}, {0: 1}])
+    assert solve_in_span([], [{}, [0, 0]]) == [[], []]
+
+
 def test_solve_in_span_matches_column_scan(monkeypatch):
     rng = random.Random(59)
     for m in oracle_matrices():

@@ -16,9 +16,10 @@ from jetdiff.poly import (
     mono_sort_key,
     param_var,
     poly_sum,
+    substitute_all,
 )
 
-from helpers import random_poly, rational
+from helpers import random_poly, rational, reference_substitute
 
 X = base_var(1)
 Y = base_var(2)
@@ -106,6 +107,78 @@ def test_substitute_is_simultaneous():
     x, y = var(X), var(Y)
     p = x * y ** 2
     assert p.substitute({X: y, Y: x}) == y * x ** 2
+
+
+def assert_matches_reference(polys, bindings):
+    got = substitute_all(polys, bindings)
+    assert got == [reference_substitute(p, bindings) for p in polys], (polys, bindings)
+    for p in got:
+        for mono, coeff in p.terms.items():
+            assert type(coeff) is Fraction and coeff
+            assert list(mono) == sorted(mono) and all(e > 0 for _, e in mono)
+    return got
+
+
+def test_substitute_all_matches_reference_randomized():
+    # every variable kind, pass-through variables that also occur in the
+    # images, and scalar, Fraction and zero bindings
+    rng = random.Random(67)
+    variables = [X, Y, jet_var(1, 1), jet_var(2, 2), param_var(1), param_var(2)]
+    for _ in range(60):
+        polys = [random_poly(rng, variables, terms=rng.randint(1, 5), max_exp=4)
+                 for _ in range(rng.randint(1, 4))]
+        polys.append(rng.choice([SparsePolynomial.zero(), SparsePolynomial.constant(rational(rng))]))
+        bindings = {}
+        for v in rng.sample(variables, k=rng.randint(1, len(variables))):
+            kind = rng.random()
+            if kind < 0.15:
+                bindings[v] = rng.randint(-3, 3)
+            elif kind < 0.3:
+                bindings[v] = rational(rng)
+            elif kind < 0.35:
+                bindings[v] = SparsePolynomial.zero()
+            else:
+                bindings[v] = random_poly(rng, variables, terms=rng.randint(1, 3), max_exp=2)
+        assert_matches_reference(polys, bindings)
+
+
+def test_substitute_all_edge_cases():
+    x, y = var(X), var(Y)
+    a1, f1 = var(param_var(1)), var(jet_var(1, 1))
+    zero, one = SparsePolynomial.zero(), SparsePolynomial.constant(1)
+    # simultaneous swap, and a swap with a pass-through variable in the image
+    assert_matches_reference([x ** 2 * y + 3 * y, x - y], {X: y, Y: x})
+    assert_matches_reference([x ** 3 * y ** 2], {X: x + y})
+    # cancellation to zero, within one term product and across terms
+    got = assert_matches_reference([x - y, x ** 2 - y ** 2], {X: y, Y: y})
+    assert got[0].is_zero() and got[1].is_zero()
+    got = assert_matches_reference([x * y + f1 ** 2 - 1], {X: 1 + f1, Y: 1 - f1})
+    assert got[0].is_zero()
+    assert substitute_all([x * y - 2], {X: Fraction(2, 3), Y: 3}) == [zero]
+    # constant and zero polynomials, scalar and Fraction bindings
+    assert_matches_reference([zero, one, SparsePolynomial.constant(Fraction(-5, 7))], {X: y})
+    assert_matches_reference([Fraction(1, 3) * x * a1 ** 2 - f1], {X: 2, param_var(1): Fraction(3, 4)})
+    # denominators in the images and in the coefficients, all variable kinds
+    assert_matches_reference(
+        [Fraction(2, 5) * x ** 2 * f1 + Fraction(1, 3) * a1 * y],
+        {X: Fraction(1, 6) * f1 + Fraction(5, 4) * a1, jet_var(1, 1): Fraction(3, 2) * y - a1},
+    )
+    # unchanged objects without bindings or terms
+    assert substitute_all([x, zero], {})[0] is x
+    assert substitute_all([zero], {X: y})[0] is zero
+
+
+def test_substitute_all_exponents_fill_their_bit_fields():
+    # Exponents 2^n - 1 fill every bit of their field and 2^n needs a new
+    # one; each variable is packed next to another, so a field that is
+    # one bit short carries into its neighbour or loses the top bit.
+    x, y = var(X), var(Y)
+    f1, f2 = var(jet_var(1, 1)), var(jet_var(2, 1))
+    for n in range(1, 7):
+        for e in (2 ** n - 1, 2 ** n):
+            assert_matches_reference([x ** e * y], {X: x + 2 * y})
+            assert_matches_reference([f1 ** e + f2], {jet_var(1, 1): f2 - f1})
+            assert_matches_reference([x ** e, y ** e * x], {X: y, Y: x})
 
 
 def test_substitute_composition_law():
