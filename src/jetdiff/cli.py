@@ -17,7 +17,6 @@ basis that is not adapted to the isotypic decomposition).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -27,12 +26,12 @@ from typing import Dict, List, Optional, Sequence
 from .invariants import (
     InvariantSpace,
     decompose,
+    invariance_system,
     invariant_basis,
     irrep_partition,
     verify_invariance,
 )
 from .jets import JetSpec
-from .invariants import invariance_system
 from .linalg import rank as matrix_rank
 from .linalg import rank_modular_check
 from .parsing import ParseError, parse_map, parse_polynomial
@@ -126,21 +125,26 @@ def _splitting_payload(verdict: SplittingVerdict) -> Dict:
     }
 
 
-def _emit(args, payload: Dict, human: str, golden_name: str) -> None:
+def _emit(args, payload: Dict, human: str, stem: str, *digest_parts: str) -> None:
+    """Print the result; with --golden also write its JSON to
+    DIR/<stem>.json, or DIR/<stem>_<digest of digest_parts>.json."""
     text = json.dumps(payload, indent=2) + "\n"
     if args.json:
         sys.stdout.write(text)
     else:
         sys.stdout.write(human if human.endswith("\n") else human + "\n")
     if args.golden:
+        name = f"{stem}_{_digest(*digest_parts)}" if digest_parts else stem
         os.makedirs(args.golden, exist_ok=True)
-        path = os.path.join(args.golden, golden_name)
+        path = os.path.join(args.golden, name + ".json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"golden output written to {path}", file=sys.stderr)
 
 
 def _digest(*parts: str) -> str:
+    import hashlib  # only here: golden names need it, and it is slow to import
+
     h = hashlib.sha256("|".join(parts).encode("utf-8"))
     return h.hexdigest()[:8]
 
@@ -183,8 +187,7 @@ def _cmd_basis(args) -> int:
             for d in payload["decomposition"]
         )
         lines.append(f"decomposition: {parts}")
-    name = f"basis_r{args.rank}_k{args.order}_m{args.weight}.json"
-    _emit(args, payload, "\n".join(lines), name)
+    _emit(args, payload, "\n".join(lines), f"basis_r{args.rank}_k{args.order}_m{args.weight}")
     return 0
 
 
@@ -212,8 +215,7 @@ def _cmd_dim(args) -> int:
         f"{system.ncols} monomials, system rank {exact} "
         f"(modular check {modular}), dimension {dimension}"
     )
-    name = f"dim_r{args.rank}_k{args.order}_m{args.weight}.json"
-    _emit(args, payload, human, name)
+    _emit(args, payload, human, f"dim_r{args.rank}_k{args.order}_m{args.weight}")
     return 0
 
 
@@ -232,8 +234,7 @@ def _cmd_decompose(args) -> int:
     human = f"dimension {space.dimension} = " + " + ".join(
         f"{_label_str(l.highest_weight)} x{l.multiplicity} (dim {l.dimension()})" for l in labels
     )
-    name = f"decompose_r{args.rank}_k{args.order}_m{args.weight}.json"
-    _emit(args, payload, human, name)
+    _emit(args, payload, human, f"decompose_r{args.rank}_k{args.order}_m{args.weight}")
     return 0
 
 
@@ -252,8 +253,7 @@ def _cmd_verify(args) -> int:
         human = f"invariant of weight {verdict.weight}"
     else:
         human = f"not invariant (weight {verdict.weight}); residual: {verdict.residual}"
-    name = f"verify_r{args.rank}_k{args.order}_{_digest(args.poly)}.json"
-    _emit(args, payload, human, name)
+    _emit(args, payload, human, f"verify_r{args.rank}_k{args.order}", args.poly)
     return 0
 
 
@@ -294,11 +294,8 @@ def _cmd_transition(args) -> int:
     lines.append(
         "pure first-derivative block closed: " + ("yes" if closure.closed else "NO (bug)")
     )
-    name = (
-        f"transition_r{args.rank}_k{args.order}_m{args.weight}_"
-        f"{_digest(args.map, args.point)}.json"
-    )
-    _emit(args, payload, "\n".join(lines), name)
+    stem = f"transition_r{args.rank}_k{args.order}_m{args.weight}"
+    _emit(args, payload, "\n".join(lines), stem, args.map, args.point)
     return 0
 
 
@@ -325,8 +322,8 @@ def _cmd_associated(args) -> int:
         f"fiberwise action on the weight-{space.weight} invariants\n"
         + _matrix_human(tm).rstrip("\n")
     )
-    name = f"associated_r{args.rank}_k{args.order}_m{args.weight}_{_digest(args.matrix)}.json"
-    _emit(args, payload, human, name)
+    stem = f"associated_r{args.rank}_k{args.order}_m{args.weight}"
+    _emit(args, payload, human, stem, args.matrix)
     return 0
 
 
@@ -349,8 +346,7 @@ def _cmd_v1(args) -> int:
         + "\nsecond derivatives of the coordinate change enter: "
         + ("yes" if flag else "no")
     )
-    name = f"v1_{_digest(args.map, args.point, args.slope)}.json"
-    _emit(args, payload, human, name)
+    _emit(args, payload, human, "v1", args.map, args.point, args.slope)
     return 0
 
 
@@ -384,8 +380,7 @@ def _cmd_theta(args) -> int:
         ],
         header=["d", "lower", "lower (dec)", "upper", "verdict"],
     )
-    name = f"theta_m{args.m}_d{degrees[0]}_{degrees[-1]}.json"
-    _emit(args, payload, table, name)
+    _emit(args, payload, table, f"theta_m{args.m}_d{degrees[0]}_{degrees[-1]}")
     return 0
 
 

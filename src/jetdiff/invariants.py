@@ -34,12 +34,11 @@ into irreducibles is computed from per-weight kernels of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
 from .linalg import RationalMatrix, nullspace, solve_in_span
@@ -161,8 +160,7 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     return RationalMatrix(len(row_keys), ncols, rows)
 
 
-@dataclass(frozen=True)
-class InvarianceVerdict:
+class InvarianceVerdict(NamedTuple):
     """Outcome of checking one polynomial against the fully formal action."""
 
     invariant: bool
@@ -218,8 +216,7 @@ def _homogeneous_weight(q: SparsePolynomial, spec: JetSpec) -> int:
     return weights.pop() if weights else 0
 
 
-@dataclass(frozen=True)
-class IrrepLabel:
+class IrrepLabel(NamedTuple):
     """Highest weight of an irreducible constituent, with multiplicity."""
 
     highest_weight: Tuple[int, ...]
@@ -243,10 +240,10 @@ class InvariantSpace:
 
     The constructor takes each basis vector as its (column, nonzero value)
     pairs in increasing column order; `coefficients` holds the same
-    vectors densely.
+    vectors densely, built on first access.
     """
 
-    __slots__ = ("spec", "weight", "monomials", "coefficients", "basis")
+    __slots__ = ("spec", "weight", "monomials", "basis", "_coefficients")
 
     def __init__(
         self,
@@ -258,18 +255,25 @@ class InvariantSpace:
         self.spec = spec
         self.weight = weight
         self.monomials = tuple(monomials)
-        coefficients = []
-        basis = []
-        for pairs in vectors:
-            dense = [_ZERO] * len(self.monomials)
-            for col, value in pairs:
-                dense[col] = value
-            coefficients.append(tuple(dense))
-            basis.append(
-                SparsePolynomial({self.monomials[col]: value for col, value in pairs})
-            )
-        self.coefficients = tuple(coefficients)
-        self.basis = tuple(basis)
+        self.basis = tuple(
+            SparsePolynomial({self.monomials[col]: value for col, value in pairs})
+            for pairs in vectors
+        )
+        self._coefficients = None
+
+    @property
+    def coefficients(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The basis vectors densely, one entry per monomial column."""
+        if self._coefficients is None:
+            column = {m: i for i, m in enumerate(self.monomials)}
+            dense_rows = []
+            for q in self.basis:
+                dense = [_ZERO] * len(self.monomials)
+                for m, value in q.terms.items():
+                    dense[column[m]] = value
+                dense_rows.append(tuple(dense))
+            self._coefficients = tuple(dense_rows)
+        return self._coefficients
 
     @property
     def dimension(self) -> int:

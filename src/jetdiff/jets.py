@@ -26,7 +26,6 @@ interoperates with Fraction arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import List, Sequence, Tuple, Union
@@ -53,22 +52,48 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class JetSpec:
-    """Shape of a jet problem: number of curve components and jet order."""
+    """Shape of a jet problem: number of curve components and jet order.
 
-    rank: int
-    order: int
-    allow_large: bool = field(default=False, compare=False, repr=False)
+    Immutable.  Equality and hashing look at (rank, order) only:
+    `allow_large` lifts the guardrail, it does not make another shape.
+    """
 
-    def __post_init__(self):
-        if self.rank < 1 or self.order < 1:
-            raise ValueError(f"rank and order must be >= 1, got ({self.rank}, {self.order})")
-        if not self.allow_large and (self.rank > MAX_RANK or self.order > MAX_ORDER):
+    __slots__ = ("rank", "order", "allow_large")
+
+    def __init__(self, rank: int, order: int, allow_large: bool = False):
+        if rank < 1 or order < 1:
+            raise ValueError(f"rank and order must be >= 1, got ({rank}, {order})")
+        if not allow_large and (rank > MAX_RANK or order > MAX_ORDER):
             raise ValueError(
-                f"rank {self.rank}, order {self.order} beyond the guardrail "
+                f"rank {rank}, order {order} beyond the guardrail "
                 f"({MAX_RANK}, {MAX_ORDER}); pass allow_large=True to override"
             )
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "allow_large", allow_large)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable JetSpec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable JetSpec")
+
+    def __reduce__(self):
+        # rebuild through __init__ (copy, deepcopy, pickle): slot-by-slot
+        # restoring would go through the blocked __setattr__
+        return (JetSpec, (self.rank, self.order, self.allow_large))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JetSpec):
+            return NotImplemented
+        return self.rank == other.rank and self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.order))
+
+    def __repr__(self) -> str:
+        return f"JetSpec(rank={self.rank}, order={self.order})"
 
     def jet_variables(self) -> List[Variable]:
         """All jet variables of this shape, in the global variable order."""

@@ -23,7 +23,6 @@ what makes the cross-check in the test suite meaningful.
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -34,8 +33,6 @@ _ONE = Fraction(1)
 Row = Dict[int, Fraction]
 # A vector for solve_in_span: sparse (coordinate -> value) or dense.
 Vector = Union[Mapping[Hashable, Fraction], Sequence[Fraction]]
-
-logger = logging.getLogger(__name__)
 
 
 class PrimeFailure(ArithmeticError):
@@ -297,7 +294,9 @@ def rank_modular_check(
         try:
             results.append(_modular_rank(matrix, p))
         except PrimeFailure as exc:
-            logger.info("modular rank: %s, retrying with next prime", exc)
+            import logging  # only here: a retry is rare, and logging is slow to import
+
+            logging.getLogger(__name__).info("modular rank: %s, retrying with next prime", exc)
             continue
         if len(results) == samples:
             break
@@ -306,35 +305,6 @@ def rank_modular_check(
             "all candidate primes divided a denominator; matrix entries are pathological"
         )
     return max(results)
-
-
-def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.ncols != b.nrows:
-        raise ValueError(f"shape mismatch: {a.ncols} vs {b.nrows}")
-    rows: List[Row] = []
-    for arow in a.rows:
-        acc: Row = {}
-        for k, av in arow.items():
-            for j, bv in b.rows[k].items():
-                s = acc.get(j, _ZERO) + av * bv
-                if s:
-                    acc[j] = s
-                else:
-                    acc.pop(j, None)
-        rows.append(acc)
-    return RationalMatrix(a.nrows, b.ncols, rows)
-
-
-def apply_matrix(matrix: RationalMatrix, vec: Sequence[Fraction]) -> List[Fraction]:
-    if len(vec) != matrix.ncols:
-        raise ValueError(f"vector length {len(vec)} does not match {matrix.ncols} columns")
-    out = []
-    for row in matrix.rows:
-        s = _ZERO
-        for c, v in row.items():
-            s += v * vec[c]
-        out.append(s)
-    return out
 
 
 def dense_rank(dense_rows: Sequence[Sequence]) -> int:

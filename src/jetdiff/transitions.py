@@ -22,9 +22,8 @@ contradiction audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import InvariantSpace, IrrepLabel
 from .jets import JetPoint, TargetMap, act_target
@@ -42,7 +41,8 @@ class TransitionMatrix:
     element j, so the matrix acts on coefficient vectors from the left.
     Built either from a polynomial coordinate change at a basepoint
     (`psi`, `basepoint` set) or from a constant fiberwise matrix
-    (`group_element` set).
+    (`group_element` set).  Entries are stored as given, so they must
+    already be Fractions; only the n x n shape is checked.
     """
 
     __slots__ = ("space", "entries", "psi", "basepoint", "group_element")
@@ -56,7 +56,7 @@ class TransitionMatrix:
         group_element: Optional[Tuple[Tuple[Fraction, ...], ...]] = None,
     ):
         n = space.dimension
-        rows = tuple(tuple(Fraction(v) for v in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected a {n}x{n} matrix")
         self.space = space
@@ -139,8 +139,7 @@ def differential_transition(
         raise RuntimeError(
             f"transition left the invariant span (bug in the action): {exc}"
         ) from exc
-    n = space.dimension
-    entries = [[columns[j][i] for j in range(n)] for i in range(n)]
+    entries = tuple(zip(*columns))  # row i holds coordinate i of every image
     return TransitionMatrix(space, entries, psi=psi, basepoint=point)
 
 
@@ -172,22 +171,19 @@ def associated_action(g: Sequence[Sequence], space: InvariantSpace) -> Transitio
         raise RuntimeError(
             f"fiberwise action left the invariant span (bug): {exc}"
         ) from exc
-    n = space.dimension
-    entries = [[columns[j][i] for j in range(n)] for i in range(n)]
+    entries = tuple(zip(*columns))  # row i holds coordinate i of every image
     return TransitionMatrix(
         space, entries, group_element=tuple(tuple(r) for r in rows)
     )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     row: int
     col: int
     value: Fraction
 
 
-@dataclass(frozen=True)
-class SplittingVerdict:
+class SplittingVerdict(NamedTuple):
     """Whether a transition matrix is block diagonal for a basis partition.
 
     `splits` is True when every off-diagonal block vanishes; `witnesses`
@@ -242,8 +238,7 @@ def splitting_check(
     )
 
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(NamedTuple):
     """Whether the pure-first-derivative coefficient block maps into itself."""
 
     indices: Tuple[int, ...]  # basis indices supported on order-1 variables only
@@ -351,8 +346,7 @@ def theta_lower_bound(degree: int, weight: int) -> Fraction:
     return Fraction(-1, 2 * weight) + (2 - Fraction(7, 2 * weight)) / (degree - 4)
 
 
-@dataclass(frozen=True)
-class ThetaAuditRow:
+class ThetaAuditRow(NamedTuple):
     degree: int
     weight: int
     lower_bound: Fraction

@@ -8,7 +8,7 @@ deterministic.
 from fractions import Fraction
 
 from jetdiff.jets import JetPoint, JetSpec, ReparamJet, TargetMap
-from jetdiff.linalg import dense_rank
+from jetdiff.linalg import RationalMatrix, dense_rank
 from jetdiff.poly import SparsePolynomial, base_var
 
 
@@ -33,6 +33,37 @@ def random_poly(rng, variables, terms=4, max_exp=3, lo=-5, hi=5):
             mono = mono * SparsePolynomial.variable(v) ** rng.randint(1, max_exp)
         p = p + mono * rational(rng, lo, hi)
     return p
+
+
+def matmul(a, b):
+    """Product of two RationalMatrix values, kept sparse."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch: {a.ncols} vs {b.nrows}")
+    rows = []
+    for arow in a.rows:
+        acc = {}
+        for k, av in arow.items():
+            for j, bv in b.rows[k].items():
+                s = acc.get(j, Fraction(0)) + av * bv
+                if s:
+                    acc[j] = s
+                else:
+                    acc.pop(j, None)
+        rows.append(acc)
+    return RationalMatrix(a.nrows, b.ncols, rows)
+
+
+def apply_matrix(matrix, vec):
+    """A RationalMatrix times a dense vector, as a list of Fractions."""
+    if len(vec) != matrix.ncols:
+        raise ValueError(f"vector length {len(vec)} does not match {matrix.ncols} columns")
+    out = []
+    for row in matrix.rows:
+        s = Fraction(0)
+        for c, v in row.items():
+            s += v * vec[c]
+        out.append(s)
+    return out
 
 
 def scan_eliminate(rows):

@@ -1,6 +1,7 @@
 """Tests for the command line interface: schema, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -195,19 +196,29 @@ def test_golden_files(capsys, name, argv):
 
 
 def test_golden_flag_writes_file(capsys, tmp_path):
-    argv = [
-        "basis",
-        "--rank", "2",
-        "--order", "2",
-        "--weight", "3",
-        "--json",
-        "--golden", str(tmp_path),
+    # the digest-named file is pinned literally, not through _digest
+    cases = [
+        ("basis_r2_k2_m3.json", ["basis", "--rank", "2", "--order", "2", "--weight", "3"]),
+        (
+            "transition_r2_k2_m3_c5805508.json",
+            [
+                "transition",
+                "--rank", "2",
+                "--order", "2",
+                "--weight", "3",
+                "--map", SHEAR,
+                "--point", "0,0",
+            ],
+        ),
     ]
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    written = tmp_path / "basis_r2_k2_m3.json"
-    assert written.read_text() == captured.out
-    assert "basis_r2_k2_m3.json" in captured.err
+    for name, argv in cases:
+        out_dir = tmp_path / name.split("_")[0]
+        assert main(argv + ["--json", "--golden", str(out_dir)]) == 0
+        captured = capsys.readouterr()
+        written = out_dir / name
+        assert written.read_text() == captured.out
+        assert name in captured.err
+        assert [p.name for p in out_dir.iterdir()] == [name]
 
 
 def test_exit_code_zero_on_success(capsys):
@@ -304,3 +315,22 @@ def test_subprocess_exit_code_for_parse_error():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_cli_import_loads_no_dataclasses_logging_or_hashlib():
+    # Every call pays for `import jetdiff.cli`.  These modules are slow to
+    # import and needed only on rare branches, which import them locally.
+    # -S keeps site-packages hooks from loading them first.
+    import jetdiff
+
+    src = str(Path(jetdiff.__file__).resolve().parent.parent)
+    heavy = ("dataclasses", "inspect", "logging", "hashlib")
+    code = f"import sys, jetdiff.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Tests for reparametrization jets, jet points, and both group actions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -39,17 +41,33 @@ def reparam(*coeffs):
 
 
 def test_jet_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"rank and order must be >= 1, got \(0, 1\)"):
         JetSpec(0, 1)
     with pytest.raises(ValueError):
         JetSpec(1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"beyond the guardrail \(4, 4\); pass allow_large=True"):
         JetSpec(2, 5)
     with pytest.raises(ValueError):
         JetSpec(5, 2)
     big = JetSpec(2, 5, allow_large=True)
     assert big.order == 5
     assert JetSpec(2, 3) == JetSpec(2, 3)
+
+
+def test_jet_spec_equality_immutability_and_copies():
+    big = JetSpec(2, 5, allow_large=True)
+    # allow_large lifts the guardrail; it does not tell shapes apart
+    assert JetSpec(2, 3, allow_large=True) == JetSpec(2, 3)
+    assert hash(JetSpec(2, 3, allow_large=True)) == hash(JetSpec(2, 3))
+    assert JetSpec(2, 3) != JetSpec(3, 2)
+    assert repr(JetSpec(2, 3)) == "JetSpec(rank=2, order=3)"
+    with pytest.raises(AttributeError):
+        big.order = 2
+    with pytest.raises(AttributeError):
+        del big.rank
+    for clone in (copy.copy(big), copy.deepcopy(big), pickle.loads(pickle.dumps(big))):
+        assert clone == big
+        assert clone.allow_large is True
 
 
 def test_jet_variables_enumeration():

@@ -9,9 +9,7 @@ from jetdiff import linalg
 from jetdiff.linalg import (
     PrimeFailure,
     RationalMatrix,
-    apply_matrix,
     dense_rank,
-    matmul,
     nullspace,
     rank,
     rank_modular_check,
@@ -19,7 +17,7 @@ from jetdiff.linalg import (
     solve_in_span,
 )
 
-from helpers import nonzero_rational, rational, scan_eliminate
+from helpers import apply_matrix, matmul, nonzero_rational, rational, scan_eliminate
 
 
 def dense(rows):
@@ -132,11 +130,16 @@ def test_modular_rank_agrees_on_structured_low_rank():
         assert rank_modular_check(m) == r
 
 
-def test_modular_rank_skips_bad_primes():
-    # A denominator equal to the first prime forces a retry with the next.
+def test_modular_rank_skips_bad_primes(caplog):
+    # A denominator equal to the first prime forces a retry with the next,
+    # reported on the "jetdiff.linalg" logger (perfbench counts these).
     p = 2147483647
     m = dense([[Fraction(1, p), 0], [0, 1]])
-    assert rank_modular_check(m) == 2
+    with caplog.at_level("INFO", logger="jetdiff.linalg"):
+        assert rank_modular_check(m) == 2
+    retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
+    assert len(retries) == 1
+    assert "retrying" in retries[0].getMessage()
     with pytest.raises(ArithmeticError):
         rank_modular_check(m, primes=(p,), samples=1)
 

@@ -159,6 +159,20 @@ def test_associated_differs_from_differential_at_witness():
     assert fiberwise.entries != genuine.entries
 
 
+def test_both_producers_store_fraction_entries():
+    # TransitionMatrix keeps entries as given, so each producer must hand
+    # it Fractions, also from integer input and at a nonzero basepoint.
+    space = invariant_basis(JetSpec(2, 2), 4)
+    z1, z2 = var(base_var(1)), var(base_var(2))
+    psi = TargetMap(2, 2, [z1 + z2 ** 2, z2 + 3 * z1 * z2], truncate=False)
+    for tm in (
+        differential_transition(space, psi, [1, 2]),
+        associated_action([[2, 1], [0, 3]], space),
+    ):
+        assert len(tm.entries) == space.dimension
+        assert all(type(v) is Fraction for row in tm.entries for v in row)
+
+
 # ---- the cocycle identity ----
 
 
