@@ -74,13 +74,15 @@ def _parse_matrix(text: str) -> List[List[Fraction]]:
 
 
 def _parse_degree_range(text: str) -> List[int]:
-    if ":" in text:
-        a, b = text.split(":", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ParseError(f"empty degree range {text!r}", 1, 1)
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_text, colon, hi_text = text.partition(":")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if colon else lo
+    except ValueError as exc:
+        raise ParseError(f"not a degree or degree range: {text!r}", 1, 1) from exc
+    if hi < lo:
+        raise ParseError(f"empty degree range {text!r}", 1, 1)
+    return list(range(lo, hi + 1))
 
 
 def _spec(args) -> JetSpec:
@@ -259,9 +261,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_transition(args) -> int:
     spec = _spec(args)
-    # the jet is moved at --point, not at the origin: truncating the map
-    # about the origin would drop terms that reach the basepoint's jets
-    psi = parse_map(args.map, spec.rank, spec.order, truncate=False)
+    psi = parse_map(args.map, spec.rank, spec.order)
     point = _parse_point(args.point, spec.rank)
     space = invariant_basis(spec, args.weight)
     tm = differential_transition(space, psi, point)
@@ -328,9 +328,7 @@ def _cmd_associated(args) -> int:
 
 
 def _cmd_v1(args) -> int:
-    # chart-level computation: derivatives are taken at arbitrary points,
-    # so the map must not be truncated about the origin
-    psi = parse_map(args.map, 2, 1, truncate=False)
+    psi = parse_map(args.map, 2, 1)
     point = _parse_point(args.point, 2)
     slope = _fraction(args.slope)
     matrix, flag = v1_frame_transition(psi, point, slope)

@@ -239,11 +239,13 @@ class InvariantSpace:
     fully formal action before returning.
 
     The constructor takes each basis vector as its (column, nonzero value)
-    pairs in increasing column order; `coefficients` holds the same
-    vectors densely, built on first access.
+    pairs in increasing column order, and the torus weight of each; the
+    weights are the torus blocks the vectors were found in, so they are
+    stored rather than read back off the polynomials.  `coefficients`
+    holds the vectors densely, built on first access.
     """
 
-    __slots__ = ("spec", "weight", "monomials", "basis", "_coefficients")
+    __slots__ = ("spec", "weight", "monomials", "basis", "_torus_weights", "_coefficients")
 
     def __init__(
         self,
@@ -251,6 +253,7 @@ class InvariantSpace:
         weight: int,
         monomials: Sequence[Monomial],
         vectors: Sequence[Sequence[Tuple[int, Fraction]]],
+        torus_weights: Sequence[Tuple[int, ...]],
     ):
         self.spec = spec
         self.weight = weight
@@ -259,6 +262,7 @@ class InvariantSpace:
             SparsePolynomial({self.monomials[col]: value for col, value in pairs})
             for pairs in vectors
         )
+        self._torus_weights = tuple(torus_weights)
         self._coefficients = None
 
     @property
@@ -279,9 +283,10 @@ class InvariantSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def expand_many(self, polys: Sequence[SparsePolynomial]) -> List[List[Fraction]]:
-        """Coordinates of each polynomial in the basis; raises ValueError
-        when one of them leaves the span (or even the monomial support)."""
+    def expand_many(self, polys: Sequence[SparsePolynomial]) -> List[Dict[int, Fraction]]:
+        """Coordinates of each polynomial in the basis, as {basis index:
+        nonzero coefficient}; raises ValueError when one of them leaves the
+        span (or even the monomial support)."""
         support = set(self.monomials)
         for p in polys:
             for m in p.terms:
@@ -292,11 +297,11 @@ class InvariantSpace:
                     )
         return solve_in_span([q.terms for q in self.basis], [p.terms for p in polys])
 
-    def expand_in_basis(self, p: SparsePolynomial) -> List[Fraction]:
+    def expand_in_basis(self, p: SparsePolynomial) -> Dict[int, Fraction]:
         return self.expand_many([p])[0]
 
     def torus_weights(self) -> List[Tuple[int, ...]]:
-        return [_torus_weight_of(p, self.spec.rank) for p in self.basis]
+        return list(self._torus_weights)
 
     def __repr__(self) -> str:
         return (
@@ -324,8 +329,8 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     blocks: Dict[Tuple[int, ...], List[int]] = {}
     for col, mono in enumerate(monomials):
         blocks.setdefault(_mono_torus_weight(mono, spec.rank), []).append(col)
-    keyed: List[Tuple[int, List[Tuple[int, Fraction]]]] = []
-    for cols in blocks.values():
+    keyed: List[Tuple[int, List[Tuple[int, Fraction]], Tuple[int, ...]]] = []
+    for torus, cols in blocks.items():
         rows: Dict[Tuple[int, Monomial], Dict[int, Fraction]] = {}
         for local, col in enumerate(cols):
             for s in derivations:
@@ -334,9 +339,15 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
         block = RationalMatrix(len(rows), len(cols), list(rows.values()))
         for vec in nullspace(block):
             pairs = [(col, value) for col, value in zip(cols, vec) if value]
-            keyed.append((pairs[-1][0], pairs))
+            keyed.append((pairs[-1][0], pairs, torus))
     keyed.sort(key=lambda item: item[0])
-    space = InvariantSpace(spec, weight, monomials, [pairs for _, pairs in keyed])
+    space = InvariantSpace(
+        spec,
+        weight,
+        monomials,
+        [pairs for _, pairs, _ in keyed],
+        [torus for _, _, torus in keyed],
+    )
     for q, verdict in zip(space.basis, _verify_all(space.basis, spec)):
         if not verdict.invariant:
             raise RuntimeError(
@@ -354,23 +365,6 @@ def _mono_torus_weight(mono: Monomial, rank: int) -> Tuple[int, ...]:
             raise ValueError(f"not a jet polynomial: contains {v.name}")
         counts[v.comp - 1] += e
     return tuple(counts)
-
-
-def _torus_weight_of(p: SparsePolynomial, rank: int) -> Tuple[int, ...]:
-    """Component-count vector (d1..dr), demanding all terms agree."""
-    if p.is_zero():
-        raise ValueError("torus weight of the zero polynomial is undefined")
-    seen = None
-    for mono in p.terms:
-        counts = _mono_torus_weight(mono, rank)
-        if seen is None:
-            seen = counts
-        elif seen != counts:
-            raise ValueError(
-                f"mixed torus weights {seen} and {counts}; the polynomial is not "
-                "weight-homogeneous for the component torus"
-            )
-    return seen
 
 
 def torus_weights(space: InvariantSpace) -> List[Tuple[int, ...]]:
@@ -424,7 +418,9 @@ def _highest_weight_vectors(
     on that block (coordinates over those indices).
 
     Every basis element is raised once and the results are expanded with
-    one solve; each torus weight block then gives one nullspace.
+    one solve; each torus weight block then gives one nullspace, of the
+    matrix whose column j holds the coordinates of the j-th raised element
+    of the block.
     """
     if space.spec.rank != 2:
         raise ValueError(
@@ -432,12 +428,17 @@ def _highest_weight_vectors(
             "are available at any rank"
         )
     raised = [raising_action(q, from_comp=2, to_comp=1) for q in space.basis]
-    columns = _raising_columns(space, raised)
+    try:
+        coords = space.expand_many(raised)
+    except ValueError as exc:
+        raise RuntimeError(f"raising operator left the invariant span: {exc}") from exc
     found: List[Tuple[IrrepLabel, List[int], List[List[Fraction]]]] = []
     for wt, idxs in sorted(_weight_blocks(space).items(), reverse=True):
-        block = [columns[i] for i in idxs]
-        mat = RationalMatrix.from_rows(_transpose(block, space.dimension))
-        kernel = nullspace(mat)
+        rows: Dict[int, Dict[int, Fraction]] = {}
+        for local, idx in enumerate(idxs):
+            for i, value in coords[idx].items():
+                rows.setdefault(i, {})[local] = value
+        kernel = nullspace(RationalMatrix(len(rows), len(idxs), list(rows.values())))
         if not kernel:
             continue
         if wt[0] < wt[1]:
@@ -451,31 +452,6 @@ def _highest_weight_vectors(
             f"decomposition dimensions sum to {total}, expected {space.dimension}"
         )
     return found
-
-
-def _raising_columns(
-    space: InvariantSpace, raised: Sequence[SparsePolynomial]
-) -> List[List[Fraction]]:
-    """Coordinates of each raised basis element; zero polynomials allowed."""
-    zero_vec = [_ZERO] * space.dimension
-    nonzero = [(i, p) for i, p in enumerate(raised) if not p.is_zero()]
-    columns = [list(zero_vec) for _ in raised]
-    if nonzero:
-        try:
-            solved = space.expand_many([p for _, p in nonzero])
-        except ValueError as exc:
-            raise RuntimeError(
-                f"raising operator left the invariant span: {exc}"
-            ) from exc
-        for (i, _), vec in zip(nonzero, solved):
-            columns[i] = vec
-    return columns
-
-
-def _transpose(columns: Sequence[Sequence[Fraction]], height: int) -> List[List[Fraction]]:
-    if not columns:
-        return [[] for _ in range(height)]
-    return [[col[i] for col in columns] for i in range(height)]
 
 
 def irrep_partition(
@@ -518,7 +494,7 @@ def irrep_partition(
     members: List[List[int]] = [[] for _ in found]
     missing = []
     for idx, vec in enumerate(coords):
-        owners = {owner[col] for col, v in enumerate(vec) if v}
+        owners = {owner[col] for col in vec}
         if len(owners) == 1:
             members[owners.pop()].append(idx)
         else:

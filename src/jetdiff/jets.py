@@ -299,17 +299,14 @@ def act_reparam(jet: JetPoint, phi: ReparamJet) -> JetPoint:
 class TargetMap:
     """A polynomial coordinate change on the target: w_j = psi_j(z1..zr).
 
-    `order` is the jet order the map is meant for; construction truncates
-    components beyond total degree order+1 (higher terms cannot influence
-    the first `order` derivatives extracted at the map's own expansion
-    origin).  The truncation is exact only at basepoint 0: at any other
-    basepoint the dropped terms change the jets, so pass truncate=False
-    there.  Compositions built internally keep all terms, see compose().
+    `order` is the highest jet order the map may move (act_target rejects
+    a jet of higher order).  Components are kept exactly as given: a term
+    of any degree reaches the jets at a nonzero basepoint.
     """
 
     __slots__ = ("rank", "order", "components")
 
-    def __init__(self, rank: int, order: int, components: Sequence[SparsePolynomial], truncate: bool = True):
+    def __init__(self, rank: int, order: int, components: Sequence[SparsePolynomial]):
         if rank < 1 or order < 1:
             raise ValueError(f"rank and order must be >= 1, got ({rank}, {order})")
         if len(components) != rank:
@@ -320,13 +317,6 @@ class TargetMap:
             for v in poly.variables():
                 if v.kind != BASE or v.comp > rank:
                     raise ValueError(f"component uses non-base variable {v.name}")
-            if truncate:
-                kept = {
-                    m: co
-                    for m, co in poly.terms.items()
-                    if sum(e for _, e in m) <= order + 1
-                }
-                poly = SparsePolynomial(kept)
             comps.append(poly)
         self.rank = rank
         self.order = order
@@ -385,19 +375,14 @@ class TargetMap:
         return out
 
     def compose(self, inner: "TargetMap") -> "TargetMap":
-        """self after inner, kept exact (no truncation).
-
-        Truncating a composition about the origin would change its jets at
-        nonzero basepoints, so closure under composition is preserved at
-        full precision and any truncation stays a parse-boundary affair.
-        """
+        """self after inner, with every term of the substitution kept."""
         if inner.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {inner.rank}")
         bindings = {
             base_var(l): inner.components[l - 1] for l in range(1, self.rank + 1)
         }
         comps = [c.substitute(bindings) for c in self.components]
-        return TargetMap(self.rank, max(self.order, inner.order), comps, truncate=False)
+        return TargetMap(self.rank, max(self.order, inner.order), comps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TargetMap):

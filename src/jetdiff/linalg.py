@@ -3,7 +3,9 @@
 Matrices are stored as sparse rows (dict column -> nonzero Fraction), one
 representation for every size; constraint systems arriving from the
 invariance machinery are naturally sparse and the small dense cases lose
-nothing.
+nothing.  Vectors are sparse the same way: `solve_in_span` takes and
+returns mappings from coordinate to value.  Only `nullspace` returns
+dense vectors, scaled to their canonical integer form.
 
 Both elimination kernels keep an index from each column to the rows with
 a nonzero there, updated on every fill-in and cancellation, so a pivot
@@ -25,14 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Row = Dict[int, Fraction]
-# A vector for solve_in_span: sparse (coordinate -> value) or dense.
-Vector = Union[Mapping[Hashable, Fraction], Sequence[Fraction]]
 
 
 class PrimeFailure(ArithmeticError):
@@ -314,30 +314,24 @@ def dense_rank(dense_rows: Sequence[Sequence]) -> int:
     return rank(RationalMatrix.from_rows(dense_rows))
 
 
-def _nonzero_entries(vec: Vector):
-    """(coordinate, value) pairs of the nonzero entries of a sparse
-    (mapping) or dense (sequence) vector."""
-    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
-    return [(i, v) for i, v in items if v]
-
-
-def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]) -> List[List[Fraction]]:
+def solve_in_span(
+    columns: Sequence[Mapping[Hashable, Fraction]],
+    targets: Sequence[Mapping[Hashable, Fraction]],
+) -> List[Row]:
     """Express each target vector in the span of `columns`.
 
-    A vector is either sparse, a mapping from coordinate to value, or
-    dense, a sequence indexed by coordinate.  The columns are assumed
-    linearly independent; each target is written as their unique
-    combination, returned densely (one coefficient per column).  Raises
-    ValueError naming the first target that is outside the span.
+    Vectors are sparse: a mapping from coordinate (any hashable) to value,
+    where absent coordinates and zero values both mean zero.  The columns
+    are assumed linearly independent; each target is written as their
+    unique combination, returned as {column index: nonzero coefficient}.
+    Raises ValueError naming the first target that is outside the span.
     """
-    if not columns:
-        if any(_nonzero_entries(t) for t in targets):
-            raise ValueError("target 0 is outside the span (empty column set)")
-        return [[] for _ in targets]
     width = len(columns)
     by_coord: Dict[Hashable, Row] = {}
     for j, vec in enumerate([*columns, *targets]):
-        for i, v in _nonzero_entries(vec):
+        for i, v in vec.items():
+            if not v:
+                continue
             row = by_coord.get(i)
             if row is None:
                 by_coord[i] = {j: v}
@@ -349,7 +343,10 @@ def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]) -> List[
             raise ValueError(f"target {p - width} is outside the span")
     if pivots != list(range(width)):
         raise ValueError("columns are not linearly independent")
-    out = []
-    for t in range(len(targets)):
-        out.append([rows[i].get(width + t, _ZERO) for i in range(width)])
+    out: List[Row] = [{} for _ in targets]
+    for i in range(width):
+        # pivot row i holds coordinate i of every target in the span
+        for c, v in rows[i].items():
+            if c >= width:
+                out[c - width][i] = v
     return out

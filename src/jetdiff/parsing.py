@@ -283,14 +283,11 @@ def parse_polynomial(text: str, spec: JetSpec) -> SparsePolynomial:
     return parser.parse_full()
 
 
-def parse_map(text: str, rank: int, order: int, truncate: bool = True) -> TargetMap:
-    """Parse "w1 = ...; w2 = ..." into a TargetMap.
+def parse_map(text: str, rank: int, order: int) -> TargetMap:
+    """Parse "w1 = ...; w2 = ..." into a TargetMap for jets up to `order`.
 
     Every component w1..w<rank> must be assigned exactly once; components
-    are truncated beyond total degree order+1 (the jets extracted at the
-    expansion origin cannot see higher terms).  The truncation is exact
-    only at basepoint 0; pass truncate=False for consumers that move jets
-    or evaluate derivatives away from the origin.
+    are kept exactly, terms of every degree included.
     """
     tokens = _tokenize(text)
     components: dict = {}
@@ -344,7 +341,7 @@ def parse_map(text: str, rank: int, order: int, truncate: bool = True) -> Target
             tokens[-1].line,
             tokens[-1].column,
         )
-    return TargetMap(rank, order, [components[j] for j in range(1, rank + 1)], truncate=truncate)
+    return TargetMap(rank, order, [components[j] for j in range(1, rank + 1)])
 
 
 def parse_reparam(text: str, order: int) -> ReparamJet:

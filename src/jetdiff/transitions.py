@@ -23,7 +23,7 @@ contradiction audit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .invariants import InvariantSpace, IrrepLabel
 from .jets import JetPoint, TargetMap, act_target
@@ -39,31 +39,20 @@ class TransitionMatrix:
 
     Convention: column j holds the coordinates of the image of basis
     element j, so the matrix acts on coefficient vectors from the left.
-    Built either from a polynomial coordinate change at a basepoint
-    (`psi`, `basepoint` set) or from a constant fiberwise matrix
-    (`group_element` set).  Entries are stored as given, so they must
-    already be Fractions; only the n x n shape is checked.
+    Built either from a polynomial coordinate change at a basepoint or
+    from a constant fiberwise matrix.  Entries are stored as given, so
+    they must already be Fractions; only the n x n shape is checked.
     """
 
-    __slots__ = ("space", "entries", "psi", "basepoint", "group_element")
+    __slots__ = ("space", "entries")
 
-    def __init__(
-        self,
-        space: InvariantSpace,
-        entries: Sequence[Sequence[Fraction]],
-        psi: Optional[TargetMap] = None,
-        basepoint: Optional[Tuple[Fraction, ...]] = None,
-        group_element: Optional[Tuple[Tuple[Fraction, ...], ...]] = None,
-    ):
+    def __init__(self, space: InvariantSpace, entries: Sequence[Sequence[Fraction]]):
         n = space.dimension
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected a {n}x{n} matrix")
         self.space = space
         self.entries = rows
-        self.psi = psi
-        self.basepoint = basepoint
-        self.group_element = group_element
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
@@ -139,8 +128,7 @@ def differential_transition(
         raise RuntimeError(
             f"transition left the invariant span (bug in the action): {exc}"
         ) from exc
-    entries = tuple(zip(*columns))  # row i holds coordinate i of every image
-    return TransitionMatrix(space, entries, psi=psi, basepoint=point)
+    return TransitionMatrix(space, _square(columns))
 
 
 def associated_action(g: Sequence[Sequence], space: InvariantSpace) -> TransitionMatrix:
@@ -171,10 +159,18 @@ def associated_action(g: Sequence[Sequence], space: InvariantSpace) -> Transitio
         raise RuntimeError(
             f"fiberwise action left the invariant span (bug): {exc}"
         ) from exc
-    entries = tuple(zip(*columns))  # row i holds coordinate i of every image
-    return TransitionMatrix(
-        space, entries, group_element=tuple(tuple(r) for r in rows)
-    )
+    return TransitionMatrix(space, _square(columns))
+
+
+def _square(columns: Sequence[Dict[int, Fraction]]) -> List[List[Fraction]]:
+    """The n x n entries whose column j is the sparse coordinate vector
+    columns[j]; every entry is printed, so this is the one dense step."""
+    n = len(columns)
+    entries = [[_ZERO] * n for _ in range(n)]
+    for j, col in enumerate(columns):
+        for i, value in col.items():
+            entries[i][j] = value
+    return entries
 
 
 class Witness(NamedTuple):

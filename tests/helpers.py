@@ -190,6 +190,6 @@ def random_target_map(rng, rank, order, degree=2, points=((0, 0),)):
                 for z in zs:
                     p = p + SparsePolynomial.variable(z) ** 3 * rational(rng, -2, 2, 1)
             comps.append(p)
-        psi = TargetMap(rank, order, comps, truncate=False)
+        psi = TargetMap(rank, order, comps)
         if all(dense_rank(psi.jacobian(pt)) == rank for pt in points):
             return psi

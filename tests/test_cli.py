@@ -84,6 +84,11 @@ def test_verify_json_invariant(capsys):
     )
     assert payload["invariant"] is True
     assert payload["residual"] is None
+    # Demailly's order-3 invariant W1 = f1'*W' - 3*f1''*W, W the Wronskian
+    w1 = "f1'*(f1'*f2''' - f2'*f1''') - 3*f1''*(f1'*f2'' - f2'*f1'')"
+    payload = run_json(capsys, ["verify", "--rank", "2", "--order", "3", "--poly", w1])
+    assert payload["invariant"] is True
+    assert payload["weight"] == 5
 
 
 def test_transition_json(capsys):
@@ -254,6 +259,9 @@ def test_exit_code_two_on_usage_errors(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+    for degrees in ("abc", "6:x"):
+        assert main(["theta", "--d", degrees]) == 2
+        assert f"not a degree or degree range: {degrees!r}" in capsys.readouterr().err
 
 
 def test_exit_code_three_on_internal_consistency_failure():

@@ -231,6 +231,28 @@ def test_closed_form_rank_one():
                 assert str(space.basis[0]) == expected
 
 
+def hilbert_series(numerator, denominator_degrees, n):
+    """Coefficients of t^0..t^n in numerator(t) / prod_d (1 - t^d), the
+    numerator given as {power: coefficient}."""
+    coeffs = [0] * (n + 1)
+    for power, c in numerator.items():
+        coeffs[power] += c
+    for d in denominator_degrees:
+        for i in range(d, n + 1):
+            coeffs[i] += coeffs[i - d]
+    return coeffs
+
+
+def test_dimensions_match_hilbert_series_orders_two_and_three():
+    # Second route for the dimensions: the invariant algebra is free on
+    # f1', f2' and the Wronskian W at order 2; at order 3 it is generated
+    # by f1', f2', W, W1, W2 with one relation in weight 6 (Demailly 1997).
+    order2 = hilbert_series({0: 1}, (1, 1, 3), 20)
+    assert [invariant_basis(JetSpec(2, 2), m).dimension for m in range(21)] == order2
+    order3 = hilbert_series({0: 1, 6: -1}, (1, 1, 3, 5, 5), 16)
+    assert [invariant_basis(JetSpec(2, 3), m).dimension for m in range(17)] == order3
+
+
 # ---- invariance verification ----
 
 
@@ -295,6 +317,20 @@ def test_weighted_homogeneity_of_monomials():
 def test_torus_weights_r2_k2_m3():
     space = invariant_basis(JetSpec(2, 2), 3)
     assert torus_weights(space) == [(3, 0), (2, 1), (1, 2), (0, 3), (1, 1)]
+
+
+def test_stored_torus_weights_match_every_term():
+    # The weights are recorded from the torus blocks during construction;
+    # count the components of every term of every element instead.
+    for spec, weight in ((JetSpec(2, 3), 8), (JetSpec(3, 3), 5), (JetSpec(1, 2), 4)):
+        space = invariant_basis(spec, weight)
+        assert len(space.torus_weights()) == space.dimension
+        for q, wt in zip(space.basis, space.torus_weights()):
+            for mono in q.terms:
+                counts = [0] * spec.rank
+                for v, e in mono:
+                    counts[v.comp - 1] += e
+                assert tuple(counts) == wt
 
 
 def test_raising_action_examples():
@@ -369,7 +405,7 @@ def test_irrep_partition_covers_basis():
             ]
             outside = set(range(space.dimension)) - set(indices)
             for coords in space.expand_many([p for p in moved if not p.is_zero()]):
-                assert not any(coords[j] for j in outside)
+                assert not outside & coords.keys()
         assert sorted(seen) == list(range(len(space.basis)))
         assert len(seen) == len(set(seen))
 
@@ -386,8 +422,8 @@ def test_irrep_partition_raises_on_non_adapted_basis():
 def test_expand_in_basis():
     space = invariant_basis(JetSpec(2, 2), 3)
     coords = space.expand_in_basis(wronskian())
-    assert coords == [0, 0, 0, 0, 1]
+    assert coords == {4: 1}
     mixed = space.basis[0] * 2 - space.basis[4]
-    assert space.expand_in_basis(mixed) == [2, 0, 0, 0, -1]
+    assert space.expand_in_basis(mixed) == {0: 2, 4: -1}
     with pytest.raises(ValueError):
         space.expand_in_basis(var(jet_var(1, 1)) * var(jet_var(1, 2)))

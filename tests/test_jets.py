@@ -262,16 +262,6 @@ def test_target_map_validation():
         TargetMap(1, 2, [var(base_var(2))])
 
 
-def test_target_map_truncation_is_by_total_degree():
-    z1 = var(base_var(1))
-    kept = TargetMap(1, 2, [z1 ** 3], truncate=True)
-    dropped = TargetMap(1, 2, [z1 ** 4], truncate=True)
-    assert kept.components[0] == z1 ** 3
-    assert dropped.components[0].is_zero()
-    exact = TargetMap(1, 2, [z1 ** 4], truncate=False)
-    assert exact.components[0] == z1 ** 4
-
-
 def test_target_map_evaluate_jacobian_hessian():
     z1, z2 = var(base_var(1)), var(base_var(2))
     psi = TargetMap(2, 2, [z1, z2 + z1 ** 2])
@@ -433,8 +423,7 @@ def test_act_target_functoriality_exact():
 
 
 def test_act_target_functoriality_truncated_at_origin():
-    # Parse-style truncated maps fixing the origin compose correctly for
-    # jets based there: dropped terms are too high to touch the jet.
+    # Maps fixing the origin compose correctly for jets based there.
     rng = random.Random(113)
     spec = JetSpec(2, 2)
     z1, z2 = var(base_var(1)), var(base_var(2))

@@ -101,12 +101,10 @@ def test_parse_map_order_of_components_is_by_index():
     assert tm.components[1] == var(base_var(1))
 
 
-def test_parse_map_truncation_flag():
-    text = "w1 = z1^4"
-    truncated = parse_map(text, 1, 2)
-    assert truncated.components[0].is_zero()
-    exact = parse_map(text, 1, 2, truncate=False)
-    assert exact.components[0] == var(base_var(1)) ** 4
+def test_parse_map_keeps_terms_above_the_order():
+    # z1^4 cannot reach an order-2 jet at the origin, but it does at any
+    # other basepoint, so the map keeps it.
+    assert parse_map("w1 = z1^4", 1, 2).components[0] == var(base_var(1)) ** 4
 
 
 def test_parse_map_errors():

@@ -164,7 +164,7 @@ def test_both_producers_store_fraction_entries():
     # it Fractions, also from integer input and at a nonzero basepoint.
     space = invariant_basis(JetSpec(2, 2), 4)
     z1, z2 = var(base_var(1)), var(base_var(2))
-    psi = TargetMap(2, 2, [z1 + z2 ** 2, z2 + 3 * z1 * z2], truncate=False)
+    psi = TargetMap(2, 2, [z1 + z2 ** 2, z2 + 3 * z1 * z2])
     for tm in (
         differential_transition(space, psi, [1, 2]),
         associated_action([[2, 1], [0, 3]], space),
