@@ -66,11 +66,12 @@ def _parse_point(text: str, rank: int) -> List[Fraction]:
     return [_fraction(p) for p in parts]
 
 
-def _parse_matrix(text: str) -> List[List[Fraction]]:
-    rows = []
-    for chunk in text.split(";"):
-        rows.append([_fraction(p) for p in chunk.split(",")])
-    return rows
+def _parse_matrix(text: str, rank: int) -> List[List[Fraction]]:
+    rows = [chunk.split(",") for chunk in text.split(";")]
+    if len(rows) != rank or any(len(row) != rank for row in rows):
+        message = f"expected {rank} ';'-separated rows of {rank} comma-separated entries"
+        raise ParseError(message, 1, 1)
+    return [[_fraction(p) for p in row] for row in rows]
 
 
 def _parse_degree_range(text: str) -> List[int]:
@@ -308,7 +309,7 @@ def _block_of(verdict: SplittingVerdict, index: int):
 
 def _cmd_associated(args) -> int:
     spec = _spec(args)
-    g = _parse_matrix(args.matrix)
+    g = _parse_matrix(args.matrix, spec.rank)
     space = invariant_basis(spec, args.weight)
     tm = associated_action(g, space)
     payload = {

@@ -16,10 +16,10 @@ t^3 d/dt, so invariance is the same as D1 Q = D2 Q = 0 for the derivations
 the first-order terms of phi = t + eps*t^(s+1) (Demailly 1997; Merker
 2010).  Both derivations keep the component counts of a monomial (its
 torus weight), so the linear system splits into one small integer block
-per torus weight.  `invariant_basis` takes the exact nullspace of each
-block and merges the kernels in the global column order; every basis
-element is then re-verified against the fully formal action, including
-formal a1, before it is returned.
+per torus weight.  `invariant_basis` takes the exact kernel of each block
+(`_kernel`, the one block kernel here) and merges the kernels in the
+global column order; every basis element is then re-verified against the
+fully formal action, including formal a1, before it is returned.
 
 `invariance_system` is the independent route: one constraint row per mixed
 monomial (parameters x jet variables) of the series-substitution residuals.
@@ -27,9 +27,10 @@ It backs `dim` and the tests that check the derivation kernel against it.
 
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
-component counts, the raising operator is the polynomial derivation
-sum_i f_to^(i) * d/df_from^(i), and for two components the decomposition
-into irreducibles is computed from per-weight kernels of raising.
+component counts, the raising operator is the derivation with
+f_from^(i) -> f_to^(i) (`_derive` applies this rule and those of D1, D2),
+and for two components the decomposition into irreducibles is computed
+from per-weight kernels of raising.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
 from .linalg import RationalMatrix, nullspace, solve_in_span
@@ -46,6 +47,7 @@ from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps 
 from .poly import (
     JET,
     Monomial,
+    Scalar,
     SparsePolynomial,
     Variable,
     jet_var,
@@ -101,21 +103,46 @@ def enumerate_monomials(spec: JetSpec, weight: int) -> List[Monomial]:
     return results
 
 
-def _derive_monomial(mono: Monomial, s: int) -> Dict[Monomial, int]:
-    """D_s of one jet monomial: image monomial -> integer coefficient.
+def _derive(
+    terms: Mapping[Monomial, Scalar], rule: Mapping[Variable, Tuple[Variable, int]]
+) -> Dict[Monomial, Scalar]:
+    """The derivation sending each variable v in `rule`, with rule[v] =
+    (image, factor), to factor * image and every other variable to 0,
+    applied to the polynomial with these terms; zero terms dropped.
+    Integer coefficients give integer results."""
+    out: Dict[Monomial, Scalar] = {}
+    for mono, coeff in terms.items():
+        for idx, (v, e) in enumerate(mono):
+            hit = rule.get(v)
+            if hit is None:
+                continue
+            target, factor = hit
+            rest = mono[:idx] + (((v, e - 1),) if e > 1 else ()) + mono[idx + 1:]
+            image = mono_mul(rest, ((target, 1),))
+            out[image] = out.get(image, 0) + e * factor * coeff
+    return {m: c for m, c in out.items() if c}
 
-    D_s is the derivation with D_s f_j^(i) = i!/(i-s-1)! * f_j^(i-s) for
-    i > s and 0 otherwise, extended to monomials by the Leibniz rule.
-    """
-    out: Dict[Monomial, int] = {}
-    for idx, (v, e) in enumerate(mono):
-        if v.order <= s:
-            continue
-        rest = mono[:idx] + (((v, e - 1),) if e > 1 else ()) + mono[idx + 1:]
-        image = mono_mul(rest, ((jet_var(v.comp, v.order - s), 1),))
-        coeff = e * factorial(v.order) // factorial(v.order - s - 1)
-        out[image] = out.get(image, 0) + coeff
-    return out
+
+def _reparam_rule(spec: JetSpec, s: int) -> Dict[Variable, Tuple[Variable, int]]:
+    """The rule of D_s: f_j^(i) -> i!/(i-s-1)! * f_j^(i-s) for i > s."""
+    return {
+        jet_var(j, i): (jet_var(j, i - s), factorial(i) // factorial(i - s - 1))
+        for i in range(s + 1, spec.order + 1)
+        for j in range(1, spec.rank + 1)
+    }
+
+
+def _kernel(columns: Mapping[int, Mapping[Hashable, Fraction]]) -> List[Dict[int, Fraction]]:
+    """`nullspace` of one block: `columns` maps each column index, in
+    increasing order, to its sparse column (rows keyed by any hashable).
+    The kernel vectors are keyed by those column indices."""
+    labels = list(columns)
+    rows: Dict[Hashable, Dict[int, Fraction]] = {}
+    for j, column in enumerate(columns.values()):
+        for key, value in column.items():
+            rows.setdefault(key, {})[j] = value
+    kernel = nullspace(RationalMatrix(len(rows), len(labels), list(rows.values())))
+    return [{labels[j]: value for j, value in vec.items()} for vec in kernel]
 
 
 @lru_cache(maxsize=16)
@@ -238,8 +265,8 @@ class InvariantSpace:
     basis element.  Construction verifies every basis element against the
     fully formal action before returning.
 
-    The constructor takes each basis vector as its (column, nonzero value)
-    pairs in increasing column order, and the torus weight of each; the
+    The constructor takes each basis vector as {column: nonzero value} in
+    increasing column order, and the torus weight of each; the
     weights are the torus blocks the vectors were found in, so they are
     stored rather than read back off the polynomials.  `coefficients`
     holds the vectors densely, built on first access.
@@ -252,15 +279,15 @@ class InvariantSpace:
         spec: JetSpec,
         weight: int,
         monomials: Sequence[Monomial],
-        vectors: Sequence[Sequence[Tuple[int, Fraction]]],
+        vectors: Sequence[Mapping[int, Fraction]],
         torus_weights: Sequence[Tuple[int, ...]],
     ):
         self.spec = spec
         self.weight = weight
         self.monomials = tuple(monomials)
         self.basis = tuple(
-            SparsePolynomial({self.monomials[col]: value for col, value in pairs})
-            for pairs in vectors
+            SparsePolynomial({self.monomials[col]: value for col, value in vec.items()})
+            for vec in vectors
         )
         self._torus_weights = tuple(torus_weights)
         self._coefficients = None
@@ -316,37 +343,37 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     Each block holds the monomials of one torus weight, in global column
     order; its rows are the image monomials of each D_s, kept apart by s.
     The block kernels are embedded in the global columns and sorted by
-    free column (the last nonzero entry), which reproduces the canonical
-    nullspace of the whole system: the reduced kernel basis is unique
-    once the kernel and the column order are fixed.
+    free column (the last key), which reproduces the canonical nullspace
+    of the whole system: the reduced kernel basis is unique once the
+    kernel and the column order are fixed.
 
     Every returned element is checked to be invariant under the fully
     formal action (formal a1 too); a failure there would be a bug in the
     construction, not in the input, hence RuntimeError.
     """
     monomials = enumerate_monomials(spec, weight)
-    derivations = [s for s in (1, 2) if s < spec.order]
+    rules = [_reparam_rule(spec, s) for s in (1, 2) if s < spec.order]
     blocks: Dict[Tuple[int, ...], List[int]] = {}
     for col, mono in enumerate(monomials):
         blocks.setdefault(_mono_torus_weight(mono, spec.rank), []).append(col)
-    keyed: List[Tuple[int, List[Tuple[int, Fraction]], Tuple[int, ...]]] = []
+    keyed: List[Tuple[Dict[int, Fraction], Tuple[int, ...]]] = []
     for torus, cols in blocks.items():
-        rows: Dict[Tuple[int, Monomial], Dict[int, Fraction]] = {}
-        for local, col in enumerate(cols):
-            for s in derivations:
-                for image, coeff in _derive_monomial(monomials[col], s).items():
-                    rows.setdefault((s, image), {})[local] = Fraction(coeff)
-        block = RationalMatrix(len(rows), len(cols), list(rows.values()))
-        for vec in nullspace(block):
-            pairs = [(col, value) for col, value in zip(cols, vec) if value]
-            keyed.append((pairs[-1][0], pairs, torus))
-    keyed.sort(key=lambda item: item[0])
+        columns = {
+            col: {
+                (s, image): Fraction(coeff)
+                for s, rule in enumerate(rules)
+                for image, coeff in _derive({monomials[col]: 1}, rule).items()
+            }
+            for col in cols
+        }
+        keyed.extend((vec, torus) for vec in _kernel(columns))
+    keyed.sort(key=lambda item: next(reversed(item[0])))
     space = InvariantSpace(
         spec,
         weight,
         monomials,
-        [pairs for _, pairs, _ in keyed],
-        [torus for _, _, torus in keyed],
+        [vec for vec, _ in keyed],
+        [torus for _, torus in keyed],
     )
     for q, verdict in zip(space.basis, _verify_all(space.basis, spec)):
         if not verdict.invariant:
@@ -382,13 +409,12 @@ def raising_action(
     """
     if from_comp == to_comp:
         raise ValueError("raising between identical components is the degree derivation")
-    orders = sorted({v.order for v in q.variables() if v.kind == JET})
-    out = SparsePolynomial.zero()
-    for i in orders:
-        out = out + SparsePolynomial.variable(jet_var(to_comp, i)) * q.derivative(
-            jet_var(from_comp, i)
-        )
-    return out
+    rule = {
+        v: (jet_var(to_comp, v.order), 1)
+        for v in q.variables()
+        if v.kind == JET and v.comp == from_comp
+    }
+    return SparsePolynomial(_derive(q.terms, rule))
 
 
 def _weight_blocks(space: InvariantSpace) -> Dict[Tuple[int, ...], List[int]]:
@@ -407,20 +433,19 @@ def decompose(space: InvariantSpace) -> List[IrrepLabel]:
     representation and raises.  The dimension identity
     sum (l1 - l2 + 1) * multiplicity = dim is checked before returning.
     """
-    return [label for label, _, _ in _highest_weight_vectors(space)]
+    return [label for label, _ in _highest_weight_vectors(space)]
 
 
 def _highest_weight_vectors(
     space: InvariantSpace,
-) -> List[Tuple[IrrepLabel, List[int], List[List[Fraction]]]]:
-    """Each irreducible label, highest weight first, with the basis
-    indices of its torus weight block and the kernel vectors of raising
-    on that block (coordinates over those indices).
+) -> List[Tuple[IrrepLabel, List[Dict[int, Fraction]]]]:
+    """Each irreducible label, highest weight first, with the kernel
+    vectors of raising on its torus weight block, as {basis index:
+    coefficient}.
 
     Every basis element is raised once and the results are expanded with
-    one solve; each torus weight block then gives one nullspace, of the
-    matrix whose column j holds the coordinates of the j-th raised element
-    of the block.
+    one solve; each torus weight block then gives one `_kernel` of the
+    coordinates of its raised elements.
     """
     if space.spec.rank != 2:
         raise ValueError(
@@ -432,21 +457,17 @@ def _highest_weight_vectors(
         coords = space.expand_many(raised)
     except ValueError as exc:
         raise RuntimeError(f"raising operator left the invariant span: {exc}") from exc
-    found: List[Tuple[IrrepLabel, List[int], List[List[Fraction]]]] = []
+    found: List[Tuple[IrrepLabel, List[Dict[int, Fraction]]]] = []
     for wt, idxs in sorted(_weight_blocks(space).items(), reverse=True):
-        rows: Dict[int, Dict[int, Fraction]] = {}
-        for local, idx in enumerate(idxs):
-            for i, value in coords[idx].items():
-                rows.setdefault(i, {})[local] = value
-        kernel = nullspace(RationalMatrix(len(rows), len(idxs), list(rows.values())))
+        kernel = _kernel({idx: coords[idx] for idx in idxs})
         if not kernel:
             continue
         if wt[0] < wt[1]:
             raise RuntimeError(
                 f"highest-weight vector found at non-dominant torus weight {wt}"
             )
-        found.append((IrrepLabel(wt, len(kernel)), idxs, kernel))
-    total = sum(l.dimension() * l.multiplicity for l, _, _ in found)
+        found.append((IrrepLabel(wt, len(kernel)), kernel))
+    total = sum(l.dimension() * l.multiplicity for l, _ in found)
     if total != space.dimension:
         raise RuntimeError(
             f"decomposition dimensions sum to {total}, expected {space.dimension}"
@@ -469,10 +490,10 @@ def irrep_partition(
     found = _highest_weight_vectors(space)
     strings: List[SparsePolynomial] = []
     owner: List[int] = []  # label index of each string element, i.e. column of P
-    for which, (label, idxs, kernel) in enumerate(found):
+    for which, (label, kernel) in enumerate(found):
         for kvec in kernel:
             current = SparsePolynomial.zero()
-            for coeff, idx in zip(kvec, idxs):
+            for idx, coeff in kvec.items():
                 current = current + space.basis[idx] * coeff
             for _ in range(label.dimension()):
                 strings.append(current)
@@ -504,4 +525,4 @@ def irrep_partition(
             f"basis elements {missing} lie in no single isotypic span; basis "
             "is not adapted to the decomposition"
         )
-    return [(label, tuple(idxs)) for (label, _, _), idxs in zip(found, members)]
+    return [(label, tuple(idxs)) for (label, _), idxs in zip(found, members)]

@@ -33,7 +33,6 @@ from typing import List, Sequence, Tuple, Union
 from .linalg import dense_rank
 from .poly import (
     BASE,
-    Rational,
     SparsePolynomial,
     Variable,
     base_var,

@@ -4,8 +4,8 @@ Matrices are stored as sparse rows (dict column -> nonzero Fraction), one
 representation for every size; constraint systems arriving from the
 invariance machinery are naturally sparse and the small dense cases lose
 nothing.  Vectors are sparse the same way: `solve_in_span` takes and
-returns mappings from coordinate to value.  Only `nullspace` returns
-dense vectors, scaled to their canonical integer form.
+returns mappings from coordinate to value, and `nullspace` returns
+{column: value} dicts scaled to their canonical integer form.
 
 Both elimination kernels keep an index from each column to the rows with
 a nonzero there, updated on every fill-in and cancellation, so a pivot
@@ -175,43 +175,46 @@ def rank(matrix: RationalMatrix) -> int:
     return len(pivots)
 
 
-def _canonical_vector(vec: List[Fraction]) -> List[Fraction]:
+def _canonical_vector(vec: Row) -> Row:
     """Scale to integer entries with content 1 and positive leading entry."""
     den = 1
-    for v in vec:
-        if v:
-            den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
+    for v in vec.values():
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
     g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g == 0:
-        return [_ZERO for _ in vec]
-    lead = next(n for n in ints if n)
-    sign = 1 if lead > 0 else -1
-    return [Fraction(sign * n, g) for n in ints]
+    for n in ints.values():
+        g = gcd(g, n)
+    if next(iter(ints.values())) < 0:
+        g = -g
+    return {c: Fraction(n // g) for c, n in ints.items()}
 
 
-def nullspace(matrix: RationalMatrix) -> List[List[Fraction]]:
+def nullspace(matrix: RationalMatrix) -> List[Row]:
     """Canonical basis of the right kernel.
 
-    One vector per free column, in increasing column order, each scaled to
-    integer entries with content 1 and a positive leading (first nonzero)
-    entry.  The result is fully deterministic.
+    One vector per free column, in increasing column order.  Each is a
+    {column: nonzero value} dict in increasing column order, so its free
+    column is the last key; it is scaled to integer entries with content
+    1 and a positive leading (first) entry.  The result is fully
+    deterministic.
     """
     rows = [dict(r) for r in matrix.rows]
     rows, pivots = _eliminate(rows)
+    # In reduced echelon form a pivot row holds its pivot and free columns
+    # to the right of it, so a free column's entries arrive in increasing
+    # pivot column order and all lie left of the free column.
+    entries: Dict[int, Row] = {}
+    for r, pcol in enumerate(pivots):
+        for c, v in rows[r].items():
+            if c != pcol:
+                entries.setdefault(c, {})[pcol] = -v
     pivot_set = set(pivots)
-    basis: List[List[Fraction]] = []
+    basis: List[Row] = []
     for free_col in range(matrix.ncols):
         if free_col in pivot_set:
             continue
-        vec = [_ZERO] * matrix.ncols
+        vec = entries.get(free_col, {})
         vec[free_col] = _ONE
-        for r, pcol in enumerate(pivots):
-            v = rows[r].get(free_col)
-            if v:
-                vec[pcol] = -v
         basis.append(_canonical_vector(vec))
     return basis
 

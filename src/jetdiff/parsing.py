@@ -289,57 +289,34 @@ def parse_map(text: str, rank: int, order: int) -> TargetMap:
     Every component w1..w<rank> must be assigned exactly once; components
     are kept exactly, terms of every degree included.
     """
-    tokens = _tokenize(text)
+    parser = _Parser(_tokenize(text), _base_resolver(rank))
     components: dict = {}
-    pos = 0
-    while tokens[pos].kind != "eof":
-        tok = tokens[pos]
-        if tok.kind != "ident":
-            raise ParseError(
-                f"expected a component w1..w{rank}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
-        letters, index, primes = _split_ident(tok)
+    while parser.peek().kind != "eof":
+        tok = parser.advance()
+        letters, index, primes = _split_ident(tok) if tok.kind == "ident" else ("", None, 0)
         if letters != "w" or primes or index is None or index < 1 or index > rank:
             raise ParseError(
                 f"expected a component w1..w{rank}, found {tok.text!r}", tok.line, tok.column
             )
         if index in components:
             raise ParseError(f"component w{index} assigned twice", tok.line, tok.column)
-        pos += 1
-        eq = tokens[pos]
+        eq = parser.peek()
         if eq.kind != "op" or eq.text != "=":
             raise ParseError(f"expected '=' after w{index}", eq.line, eq.column)
-        pos += 1
-        # find the end of this component: the next ';' at depth 0, or eof
-        end = pos
-        depth = 0
-        while tokens[end].kind != "eof":
-            t = tokens[end]
-            if t.kind == "op" and t.text == "(":
-                depth += 1
-            elif t.kind == "op" and t.text == ")":
-                depth -= 1
-            elif t.kind == "op" and t.text == ";" and depth == 0:
-                break
-            end += 1
-        sub = tokens[pos:end] + [tokens[-1]]
-        parser = _Parser(sub, _base_resolver(rank))
+        parser.advance()
         components[index] = parser.parse_sum()
         tail = parser.peek()
-        if tail.kind != "eof":
+        if tail.kind == "op" and tail.text == ";":
+            parser.advance()
+        elif tail.kind != "eof":
             raise ParseError(f"unexpected trailing {tail.text!r}", tail.line, tail.column)
-        pos = end
-        if tokens[pos].kind != "eof":
-            pos += 1  # skip the ';'
     missing = [j for j in range(1, rank + 1) if j not in components]
     if missing:
         raise ParseError(
             "missing component" + ("s" if len(missing) > 1 else "") + " "
             + ", ".join(f"w{j}" for j in missing),
-            tokens[-1].line,
-            tokens[-1].column,
+            parser.tokens[-1].line,
+            parser.tokens[-1].column,
         )
     return TargetMap(rank, order, [components[j] for j in range(1, rank + 1)])
 

@@ -179,6 +179,13 @@ class Witness(NamedTuple):
     value: Fraction
 
 
+def _nonzero_entries(
+    matrix: TransitionMatrix, rows: Sequence[int], cols: Sequence[int]
+) -> List[Witness]:
+    """The nonzero entries of one block of `matrix`, row by row."""
+    return [Witness(i, j, v) for i in rows for j in cols if (v := matrix.entry(i, j))]
+
+
 class SplittingVerdict(NamedTuple):
     """Whether a transition matrix is block diagonal for a basis partition.
 
@@ -217,14 +224,9 @@ def splitting_check(
         for col_label, col_idxs in partition:
             if row_label == col_label:
                 continue
-            hit = False
-            for i in row_idxs:
-                for j in col_idxs:
-                    v = matrix.entry(i, j)
-                    if v:
-                        hit = True
-                        witnesses.append(Witness(i, j, v))
-            mixing.append(((row_label, col_label), hit))
+            found = _nonzero_entries(matrix, row_idxs, col_idxs)
+            witnesses.extend(found)
+            mixing.append(((row_label, col_label), bool(found)))
     witnesses.sort(key=lambda w: (w.row, w.col))
     return SplittingVerdict(
         partition=tuple((l, tuple(ix)) for l, ix in partition),
@@ -258,13 +260,7 @@ def s_block_closure(matrix: TransitionMatrix) -> ClosureVerdict:
         if all(v.order == 1 for v in q.variables())
     )
     outside = [i for i in range(space.dimension) if i not in pure]
-    violations = []
-    for j in pure:
-        for i in outside:
-            v = matrix.entry(i, j)
-            if v:
-                violations.append(Witness(i, j, v))
-    violations.sort(key=lambda w: (w.row, w.col))
+    violations = _nonzero_entries(matrix, outside, pure)
     return ClosureVerdict(pure, not violations, tuple(violations))
 
 

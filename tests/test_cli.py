@@ -8,11 +8,25 @@ from pathlib import Path
 
 import pytest
 
+import jetdiff
 from jetdiff.cli import _digest, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# The directory holding the jetdiff under test, for subprocesses.
+SRC = str(Path(jetdiff.__file__).resolve().parent.parent)
+
 SHEAR = "w1 = z1; w2 = z2 + z1^2"
+
+
+def run_module(*argv):
+    """`python -m jetdiff` in a subprocess importing the jetdiff under test."""
+    return subprocess.run(
+        [sys.executable, "-m", "jetdiff", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
 
 
 def run_json(capsys, argv):
@@ -262,21 +276,19 @@ def test_exit_code_two_on_usage_errors(capsys):
     for degrees in ("abc", "6:x"):
         assert main(["theta", "--d", degrees]) == 2
         assert f"not a degree or degree range: {degrees!r}" in capsys.readouterr().err
+    shape = ["associated", "--rank", "2", "--order", "2", "--weight", "3", "--matrix"]
+    assert main([*shape, "1,0;0"]) == 2
+    assert "expected 2 ';'-separated rows of 2 comma-separated entries" in capsys.readouterr().err
 
 
 def test_exit_code_three_on_internal_consistency_failure():
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "jetdiff",
-            "transition",
-            "--rank", "2",
-            "--order", "3",
-            "--weight", "6",
-            "--map", SHEAR,
-            "--point", "0,0",
-        ],
-        capture_output=True,
-        text=True,
+    proc = run_module(
+        "transition",
+        "--rank", "2",
+        "--order", "3",
+        "--weight", "6",
+        "--map", SHEAR,
+        "--point", "0,0",
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -307,21 +319,13 @@ def test_guardrail_exit_and_override(capsys):
 
 
 def test_module_entry_point_runs_in_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "jetdiff", "basis", "--rank", "2", "--order", "2", "--weight", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("basis", "--rank", "2", "--order", "2", "--weight", "3")
     assert proc.returncode == 0
     assert "dimension: 5" in proc.stdout
 
 
 def test_subprocess_exit_code_for_parse_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "jetdiff", "verify", "--rank", "1", "--order", "1", "--poly", "f1''"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("verify", "--rank", "1", "--order", "1", "--poly", "f1''")
     assert proc.returncode == 2
 
 
@@ -329,16 +333,13 @@ def test_cli_import_loads_no_dataclasses_logging_or_hashlib():
     # Every call pays for `import jetdiff.cli`.  These modules are slow to
     # import and needed only on rare branches, which import them locally.
     # -S keeps site-packages hooks from loading them first.
-    import jetdiff
-
-    src = str(Path(jetdiff.__file__).resolve().parent.parent)
     heavy = ("dataclasses", "inspect", "logging", "hashlib")
     code = f"import sys, jetdiff.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -9,7 +9,8 @@ import pytest
 
 from jetdiff.invariants import (
     IrrepLabel,
-    _derive_monomial,
+    _derive,
+    _reparam_rule,
     decompose,
     enumerate_monomials,
     invariance_system,
@@ -23,12 +24,15 @@ from jetdiff.invariants import (
 from jetdiff.jets import JetPoint, JetSpec, ReparamJet, act_reparam
 from jetdiff.linalg import nullspace, rank, rank_modular_check
 from jetdiff.poly import (
+    JET,
     SparsePolynomial,
     base_var,
     jet_var,
     mono_from_pairs,
     param_var,
 )
+
+from helpers import random_poly, reference_raising
 
 
 def var(v):
@@ -140,18 +144,16 @@ def test_derivation_kernel_matches_substitution_nullspace():
             top = 7 if r <= 2 else 5 if r * k <= 9 else 4
             for m in range(0, top + 1):
                 spec = JetSpec(r, k)
-                derived = [list(v) for v in invariant_basis(spec, m).coefficients]
+                derived = [
+                    {col: v for col, v in enumerate(row) if v}
+                    for row in invariant_basis(spec, m).coefficients
+                ]
                 assert derived == nullspace(invariance_system(spec, m)), (r, k, m)
 
 
-def derivation(q, s):
-    """D_s applied term by term through the monomial rule under test."""
-    out = SparsePolynomial.zero()
-    for mono, coeff in q.terms.items():
-        out = out + SparsePolynomial(
-            {m: coeff * c for m, c in _derive_monomial(mono, s).items()}
-        )
-    return out
+def derivation(q, spec, s):
+    """D_s applied through the derivation rule under test."""
+    return SparsePolynomial(_derive(q.terms, _reparam_rule(spec, s)))
 
 
 def test_derivation_is_first_order_term_of_reparametrization():
@@ -171,14 +173,14 @@ def test_derivation_is_first_order_term_of_reparametrization():
                 for j in (1, 2):
                     entry = moved.entry(i, j)
                     first = entry.collect([eps]).get(((eps, 1),), SparsePolynomial.zero())
-                    assert derivation(var(jet_var(j, i)), s) == first
+                    assert derivation(var(jet_var(j, i)), spec, s) == first
                     bindings[jet_var(j, i)] = entry
             # ... and on products, by the Leibniz rule
             for mono in enumerate_monomials(spec, 4):
                 q = SparsePolynomial.monomial(mono)
                 image = q.substitute(bindings).collect([eps])
                 first = image.get(((eps, 1),), SparsePolynomial.zero())
-                assert derivation(q, s) == first
+                assert derivation(q, spec, s) == first
 
 
 def test_dimension_table_with_modular_cross_check():
@@ -341,6 +343,30 @@ def test_raising_action_examples():
     assert raising_action(wronskian(), 2, 1).is_zero()
     # Lowering the pure first-component cubic walks down the string.
     assert raising_action(f1p ** 3, 1, 2) == 3 * f2p * f1p ** 2
+
+
+def test_raising_action_matches_derivative_reference():
+    # The monomial rule of _derive against derivatives and products, in
+    # every direction; base coordinates and parameters are constants.
+    # Then the sl2 relation E(F q) - F(E q) = (d1 - d2) q, with E raising
+    # 2 -> 1, F lowering 1 -> 2 and d_j the f_j-degree of each term.
+    rng = random.Random(43)
+    for rank in (2, 3):
+        spec = JetSpec(rank, 3)
+        variables = [*spec.jet_variables(), base_var(1), param_var(2)]
+        for _ in range(40):
+            q = random_poly(rng, variables, terms=6)
+            for a, b in itertools.permutations(range(1, rank + 1), 2):
+                assert raising_action(q, a, b) == reference_raising(q, a, b)
+            commutator = (
+                raising_action(raising_action(q, 1, 2), 2, 1)
+                - raising_action(raising_action(q, 2, 1), 1, 2)
+            )
+            expected = SparsePolynomial.zero()
+            for mono, coeff in q.terms.items():
+                d = [sum(e for v, e in mono if v.kind == JET and v.comp == j) for j in (1, 2)]
+                expected = expected + SparsePolynomial.monomial(mono) * (coeff * (d[0] - d[1]))
+            assert commutator == expected
 
 
 def test_raising_preserves_invariance():

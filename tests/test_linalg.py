@@ -70,15 +70,15 @@ def test_rref_pivots_are_unit_columns():
 def test_nullspace_examples():
     # One relation between two columns.
     basis = nullspace(dense([[1, 1]]))
-    assert basis == [[1, -1]]
+    assert basis == [{0: 1, 1: -1}]
     # Full-rank square matrix has trivial kernel.
     assert nullspace(dense([[1, 0], [0, 1]])) == []
     # Zero matrix: kernel is everything, canonical basis is the identity.
     basis = nullspace(RationalMatrix(0, 3, []))
-    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
     # Fractions are cleared to coprime integers with a positive lead.
     basis = nullspace(dense([[Fraction(1, 2), Fraction(1, 3)]]))
-    assert basis == [[2, -3]]
+    assert basis == [{0: 2, 1: -3}]
 
 
 def test_nullspace_vectors_are_canonical_and_exact():
@@ -88,13 +88,19 @@ def test_nullspace_vectors_are_canonical_and_exact():
         m = random_matrix(rng, nrows, ncols)
         basis = nullspace(m)
         assert len(basis) == ncols - rank(m)
+        free = [next(reversed(vec)) for vec in basis]
+        assert free == sorted(set(free))
+        assert set(free) == set(range(ncols)) - {min(row) for row in rref(m).rows if row}
         for vec in basis:
+            # Sparse, in increasing column order, the free column last.
+            assert list(vec) == sorted(vec)
+            dense_vec = [vec.get(c, Fraction(0)) for c in range(ncols)]
             # Exactly in the kernel.
-            assert all(v == 0 for v in apply_matrix(m, vec))
+            assert all(v == 0 for v in apply_matrix(m, dense_vec))
             # Integer entries, content one, positive leading entry.
-            ints = [v for v in vec if v]
-            assert ints, "kernel basis vector must be nonzero"
-            assert all(v.denominator == 1 for v in vec)
+            ints = list(vec.values())
+            assert ints and all(ints), "kernel basis vector must be nonzero, zeros omitted"
+            assert all(v.denominator == 1 for v in ints)
             from math import gcd
             g = 0
             for v in ints:

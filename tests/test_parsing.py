@@ -120,6 +120,10 @@ def test_parse_map_errors():
         parse_map("v1 = z1", 1, 2)
     with pytest.raises(ParseError):
         parse_map("w1 z1", 1, 2)  # missing '='
+    # a component that ends early is reported at its ';', not at the end
+    for text, column in (("w1 = ; w2 = z2", 6), ("w1 = z1 +; w2 = z2", 10)):
+        with pytest.raises(ParseError, match=f"column {column}: expected a term, found ';'"):
+            parse_map(text, 2, 2)
 
 
 def test_parse_reparam_examples():
