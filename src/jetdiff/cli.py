@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .invariants import (
     InvariantSpace,
@@ -52,26 +52,38 @@ PROG = "jetdiff"
 # ---- small shared helpers ----
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str, column: int) -> Fraction:
+    """The rational number in `text`, which starts at 1-based `column`;
+    an error points at its first non-blank character."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational number: {text.strip()!r}", 1, 1) from exc
+        column += len(text) - len(text.lstrip())
+        raise ParseError(f"not a rational number: {text.strip()!r}", 1, column) from exc
+
+
+def _split(text: str, sep: str, column: int = 1) -> List[Tuple[str, int]]:
+    """`text` split at `sep`, each piece with the 1-based column it starts at."""
+    pieces = []
+    for piece in text.split(sep):
+        pieces.append((piece, column))
+        column += len(piece) + len(sep)
+    return pieces
 
 
 def _parse_point(text: str, rank: int) -> List[Fraction]:
-    parts = [p for p in text.split(",")]
+    parts = _split(text, ",")
     if len(parts) != rank:
         raise ParseError(f"expected {rank} comma-separated coordinates, got {len(parts)}", 1, 1)
-    return [_fraction(p) for p in parts]
+    return [_fraction(p, column) for p, column in parts]
 
 
 def _parse_matrix(text: str, rank: int) -> List[List[Fraction]]:
-    rows = [chunk.split(",") for chunk in text.split(";")]
+    rows = [_split(chunk, ",", column) for chunk, column in _split(text, ";")]
     if len(rows) != rank or any(len(row) != rank for row in rows):
         message = f"expected {rank} ';'-separated rows of {rank} comma-separated entries"
         raise ParseError(message, 1, 1)
-    return [[_fraction(p) for p in row] for row in rows]
+    return [[_fraction(p, column) for p, column in row] for row in rows]
 
 
 def _parse_degree_range(text: str) -> List[int]:
@@ -331,7 +343,7 @@ def _cmd_associated(args) -> int:
 def _cmd_v1(args) -> int:
     psi = parse_map(args.map, 2, 1)
     point = _parse_point(args.point, 2)
-    slope = _fraction(args.slope)
+    slope = _fraction(args.slope, 1)
     matrix, flag = v1_frame_transition(psi, point, slope)
     payload = {
         "psi": str(psi),
@@ -351,7 +363,7 @@ def _cmd_v1(args) -> int:
 
 def _cmd_theta(args) -> int:
     degrees = _parse_degree_range(args.d)
-    upper = _fraction(args.upper_bound)
+    upper = _fraction(args.upper_bound, 1)
     rows = contradiction_audit(degrees, args.m, upper)
     payload = {
         "weight": args.m,

@@ -58,7 +58,6 @@ from .poly import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def mono_weight(m: Monomial) -> int:
@@ -151,14 +150,9 @@ def _formal_action(rank: int, order: int, unipotent: bool) -> Mapping[Variable, 
     unipotent), computed once per shape and shared read-only."""
     spec = JetSpec(rank, order, allow_large=True)
     moved = act_reparam(JetPoint.formal(spec), ReparamJet.formal(order, unipotent))
-    out: Dict[Variable, SparsePolynomial] = {}
-    for i in range(1, order + 1):
-        for j in range(1, rank + 1):
-            value = moved.entry(i, j)
-            if isinstance(value, Fraction):
-                value = SparsePolynomial.constant(value)
-            out[jet_var(j, i)] = value
-    return MappingProxyType(out)
+    return MappingProxyType(
+        {jet_var(j, i): moved.entry(i, j) for i in range(1, order + 1) for j in range(1, rank + 1)}
+    )
 
 
 def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
@@ -504,14 +498,11 @@ def irrep_partition(
                     "lowering string did not terminate at the expected length"
                 )
     try:
-        adapted = space.expand_many(strings)
+        coords = solve_in_span([s.terms for s in strings], [q.terms for q in space.basis])
     except ValueError as exc:
-        raise RuntimeError(f"lowering left the invariant span: {exc}") from exc
-    units = [{i: _ONE} for i in range(space.dimension)]
-    try:
-        coords = solve_in_span(adapted, units)
-    except ValueError as exc:
-        raise RuntimeError(f"lowering strings do not form a basis: {exc}") from exc
+        raise RuntimeError(
+            f"lowering strings do not form a basis of the invariant space: {exc}"
+        ) from exc
     members: List[List[int]] = [[] for _ in found]
     missing = []
     for idx, vec in enumerate(coords):

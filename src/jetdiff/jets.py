@@ -18,9 +18,9 @@ Conventions (the factorials bite otherwise):
   * a reparametrization stores the coefficients a_i, so its i-th
     derivative at 0 is i! * a_i.
 
-Entries may be Fractions or polynomials (formal jets, formal group
-coefficients); all helpers are generic over both because SparsePolynomial
-interoperates with Fraction arithmetic.
+Both compositions substitute one polynomial into another, so both go
+through `poly.substitute_all`.  Entries may be Fractions or polynomials
+(formal jets, formal group coefficients, polynomial basepoints).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .poly import (
     base_var,
     jet_var,
     param_var,
+    substitute_all,
 )
 
 Value = Union[Fraction, SparsePolynomial]
@@ -197,40 +198,55 @@ class JetPoint:
         return f"JetPoint({self.spec.rank}, {self.spec.order}, {self.entries!r})"
 
 
-# ---- truncated power series helpers ----
+# ---- jets as polynomials in a series variable ----
 #
-# A series is a list of Values indexed by the power of t, length order+1.
-# Multiplication truncates beyond t^order.  These are private because the
-# public objects speak raw derivatives, not coefficients.
+# A jet component becomes its Taylor polynomial in the private variable t,
+# `substitute_all` composes, and the coefficients of t^1..t^order are read
+# back.  Terms above t^order are computed and dropped; they never feed a
+# lower coefficient.  base_var refuses component 0, so no polynomial a
+# caller writes contains t, and t sorts before every other variable, so it
+# leads every monomial it occurs in.
+
+_T = Variable(BASE, 0, 0)
 
 
-def _series_mul(a: List[Value], b: List[Value], order: int) -> List[Value]:
-    out: List[Value] = [_ZERO] * (order + 1)
-    for i, av in enumerate(a):
-        if not av:
-            continue
-        top = order - i
-        for j, bv in enumerate(b[: top + 1]):
-            if not bv:
-                continue
-            out[i + j] = out[i + j] + av * bv
-    return out
+def _series(coeffs: Sequence[Value]) -> SparsePolynomial:
+    """sum_i coeffs[i] * t^i, for values free of t."""
+    terms = {}
+    for i, c in enumerate(coeffs):
+        power = ((_T, i),) if i else ()
+        if isinstance(c, SparsePolynomial):
+            for m, v in c.terms.items():
+                terms[power + m] = v
+        elif c:
+            terms[power] = c
+    return SparsePolynomial(terms)
 
 
-def _series_compose(coeffs: List[Value], inner: List[Value], order: int) -> List[Value]:
-    """sum_{n>=1} coeffs[n] * inner^n truncated, for inner with inner[0] = 0.
+def _coefficients(series: SparsePolynomial, order: int) -> List[SparsePolynomial]:
+    """The coefficients of t^1..t^order."""
+    out = [{} for _ in range(order)]
+    for m, v in series.terms.items():
+        if m and m[0][0] == _T and m[0][1] <= order:
+            out[m[0][1] - 1][m[1:]] = v
+    return [SparsePolynomial(terms) for terms in out]
 
-    coeffs is indexed from 1 (coeffs[0] is ignored); evaluated by Horner,
-    so only order-1 series multiplications happen.
-    """
-    if inner[0]:
-        raise ValueError("inner series must have no constant term")
-    top = len(coeffs) - 1
-    acc: List[Value] = [coeffs[top]] + [_ZERO] * order
-    for n in range(top - 1, 0, -1):
-        acc = _series_mul(inner, acc, order)
-        acc[0] = acc[0] + coeffs[n]
-    return _series_mul(inner, acc, order)
+
+def _taylor(jet: JetPoint, comp: int, constant: Value) -> SparsePolynomial:
+    """constant + sum_i f_comp^(i) t^i / i!, one component of the jet."""
+    k = jet.spec.order
+    return _series(
+        [constant] + [jet.entry(i, comp) * Fraction(1, factorial(i)) for i in range(1, k + 1)]
+    )
+
+
+def _jet_of(spec: JetSpec, taylors: Sequence[SparsePolynomial]) -> JetPoint:
+    """The jet whose component j has Taylor polynomial taylors[j-1]."""
+    columns = [_coefficients(s, spec.order) for s in taylors]
+    return JetPoint(
+        spec,
+        [[col[i - 1] * factorial(i) for col in columns] for i in range(1, spec.order + 1)],
+    )
 
 
 def compose_reparam(outer: ReparamJet, inner: ReparamJet) -> ReparamJet:
@@ -241,10 +257,10 @@ def compose_reparam(outer: ReparamJet, inner: ReparamJet) -> ReparamJet:
     """
     if outer.order != inner.order:
         raise ValueError(f"order mismatch: {outer.order} vs {inner.order}")
-    k = outer.order
-    u: List[Value] = [_ZERO, *inner.coeffs]
-    composed = _series_compose([_ZERO, *outer.coeffs], u, k)
-    return ReparamJet(k, composed[1:])
+    (composed,) = substitute_all(
+        [_series([_ZERO, *outer.coeffs])], {_T: _series([_ZERO, *inner.coeffs])}
+    )
+    return ReparamJet(outer.order, _coefficients(composed, outer.order))
 
 
 def invert_reparam(phi: ReparamJet) -> ReparamJet:
@@ -275,24 +291,15 @@ def invert_reparam(phi: ReparamJet) -> ReparamJet:
 def act_reparam(jet: JetPoint, phi: ReparamJet) -> JetPoint:
     """The jet of f o phi, where f is the curve germ with jet `jet`.
 
-    Componentwise: convert raw derivatives to Taylor coefficients, compose
-    with phi as truncated series, convert back.  Exact for any mix of
+    Each component's Taylor polynomial has t -> phi(t) substituted, all
+    components in one `substitute_all` batch.  Exact for any mix of
     rational and formal entries.
     """
     spec = jet.spec
     if phi.order != spec.order:
         raise ValueError(f"order mismatch: jet {spec.order} vs reparametrization {phi.order}")
-    k = spec.order
-    u: List[Value] = [_ZERO, *phi.coeffs]
-    new_rows: List[List[Value]] = [[_ZERO] * spec.rank for _ in range(k)]
-    for j in range(1, spec.rank + 1):
-        taylor: List[Value] = [_ZERO] + [
-            jet.entry(i, j) * Fraction(1, factorial(i)) for i in range(1, k + 1)
-        ]
-        moved = _series_compose(taylor, u, k)
-        for i in range(1, k + 1):
-            new_rows[i - 1][j - 1] = moved[i] * Fraction(factorial(i))
-    return JetPoint(spec, new_rows)
+    taylors = [_taylor(jet, j, _ZERO) for j in range(1, spec.rank + 1)]
+    return _jet_of(spec, substitute_all(taylors, {_T: _series([_ZERO, *phi.coeffs])}))
 
 
 class TargetMap:
@@ -426,23 +433,7 @@ def act_target(jet: JetPoint, psi: TargetMap, basepoint: Sequence) -> JetPoint:
                 "substitution is still well defined",
                 stacklevel=2,
             )
-    k = spec.order
-    series = {}
-    for l in range(1, spec.rank + 1):
-        series[l] = [point[l - 1]] + [
-            jet.entry(i, l) * Fraction(1, factorial(i)) for i in range(1, k + 1)
-        ]
-    new_rows: List[List[Value]] = [[_ZERO] * spec.rank for _ in range(k)]
-    for j in range(1, spec.rank + 1):
-        total: List[Value] = [_ZERO] * (k + 1)
-        for mono, coeff in psi.components[j - 1].terms.items():
-            term: List[Value] = [coeff] + [_ZERO] * k
-            for v, e in mono:
-                s = series[v.comp]
-                for _ in range(e):
-                    term = _series_mul(term, s, k)
-            for i in range(k + 1):
-                total[i] = total[i] + term[i]
-        for i in range(1, k + 1):
-            new_rows[i - 1][j - 1] = total[i] * Fraction(factorial(i))
-    return JetPoint(spec, new_rows)
+    bindings = {
+        base_var(l): _taylor(jet, l, point[l - 1]) for l in range(1, spec.rank + 1)
+    }
+    return _jet_of(spec, substitute_all(psi.components, bindings))

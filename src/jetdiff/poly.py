@@ -28,7 +28,10 @@ are exact and already in lowest terms.
 
 Substitution has one implementation, `substitute_all`, which pushes a
 batch of polynomials through one binding map; `SparsePolynomial.substitute`
-is its one-element call.  The kernel works on packed integers:
+is its one-element call.  The jet actions compose through it as well:
+jets.py writes each jet component as its Taylor polynomial in a private
+series variable and substitutes the reparametrization or the target map.
+The kernel works on packed integers:
 
     packed keys        the variables that can occur in a result (bound
                        images plus pass-through variables) are numbered in

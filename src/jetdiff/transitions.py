@@ -254,11 +254,9 @@ def s_block_closure(matrix: TransitionMatrix) -> ClosureVerdict:
     matrix entries instead of trusting the argument.
     """
     space = matrix.space
-    pure = tuple(
-        idx
-        for idx, q in enumerate(space.basis)
-        if all(v.order == 1 for v in q.variables())
-    )
+    # a weight-m monomial has total degree m exactly when every variable
+    # is a first derivative, and the torus weight counts the total degree
+    pure = tuple(i for i, w in enumerate(space.torus_weights()) if sum(w) == space.weight)
     outside = [i for i in range(space.dimension) if i not in pure]
     violations = _nonzero_entries(matrix, outside, pure)
     return ClosureVerdict(pure, not violations, tuple(violations))

@@ -279,6 +279,14 @@ def test_exit_code_two_on_usage_errors(capsys):
     shape = ["associated", "--rank", "2", "--order", "2", "--weight", "3", "--matrix"]
     assert main([*shape, "1,0;0"]) == 2
     assert "expected 2 ';'-separated rows of 2 comma-separated entries" in capsys.readouterr().err
+    # a bad number is reported at its own column, not at the start of the argument
+    assert main([*shape, "1,x;0,1"]) == 2
+    assert "line 1, column 3: not a rational number: 'x'" in capsys.readouterr().err
+    assert main([*shape, "1,0;0,1/0"]) == 2
+    assert "line 1, column 7: not a rational number: '1/0'" in capsys.readouterr().err
+    transition = ["transition", "--rank", "2", "--order", "2", "--weight", "3"]
+    assert main([*transition, "--map", SHEAR, "--point", "1,abc"]) == 2
+    assert "line 1, column 3: not a rational number: 'abc'" in capsys.readouterr().err
 
 
 def test_exit_code_three_on_internal_consistency_failure():

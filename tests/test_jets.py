@@ -23,6 +23,7 @@ from jetdiff.poly import SparsePolynomial, base_var, jet_var, param_var
 from helpers import (
     random_invertible,
     random_jet,
+    random_poly,
     random_reparam,
     random_target_map,
     rational,
@@ -203,20 +204,25 @@ def test_act_reparam_identity_and_scaling():
 def test_act_reparam_faa_di_bruno_table():
     # Independent oracle: raw derivatives of f(phi(t)) at 0 for order 4,
     # with phi = a1 t + a2 t^2 + a3 t^3 + a4 t^4, worked out by hand from
-    # the chain rule (phi'(0) = a1, phi''(0) = 2 a2, and so on).
+    # the chain rule (phi'(0) = a1, phi''(0) = 2 a2, and so on).  The
+    # second jet's entries are polynomials in z1, z2 and a1..a3, which the
+    # series variable of the composition must not collide with.
     spec = JetSpec(1, 4)
-    moved = act_reparam(JetPoint.formal(spec), ReparamJet.formal(4))
     a1, a2, a3, a4 = (var(param_var(i)) for i in range(1, 5))
-    f1, f2, f3, f4 = (var(jet_var(1, i)) for i in range(1, 5))
-    assert moved.entry(1, 1) == a1 * f1
-    assert moved.entry(2, 1) == a1 ** 2 * f2 + 2 * a2 * f1
-    assert moved.entry(3, 1) == a1 ** 3 * f3 + 6 * a1 * a2 * f2 + 6 * a3 * f1
-    assert moved.entry(4, 1) == (
-        a1 ** 4 * f4
-        + 12 * a1 ** 2 * a2 * f3
-        + (24 * a1 * a3 + 12 * a2 ** 2) * f2
-        + 24 * a4 * f1
-    )
+    z1, z2 = var(base_var(1)), var(base_var(2))
+    mixed = JetPoint(spec, [[z1 + a2], [z1 * z2 - 3 * a1], [a3 ** 2 + z2], [z1 * a1 * Fraction(1, 2)]])
+    for jet in (JetPoint.formal(spec), mixed):
+        moved = act_reparam(jet, ReparamJet.formal(4))
+        f1, f2, f3, f4 = (jet.entry(i, 1) for i in range(1, 5))
+        assert moved.entry(1, 1) == a1 * f1
+        assert moved.entry(2, 1) == a1 ** 2 * f2 + 2 * a2 * f1
+        assert moved.entry(3, 1) == a1 ** 3 * f3 + 6 * a1 * a2 * f2 + 6 * a3 * f1
+        assert moved.entry(4, 1) == (
+            a1 ** 4 * f4
+            + 12 * a1 ** 2 * a2 * f3
+            + (24 * a1 * a3 + 12 * a2 ** 2) * f2
+            + 24 * a4 * f1
+        )
 
 
 def test_act_reparam_unipotent_second_order():
@@ -357,53 +363,63 @@ def _third_derivatives(psi, point):
 def test_act_target_chain_rule_oracle():
     # Independent route: write the raw derivatives of psi o f with the
     # multivariate chain rule (Jacobian, Hessian, third-derivative tensor)
-    # and compare with the series substitution entry by entry.
+    # and compare with the series substitution entry by entry.  Each map
+    # also moves a jet whose entries are polynomials in z1, z2 and a1..a3:
+    # neither the basepoint substitution nor the series variable may touch
+    # them.
     rng = random.Random(107)
+    entries_rng = random.Random(108)
+    letters = [base_var(1), base_var(2)] + [param_var(i) for i in range(1, 4)]
     spec = JetSpec(2, 3)
     for _ in range(6):
         psi = random_target_map(rng, 2, 3, degree=3)
         jet = random_jet(rng, spec)
         pt = [rational(rng, -2, 2, 1), rational(rng, -2, 2, 1)]
-        moved = act_target(jet, psi, pt)
+        mixed = JetPoint(
+            spec,
+            [[random_poly(entries_rng, letters, terms=2, max_exp=2) for _ in range(2)] for _ in range(3)],
+        )
         jac = psi.jacobian(pt)
         hess = psi.second_derivatives(pt)
         third = _third_derivatives(psi, pt)
         r = spec.rank
-        for j in range(r):
-            d1 = sum((jac[j][l] * jet.entry(1, l + 1) for l in range(r)), Fraction(0))
-            assert moved.entry(1, j + 1) == d1
-            d2 = sum((jac[j][l] * jet.entry(2, l + 1) for l in range(r)), Fraction(0))
-            d2 += sum(
-                (
-                    hess[j][l][m] * jet.entry(1, l + 1) * jet.entry(1, m + 1)
-                    for l in range(r)
-                    for m in range(r)
-                ),
-                Fraction(0),
-            )
-            assert moved.entry(2, j + 1) == d2
-            d3 = sum((jac[j][l] * jet.entry(3, l + 1) for l in range(r)), Fraction(0))
-            d3 += 3 * sum(
-                (
-                    hess[j][l][m] * jet.entry(2, l + 1) * jet.entry(1, m + 1)
-                    for l in range(r)
-                    for m in range(r)
-                ),
-                Fraction(0),
-            )
-            d3 += sum(
-                (
-                    third[j][l][m][n]
-                    * jet.entry(1, l + 1)
-                    * jet.entry(1, m + 1)
-                    * jet.entry(1, n + 1)
-                    for l in range(r)
-                    for m in range(r)
-                    for n in range(r)
-                ),
-                Fraction(0),
-            )
-            assert moved.entry(3, j + 1) == d3
+        for jet in (jet, mixed):
+            moved = act_target(jet, psi, pt)
+            for j in range(r):
+                d1 = sum((jac[j][l] * jet.entry(1, l + 1) for l in range(r)), Fraction(0))
+                assert moved.entry(1, j + 1) == d1
+                d2 = sum((jac[j][l] * jet.entry(2, l + 1) for l in range(r)), Fraction(0))
+                d2 += sum(
+                    (
+                        hess[j][l][m] * jet.entry(1, l + 1) * jet.entry(1, m + 1)
+                        for l in range(r)
+                        for m in range(r)
+                    ),
+                    Fraction(0),
+                )
+                assert moved.entry(2, j + 1) == d2
+                d3 = sum((jac[j][l] * jet.entry(3, l + 1) for l in range(r)), Fraction(0))
+                d3 += 3 * sum(
+                    (
+                        hess[j][l][m] * jet.entry(2, l + 1) * jet.entry(1, m + 1)
+                        for l in range(r)
+                        for m in range(r)
+                    ),
+                    Fraction(0),
+                )
+                d3 += sum(
+                    (
+                        third[j][l][m][n]
+                        * jet.entry(1, l + 1)
+                        * jet.entry(1, m + 1)
+                        * jet.entry(1, n + 1)
+                        for l in range(r)
+                        for m in range(r)
+                        for n in range(r)
+                    ),
+                    Fraction(0),
+                )
+                assert moved.entry(3, j + 1) == d3
 
 
 def test_act_target_functoriality_exact():
