@@ -38,6 +38,7 @@ from .poly import (
     base_var,
     jet_var,
     param_var,
+    poly_sum,
     substitute_all,
 )
 
@@ -202,25 +203,18 @@ class JetPoint:
 #
 # A jet component becomes its Taylor polynomial in the private variable t,
 # `substitute_all` composes, and the coefficients of t^1..t^order are read
-# back.  Terms above t^order are computed and dropped; they never feed a
-# lower coefficient.  base_var refuses component 0, so no polynomial a
-# caller writes contains t, and t sorts before every other variable, so it
-# leads every monomial it occurs in.
+# back.  The substitution truncates after t^order product by product, so
+# the degree of a target map or the number of formal coefficients never
+# outgrows the order.  base_var refuses component 0, so no polynomial a
+# caller writes contains t, and t sorts first, leading every monomial.
 
 _T = Variable(BASE, 0, 0)
 
 
 def _series(coeffs: Sequence[Value]) -> SparsePolynomial:
-    """sum_i coeffs[i] * t^i, for values free of t."""
-    terms = {}
-    for i, c in enumerate(coeffs):
-        power = ((_T, i),) if i else ()
-        if isinstance(c, SparsePolynomial):
-            for m, v in c.terms.items():
-                terms[power + m] = v
-        elif c:
-            terms[power] = c
-    return SparsePolynomial(terms)
+    """sum_i coeffs[i] * t^i."""
+    t = SparsePolynomial.variable(_T)
+    return poly_sum(c * t ** i for i, c in enumerate(coeffs))
 
 
 def _coefficients(series: SparsePolynomial, order: int) -> List[SparsePolynomial]:
@@ -234,10 +228,8 @@ def _coefficients(series: SparsePolynomial, order: int) -> List[SparsePolynomial
 
 def _taylor(jet: JetPoint, comp: int, constant: Value) -> SparsePolynomial:
     """constant + sum_i f_comp^(i) t^i / i!, one component of the jet."""
-    k = jet.spec.order
-    return _series(
-        [constant] + [jet.entry(i, comp) * Fraction(1, factorial(i)) for i in range(1, k + 1)]
-    )
+    orders = range(1, jet.spec.order + 1)
+    return _series([constant] + [jet.entry(i, comp) * Fraction(1, factorial(i)) for i in orders])
 
 
 def _jet_of(spec: JetSpec, taylors: Sequence[SparsePolynomial]) -> JetPoint:
@@ -257,9 +249,8 @@ def compose_reparam(outer: ReparamJet, inner: ReparamJet) -> ReparamJet:
     """
     if outer.order != inner.order:
         raise ValueError(f"order mismatch: {outer.order} vs {inner.order}")
-    (composed,) = substitute_all(
-        [_series([_ZERO, *outer.coeffs])], {_T: _series([_ZERO, *inner.coeffs])}
-    )
+    outer_t, inner_t = (_series([_ZERO, *phi.coeffs]) for phi in (outer, inner))
+    (composed,) = substitute_all([outer_t], {_T: inner_t}, truncate=(_T, outer.order))
     return ReparamJet(outer.order, _coefficients(composed, outer.order))
 
 
@@ -299,7 +290,8 @@ def act_reparam(jet: JetPoint, phi: ReparamJet) -> JetPoint:
     if phi.order != spec.order:
         raise ValueError(f"order mismatch: jet {spec.order} vs reparametrization {phi.order}")
     taylors = [_taylor(jet, j, _ZERO) for j in range(1, spec.rank + 1)]
-    return _jet_of(spec, substitute_all(taylors, {_T: _series([_ZERO, *phi.coeffs])}))
+    bindings = {_T: _series([_ZERO, *phi.coeffs])}
+    return _jet_of(spec, substitute_all(taylors, bindings, truncate=(_T, spec.order)))
 
 
 class TargetMap:
@@ -436,4 +428,4 @@ def act_target(jet: JetPoint, psi: TargetMap, basepoint: Sequence) -> JetPoint:
     bindings = {
         base_var(l): _taylor(jet, l, point[l - 1]) for l in range(1, spec.rank + 1)
     }
-    return _jet_of(spec, substitute_all(psi.components, bindings))
+    return _jet_of(spec, substitute_all(psi.components, bindings, truncate=(_T, spec.order)))

@@ -30,8 +30,8 @@ Substitution has one implementation, `substitute_all`, which pushes a
 batch of polynomials through one binding map; `SparsePolynomial.substitute`
 is its one-element call.  The jet actions compose through it as well:
 jets.py writes each jet component as its Taylor polynomial in a private
-series variable and substitutes the reparametrization or the target map.
-The kernel works on packed integers:
+series variable, substitutes the reparametrization or the target map and
+truncates after the jet order.  The kernel works on packed integers:
 
     packed keys        the variables that can occur in a result (bound
                        images plus pass-through variables) are numbered in
@@ -457,7 +457,9 @@ def _mul_into(
 
 
 def substitute_all(
-    polys: Sequence[SparsePolynomial], bindings: Mapping[Variable, PolyLike]
+    polys: Sequence[SparsePolynomial],
+    bindings: Mapping[Variable, PolyLike],
+    truncate: Tuple[Variable, int] | None = None,
 ) -> List[SparsePolynomial]:
     """Substitute one binding map into every polynomial of a batch.
 
@@ -465,6 +467,10 @@ def substitute_all(
     unbound variables pass through), returning one result per input in
     order.  The batch shares one power table and one packing of the
     variable universe; see the module docstring for the kernel.
+
+    truncate=(v, n) drops the terms of v-degree above n after every
+    product; products only raise degrees, so the kept terms are exact and
+    the work is bounded by n, not by the degrees of the inputs.
     """
     if not bindings:
         return list(polys)
@@ -511,6 +517,13 @@ def substitute_all(
         fields.append((w, offset, (1 << width) - 1))
         offset += width
 
+    # The nonzero terms of a product within the truncation (mask 0 keeps all).
+    cut, limit = truncate if truncate is not None else (None, 0)
+    cut_off, cut_mask = next(((off, mask) for w, off, mask in fields if w == cut), (0, 0))
+
+    def kept(product: Dict[int, int]) -> List[Tuple[int, int]]:
+        return [(k, c) for k, c in product.items() if c and (k >> cut_off) & cut_mask <= limit]
+
     # Each used image as (common denominator, [(packed key, integer coeff)]).
     cleared: Dict[Variable, Tuple[int, List[Tuple[int, int]]]] = {}
     for v in degrees:
@@ -537,8 +550,7 @@ def substitute_all(
                 n -= 1
             found = powers[(v, n)] if n else [(0, 1)]
             for n in range(n + 1, e + 1):
-                product = _mul_into({}, found, base)
-                found = powers[(v, n)] = [(k, c) for k, c in product.items() if c]
+                found = powers[(v, n)] = kept(_mul_into({}, found, base))
         return found
 
     unpacked: Dict[int, Monomial] = {}
@@ -570,12 +582,10 @@ def substitute_all(
         for key, num, den, factors in prepared:
             partial = [(key, num * (common // den))]
             for factor in factors[:-1]:
-                partial = list(_mul_into({}, partial, factor).items())
+                partial = kept(_mul_into({}, partial, factor))
             _mul_into(acc, partial, factors[-1] if factors else [(0, 1)])
         terms: Dict[Monomial, Fraction] = {}
-        for k, n in acc.items():
-            if not n:
-                continue
+        for k, n in kept(acc):
             mono = unpacked.get(k)
             if mono is None:
                 pairs = []

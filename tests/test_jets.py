@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from jetdiff import jets
 from jetdiff.jets import (
     JetPoint,
     JetSpec,
@@ -367,12 +368,17 @@ def test_act_target_chain_rule_oracle():
     # also moves a jet whose entries are polynomials in z1, z2 and a1..a3:
     # neither the basepoint substitution nor the series variable may touch
     # them.
+    # The last map has degree 9, far above the jet order.
     rng = random.Random(107)
     entries_rng = random.Random(108)
     letters = [base_var(1), base_var(2)] + [param_var(i) for i in range(1, 4)]
     spec = JetSpec(2, 3)
-    for _ in range(6):
-        psi = random_target_map(rng, 2, 3, degree=3)
+    z1, z2 = var(base_var(1)), var(base_var(2))
+    for case in range(7):
+        if case < 6:
+            psi = random_target_map(rng, 2, 3, degree=3)
+        else:
+            psi = TargetMap(2, 3, [z1 + z1 ** 5 * z2 ** 4, z2 - 2 * z1 ** 9])
         jet = random_jet(rng, spec)
         pt = [rational(rng, -2, 2, 1), rational(rng, -2, 2, 1)]
         mixed = JetPoint(
@@ -420,6 +426,29 @@ def test_act_target_chain_rule_oracle():
                     Fraction(0),
                 )
                 assert moved.entry(3, j + 1) == d3
+
+
+def test_jet_compositions_truncate_at_the_order(monkeypatch):
+    # Each composition truncates after t^order inside the substitution, so
+    # its cost follows the jet order, not the degree of the map or the
+    # number of formal coefficients (untruncated, z1 + z1^12*z2^12 on a
+    # formal order-4 jet multiplies two 1820-term powers).  The spy fails
+    # before an untruncated call runs.
+    calls = []
+    substitute_all = jets.substitute_all
+
+    def spy(polys, bindings, truncate=None):
+        assert truncate == (jets._T, 4)
+        calls.append(truncate)
+        return substitute_all(polys, bindings, truncate)
+
+    monkeypatch.setattr(jets, "substitute_all", spy)
+    spec = JetSpec(2, 4)
+    z1, z2 = var(base_var(1)), var(base_var(2))
+    act_target(JetPoint.formal(spec), TargetMap(2, 4, [z1 + z1 ** 5 * z2 ** 4, z2]), [1, 1])
+    act_reparam(JetPoint.formal(spec), ReparamJet.formal(4))
+    compose_reparam(ReparamJet.formal(4), ReparamJet.formal(4))
+    assert len(calls) == 3
 
 
 def test_act_target_functoriality_exact():

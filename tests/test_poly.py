@@ -168,6 +168,30 @@ def test_substitute_all_edge_cases():
     assert substitute_all([zero], {X: y})[0] is zero
 
 
+def test_substitute_all_truncate_drops_only_the_high_terms():
+    # truncate=(v, n) returns the full substitution less its terms of
+    # v-degree above n, whether v is bound, passes through or occurs only
+    # in the images; cut products must not feed the kept terms.
+    rng = random.Random(109)
+    variables = [X, Y, jet_var(1, 1), param_var(1)]
+    for _ in range(60):
+        polys = [random_poly(rng, variables, terms=rng.randint(1, 5), max_exp=4)
+                 for _ in range(rng.randint(1, 3))]
+        bindings = {
+            v: random_poly(rng, variables, terms=rng.randint(1, 3), max_exp=2)
+            for v in rng.sample(variables, k=rng.randint(1, 3))
+        }
+        cut, limit = rng.choice(variables), rng.randint(0, 6)
+        want = []
+        for p in polys:
+            full = reference_substitute(p, bindings)
+            want.append(SparsePolynomial(
+                {m: c for m, c in full.terms.items() if dict(m).get(cut, 0) <= limit}
+            ))
+        got = substitute_all(polys, bindings, truncate=(cut, limit))
+        assert got == want, (polys, bindings, cut, limit)
+
+
 def test_substitute_all_exponents_fill_their_bit_fields():
     # Exponents 2^n - 1 fill every bit of their field and 2^n needs a new
     # one; each variable is packed next to another, so a field that is
