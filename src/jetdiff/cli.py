@@ -9,9 +9,10 @@ byte-stable across runs.
 
 Exit codes: 0 on success, 1 on a mathematical error (singular Jacobian,
 chart breakdown, pole of the bound, weight outside the audited range),
-2 on usage errors including expression syntax errors, 3 when a
-computation fails one of its own consistency checks (for instance a
-basis that is not adapted to the isotypic decomposition).
+2 on usage errors including expression syntax errors and a --golden
+directory that cannot be written, 3 when a computation fails one of its
+own consistency checks (for instance a basis that is not adapted to the
+isotypic decomposition).
 """
 
 from __future__ import annotations
@@ -142,12 +143,9 @@ def _splitting_payload(verdict: SplittingVerdict) -> Dict:
 
 def _emit(args, payload: Dict, human: str, stem: str, *digest_parts: str) -> None:
     """Print the result; with --golden also write its JSON to
-    DIR/<stem>.json, or DIR/<stem>_<digest of digest_parts>.json."""
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        sys.stdout.write(human if human.endswith("\n") else human + "\n")
+    DIR/<stem>.json, or DIR/<stem>_<digest of digest_parts>.json.  The
+    file is written first, so a failed write (an OSError) prints nothing."""
+    text = json.dumps(payload, indent=2) + "\n" if args.json or args.golden else ""
     if args.golden:
         name = f"{stem}_{_digest(*digest_parts)}" if digest_parts else stem
         os.makedirs(args.golden, exist_ok=True)
@@ -155,6 +153,10 @@ def _emit(args, payload: Dict, human: str, stem: str, *digest_parts: str) -> Non
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"golden output written to {path}", file=sys.stderr)
+    if args.json:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.write(human if human.endswith("\n") else human + "\n")
 
 
 def _digest(*parts: str) -> str:
@@ -519,6 +521,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the --golden file could not be written
+        print(f"{PROG}: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -25,12 +25,11 @@ through `poly.substitute_all`.  Entries may be Fractions or polynomials
 
 from __future__ import annotations
 
-import warnings
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import List, Sequence, Tuple, Union
 
-from .linalg import dense_rank
 from .poly import (
     BASE,
     SparsePolynomial,
@@ -53,16 +52,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class JetSpec:
+class JetSpec(namedtuple("JetSpec", "rank order")):
     """Shape of a jet problem: number of curve components and jet order.
 
-    Immutable.  Equality and hashing look at (rank, order) only:
-    `allow_large` lifts the guardrail, it does not make another shape.
+    A plain (rank, order) record.  `allow_large` lifts the guardrail when
+    the shape is made; it is not stored and does not make another shape.
     """
 
-    __slots__ = ("rank", "order", "allow_large")
+    __slots__ = ()
 
-    def __init__(self, rank: int, order: int, allow_large: bool = False):
+    def __new__(cls, rank: int, order: int, allow_large: bool = False):
         if rank < 1 or order < 1:
             raise ValueError(f"rank and order must be >= 1, got ({rank}, {order})")
         if not allow_large and (rank > MAX_RANK or order > MAX_ORDER):
@@ -70,31 +69,11 @@ class JetSpec:
                 f"rank {rank}, order {order} beyond the guardrail "
                 f"({MAX_RANK}, {MAX_ORDER}); pass allow_large=True to override"
             )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "allow_large", allow_large)
+        return super().__new__(cls, rank, order)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable JetSpec")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable JetSpec")
-
-    def __reduce__(self):
-        # rebuild through __init__ (copy, deepcopy, pickle): slot-by-slot
-        # restoring would go through the blocked __setattr__
-        return (JetSpec, (self.rank, self.order, self.allow_large))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JetSpec):
-            return NotImplemented
-        return self.rank == other.rank and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.order))
-
-    def __repr__(self) -> str:
-        return f"JetSpec(rank={self.rank}, order={self.order})"
+    def __getnewargs__(self):
+        # copies and pickles rebuild a shape that already passed the guardrail
+        return (self.rank, self.order, True)
 
     def jet_variables(self) -> List[Variable]:
         """All jet variables of this shape, in the global variable order."""
@@ -404,8 +383,8 @@ def act_target(jet: JetPoint, psi: TargetMap, basepoint: Sequence) -> JetPoint:
 
     The basepoint supplies the constant terms of the expansion (f(0) = x);
     entries of the result are the raw derivatives of psi o f at 0.  A
-    singular Jacobian at the basepoint only warns: the substitution is
-    still a well-defined jet, it just fails to be a fiber isomorphism.
+    map that is singular at the basepoint still gives a well-defined jet;
+    callers that need a fiber isomorphism check the Jacobian themselves.
     """
     spec = jet.spec
     if psi.rank != spec.rank:
@@ -417,14 +396,6 @@ def act_target(jet: JetPoint, psi: TargetMap, basepoint: Sequence) -> JetPoint:
     if len(basepoint) != spec.rank:
         raise ValueError(f"basepoint needs {spec.rank} coordinates")
     point = [_as_value(v) for v in basepoint]
-    if all(_is_scalar(v) for v in point):
-        jac = psi.jacobian(point)
-        if dense_rank(jac) < spec.rank:
-            warnings.warn(
-                "target map has singular Jacobian at the basepoint; the jet "
-                "substitution is still well defined",
-                stacklevel=2,
-            )
     bindings = {
         base_var(l): _taylor(jet, l, point[l - 1]) for l in range(1, spec.rank + 1)
     }

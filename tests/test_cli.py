@@ -263,7 +263,7 @@ def test_exit_code_one_on_mathematical_errors(capsys):
     assert "singular Jacobian" in err
 
 
-def test_exit_code_two_on_usage_errors(capsys):
+def test_exit_code_two_on_usage_errors(capsys, tmp_path):
     assert main(["verify", "--rank", "2", "--order", "2", "--poly", "f1'''"]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
@@ -287,6 +287,14 @@ def test_exit_code_two_on_usage_errors(capsys):
     transition = ["transition", "--rank", "2", "--order", "2", "--weight", "3"]
     assert main([*transition, "--map", SHEAR, "--point", "1,abc"]) == 2
     assert "line 1, column 3: not a rational number: 'abc'" in capsys.readouterr().err
+    # a --golden directory under a plain file: one stderr line and no output
+    blocker = tmp_path / "f"
+    blocker.touch()
+    basis = ["basis", "--rank", "2", "--order", "2", "--weight", "3", "--json"]
+    assert main([*basis, "--golden", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jetdiff: ") and captured.err.count("\n") == 1
 
 
 def test_exit_code_three_on_internal_consistency_failure():

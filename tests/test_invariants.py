@@ -453,3 +453,6 @@ def test_expand_in_basis():
     assert space.expand_in_basis(mixed) == {0: 2, 4: -1}
     with pytest.raises(ValueError):
         space.expand_in_basis(var(jet_var(1, 1)) * var(jet_var(1, 2)))
+    # a monomial outside the weight-3 support is outside the span too
+    with pytest.raises(ValueError, match="outside the span"):
+        space.expand_in_basis(var(jet_var(1, 1)))
