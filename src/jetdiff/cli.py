@@ -48,6 +48,9 @@ from .transitions import (
 )
 
 PROG = "jetdiff"
+# `theta --d` audits one row per degree, so its range is capped before any
+# row is built.
+MAX_DEGREES = 10_000
 
 
 # ---- small shared helpers ----
@@ -96,6 +99,10 @@ def _parse_degree_range(text: str) -> List[int]:
         raise ParseError(f"not a degree or degree range: {text!r}", 1, 1) from exc
     if hi < lo:
         raise ParseError(f"empty degree range {text!r}", 1, 1)
+    if hi - lo + 1 > MAX_DEGREES:
+        raise ParseError(
+            f"degree range {text!r} has {hi - lo + 1} degrees; the limit is {MAX_DEGREES}", 1, 1
+        )
     return list(range(lo, hi + 1))
 
 

@@ -136,11 +136,7 @@ def _kernel(columns: Mapping[int, Mapping[Hashable, Fraction]]) -> List[Dict[int
     increasing order, to its sparse column (rows keyed by any hashable).
     The kernel vectors are keyed by those column indices."""
     labels = list(columns)
-    rows: Dict[Hashable, Dict[int, Fraction]] = {}
-    for j, column in enumerate(columns.values()):
-        for key, value in column.items():
-            rows.setdefault(key, {})[j] = value
-    kernel = nullspace(RationalMatrix(len(rows), len(labels), list(rows.values())))
+    kernel = nullspace(RationalMatrix.from_columns(columns.values()))
     return [{labels[j]: value for j, value in vec.items()} for vec in kernel]
 
 
@@ -161,24 +157,17 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
 
     Column order is the canonical monomial order from enumerate_monomials;
     rows are indexed by the mixed monomials (parameters and jet variables
-    together) appearing in any residual, in canonical order.  Order 1 has
-    no unipotent part, so the matrix has zero rows there.
+    together) appearing in any residual, in order of first appearance.
+    Order 1 has no unipotent part, so the matrix has zero rows there.
     """
     monomials = enumerate_monomials(spec, weight)
-    ncols = len(monomials)
     if spec.order == 1:
-        return RationalMatrix(0, ncols, [])
+        return RationalMatrix(0, len(monomials), [])
     bindings = _formal_action(spec.rank, spec.order, True)
     images = substitute_all([SparsePolynomial.monomial(m) for m in monomials], bindings)
-    residuals = [image - SparsePolynomial.monomial(m) for m, image in zip(monomials, images)]
-
-    row_keys = sorted({key for res in residuals for key in res.terms}, key=mono_sort_key)
-    row_index = {key: i for i, key in enumerate(row_keys)}
-    rows: List[Dict[int, Fraction]] = [dict() for _ in row_keys]
-    for col, res in enumerate(residuals):
-        for key, coeff in res.terms.items():
-            rows[row_index[key]][col] = coeff
-    return RationalMatrix(len(row_keys), ncols, rows)
+    return RationalMatrix.from_columns(
+        [(image - SparsePolynomial.monomial(m)).terms for m, image in zip(monomials, images)]
+    )
 
 
 class InvarianceVerdict(NamedTuple):

@@ -7,7 +7,7 @@ nothing.  Vectors are sparse the same way: `solve_in_span` takes and
 returns mappings from coordinate to value, and `nullspace` returns
 {column: value} dicts scaled to their canonical integer form.
 
-Both elimination kernels keep an index from each column to the rows with
+The elimination loop keeps an index from each column to the rows with
 a nonzero there, updated on every fill-in and cancellation, so a pivot
 step visits only the rows holding the pivot column.  Columns are taken
 left to right; among the rows not yet used as pivots, the shortest one
@@ -17,17 +17,19 @@ choice: the reduced row echelon form of a matrix is unique, and so are
 the nullspace basis and the coordinates read off it, so results are
 byte-identical across runs and across pivot rules.
 
-Two independent rank paths exist on purpose: `rref`/`rank` eliminate over
-Fraction, `rank_modular_check` clears denominators row by row and
-eliminates modulo large primes.  They share no elimination code, which is
-what makes the cross-check in the test suite meaningful.
+Both fields run through the one pivot loop, `_eliminate`: `rref`, `rank`,
+`nullspace` and `solve_in_span` eliminate over Fraction, while
+`rank_modular_check` clears denominators row by row and eliminates
+modulo large primes.  The two ranks differ in their arithmetic, so `dim`
+still compares two independent computations; the loop itself is checked
+against a plain column-scan elimination in both fields by the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,6 +82,26 @@ class RationalMatrix:
         return cls(nrows, ncols, rows)
 
     @classmethod
+    def from_columns(cls, columns: Collection[Mapping[Hashable, Fraction]]) -> "RationalMatrix":
+        """The matrix whose j-th column is the sparse vector `columns[j]`.
+
+        A column maps row coordinates (any hashable) to values; zero values
+        are dropped.  Rows come in order of first appearance of their
+        coordinate.
+        """
+        by_coord: Dict[Hashable, Row] = {}
+        for j, column in enumerate(columns):
+            for i, v in column.items():
+                if not v:
+                    continue
+                row = by_coord.get(i)
+                if row is None:
+                    by_coord[i] = {j: v}
+                else:
+                    row[j] = v
+        return cls(len(by_coord), len(columns), list(by_coord.values()))
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, [{i: _ONE} for i in range(n)])
 
@@ -102,13 +124,15 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
 
-def _eliminate(rows: List[Row]) -> Tuple[List[Row], List[int]]:
+def _eliminate(rows: List[Row], prime: int = 0) -> Tuple[List[Row], List[int]]:
     """Reduced row echelon form.  Returns (rows, pivot columns).
 
-    The input rows are reduced in place; the returned list holds the pivot
-    rows in pivot order (pivots normalized to 1, pivot columns cleared
-    everywhere else), followed by the zero rows.  `holders` is the column
-    index described in the module docstring.
+    With `prime` 0 the entries are Fractions and the arithmetic is over Q;
+    otherwise they are ints in [0, prime) and every update is reduced
+    modulo `prime`.  The input rows are reduced in place; the returned list
+    holds the pivot rows in pivot order (pivots normalized to 1, pivot
+    columns cleared everywhere else), followed by the zero rows.
+    `holders` is the column index described in the module docstring.
     """
     holders: Dict[int, Set[int]] = {}
     for i, row in enumerate(rows):
@@ -132,9 +156,12 @@ def _eliminate(rows: List[Row]) -> Tuple[List[Row], List[int]]:
             continue
         p = min(free, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        inv = _ONE / prow[col]
+        inv = pow(prow[col], -1, prime) if prime else _ONE / prow[col]
         if inv != 1:
-            prow = {c: v * inv for c, v in prow.items()}
+            if prime:
+                prow = {c: v * inv % prime for c, v in prow.items()}
+            else:
+                prow = {c: v * inv for c, v in prow.items()}
             rows[p] = prow
         tail = [(c, v) for c, v in prow.items() if c != col]
         for t in cands:
@@ -145,10 +172,13 @@ def _eliminate(rows: List[Row]) -> Tuple[List[Row], List[int]]:
             for c, v in tail:
                 old = target.get(c)
                 if old is None:
-                    target[c] = -factor * v
+                    s = -factor * v
+                    target[c] = s % prime if prime else s
                     holders[c].add(t)
                 else:
                     s = old - factor * v
+                    if prime:
+                        s %= prime
                     if s:
                         target[c] = s
                     else:
@@ -223,7 +253,6 @@ def _modular_rank(matrix: RationalMatrix, prime: int) -> int:
     """Rank mod `prime` after clearing denominators row by row.
 
     Raises PrimeFailure when a denominator is divisible by the prime.
-    Completely separate from the Fraction elimination path.
     """
     reduced: List[Dict[int, int]] = []
     for row in matrix.rows:
@@ -241,44 +270,7 @@ def _modular_rank(matrix: RationalMatrix, prime: int) -> int:
                 r[c] = iv
         if r:
             reduced.append(r)
-    holders: Dict[int, Set[int]] = {}
-    for i, r in enumerate(reduced):
-        for c in r:
-            found = holders.get(c)
-            if found is None:
-                holders[c] = {i}
-            else:
-                found.add(i)
-    count = 0
-    for col in sorted(holders):
-        cands = holders.pop(col)
-        if not cands:
-            continue
-        p = min(cands, key=lambda i: (len(reduced[i]), i))
-        cands.discard(p)
-        prow = reduced[p]
-        for c in prow:
-            if c != col:
-                holders[c].discard(p)
-        inv = pow(prow[col], -1, prime)
-        tail = [(c, (v * inv) % prime) for c, v in prow.items() if c != col]
-        for t in cands:
-            target = reduced[t]
-            factor = target.pop(col)
-            for c, v in tail:
-                old = target.get(c)
-                if old is None:
-                    target[c] = (-factor * v) % prime
-                    holders[c].add(t)
-                else:
-                    s = (old - factor * v) % prime
-                    if s:
-                        target[c] = s
-                    else:
-                        del target[c]
-                        holders[c].discard(t)
-        count += 1
-    return count
+    return len(_eliminate(reduced, prime)[1])
 
 
 def rank_modular_check(
@@ -286,7 +278,7 @@ def rank_modular_check(
     primes: Sequence[int] = _DEFAULT_PRIMES,
     samples: int = 3,
 ) -> int:
-    """Rank computed modulo several large primes, independent of `rank`.
+    """Rank computed modulo several large primes, a cross-check of `rank`.
 
     Modular rank can only undercount (a prime may divide a pivotal minor),
     so the maximum over `samples` successful primes is returned.  A prime
@@ -330,17 +322,7 @@ def solve_in_span(
     Raises ValueError naming the first target that is outside the span.
     """
     width = len(columns)
-    by_coord: Dict[Hashable, Row] = {}
-    for j, vec in enumerate([*columns, *targets]):
-        for i, v in vec.items():
-            if not v:
-                continue
-            row = by_coord.get(i)
-            if row is None:
-                by_coord[i] = {j: v}
-            else:
-                row[j] = v
-    rows, pivots = _eliminate(list(by_coord.values()))
+    rows, pivots = _eliminate(RationalMatrix.from_columns([*columns, *targets]).rows)
     for p in pivots:
         if p >= width:
             raise ValueError(f"target {p - width} is outside the span")

@@ -66,11 +66,12 @@ def apply_matrix(matrix, vec):
     return out
 
 
-def scan_eliminate(rows):
+def scan_eliminate(rows, prime=0):
     """Reference Gauss-Jordan elimination with the same contract as
-    `jetdiff.linalg._eliminate`: reduces `rows` (dicts column -> nonzero
-    Fraction) and returns (pivot rows in pivot order then zero rows, pivot
-    columns).
+    `jetdiff.linalg._eliminate`: reduces `rows` and returns (pivot rows in
+    pivot order then zero rows, pivot columns).  With `prime` 0 the rows
+    are dicts column -> nonzero Fraction and the field is Q; otherwise
+    their entries are ints in [0, prime) and the field is GF(prime).
 
     This is the plain column scan: for each column in order, the first
     row at or below the current pivot position holding it becomes the
@@ -93,9 +94,11 @@ def scan_eliminate(rows):
             continue
         rows[piv_row], rows[hit] = rows[hit], rows[piv_row]
         prow = rows[piv_row]
-        inv = 1 / prow[col]
+        inv = pow(prow[col], -1, prime) if prime else 1 / prow[col]
         if inv != 1:
             prow = {c: v * inv for c, v in prow.items()}
+            if prime:
+                prow = {c: v % prime for c, v in prow.items()}
             rows[piv_row] = prow
         for r in range(nrows):
             if r == piv_row:
@@ -105,7 +108,9 @@ def scan_eliminate(rows):
                 continue
             target = rows[r]
             for c, v in prow.items():
-                s = target.get(c, Fraction(0)) - factor * v
+                s = target.get(c, 0) - factor * v
+                if prime:
+                    s %= prime
                 if s:
                     target[c] = s
                 else:

@@ -204,6 +204,15 @@ GOLDEN_CASES = [
         "theta_m3_d6_20.json",
         ["theta", "--d", "6:20"],
     ),
+    # the ladder shapes whose bytes the benchmark also pins
+    (
+        "dim_r2_k4_m10.json",
+        ["dim", "--rank", "2", "--order", "4", "--weight", "10"],
+    ),
+    (
+        "basis_r2_k4_m10.json",
+        ["basis", "--rank", "2", "--order", "4", "--weight", "10"],
+    ),
 ]
 
 
@@ -276,6 +285,12 @@ def test_exit_code_two_on_usage_errors(capsys, tmp_path):
     for degrees in ("abc", "6:x"):
         assert main(["theta", "--d", degrees]) == 2
         assert f"not a degree or degree range: {degrees!r}" in capsys.readouterr().err
+    # a range is capped before it is built: one stderr line and no output
+    assert main(["theta", "--d", "6:20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "has 19995 degrees; the limit is 10000" in captured.err
     shape = ["associated", "--rank", "2", "--order", "2", "--weight", "3", "--matrix"]
     assert main([*shape, "1,0;0"]) == 2
     assert "expected 2 ';'-separated rows of 2 comma-separated entries" in capsys.readouterr().err

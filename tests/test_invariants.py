@@ -195,7 +195,8 @@ def test_dimension_table_with_modular_cross_check():
 
 
 def test_modular_rank_matches_exact_on_substitution_systems():
-    # The two rank routes share no elimination code; on the paper's own
+    # The two rank routes share the pivot loop but not the field: Fraction
+    # arithmetic against arithmetic modulo primes.  On the paper's own
     # systems they must agree.
     for r in (1, 2, 3):
         for k in (1, 2, 3):

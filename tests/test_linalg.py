@@ -150,6 +150,15 @@ def test_modular_rank_skips_bad_primes(caplog):
         rank_modular_check(m, primes=(p,), samples=1)
 
 
+def test_modular_rank_undercounts_only_at_one_prime():
+    # p divides the pivot p, so the rank mod p alone drops to 1; the
+    # default call takes the maximum over three primes and sees 2.
+    p = 2147483647
+    m = dense([[p, 0], [0, 1]])
+    assert rank_modular_check(m, primes=(p,), samples=1) == 1
+    assert rank_modular_check(m) == 2
+
+
 def test_prime_failure_is_arithmetic_error():
     assert issubclass(PrimeFailure, ArithmeticError)
 
@@ -287,11 +296,24 @@ def reference(monkeypatch, fn, *args):
         return outcome(fn, *args)
 
 
+def mod_rows(m, p):
+    """The rows of m as dicts of ints in [0, p), zero entries dropped;
+    every denominator of the oracle matrices is prime to p."""
+    rows = []
+    for row in m.rows:
+        reduced = {c: v.numerator * pow(v.denominator, -1, p) % p for c, v in row.items()}
+        rows.append({c: v for c, v in reduced.items() if v})
+    return rows
+
+
 def test_kernels_match_column_scan(monkeypatch):
+    p = 2147483647
     for m in oracle_matrices():
         for fn in (rref, rank, nullspace):
             assert fn(m) == reference(monkeypatch, fn, m), (fn.__name__, m.to_rows())
         assert rank_modular_check(m) == rank(m), m.to_rows()
+        # the same pivot loop over GF(p), rows and pivots
+        assert linalg._eliminate(mod_rows(m, p), p) == scan_eliminate(mod_rows(m, p), p), m.to_rows()
 
 
 def test_solve_in_span_sparse_errors():
