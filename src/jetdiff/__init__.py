@@ -20,7 +20,6 @@ from .invariants import (
     irrep_partition,
     mono_weight,
     raising_action,
-    torus_weights,
     verify_invariance,
 )
 from .jets import (
@@ -36,9 +35,7 @@ from .jets import (
 from .linalg import RationalMatrix, nullspace, rank, rank_modular_check, rref
 from .parsing import ParseError, parse_map, parse_polynomial, parse_reparam
 from .poly import (
-    JetPolynomial,
     Monomial,
-    Rational,
     SparsePolynomial,
     Variable,
     base_var,
@@ -68,11 +65,9 @@ __all__ = [
     "InvariantSpace",
     "IrrepLabel",
     "JetPoint",
-    "JetPolynomial",
     "JetSpec",
     "Monomial",
     "ParseError",
-    "Rational",
     "RationalMatrix",
     "ReparamJet",
     "SparsePolynomial",
@@ -109,7 +104,6 @@ __all__ = [
     "s_block_closure",
     "splitting_check",
     "theta_lower_bound",
-    "torus_weights",
     "v1_frame_transition",
     "verify_invariance",
 ]

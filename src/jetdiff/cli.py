@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .invariants import (
     InvariantSpace,
@@ -38,7 +38,6 @@ from .linalg import rank_modular_check
 from .parsing import ParseError, parse_map, parse_polynomial
 from .transitions import (
     SplittingVerdict,
-    TransitionMatrix,
     associated_action,
     contradiction_audit,
     differential_transition,
@@ -131,8 +130,8 @@ def _space_payload(space: InvariantSpace) -> Dict:
     }
 
 
-def _matrix_payload(tm: TransitionMatrix) -> List[List[str]]:
-    return [[str(v) for v in row] for row in tm.entries]
+def _matrix_payload(entries: Sequence[Sequence[Fraction]]) -> List[List[str]]:
+    return [[str(v) for v in row] for row in entries]
 
 
 def _splitting_payload(verdict: SplittingVerdict) -> Dict:
@@ -148,10 +147,14 @@ def _splitting_payload(verdict: SplittingVerdict) -> Dict:
     }
 
 
-def _emit(args, payload: Dict, human: str, stem: str, *digest_parts: str) -> None:
-    """Print the result; with --golden also write its JSON to
-    DIR/<stem>.json, or DIR/<stem>_<digest of digest_parts>.json.  The
-    file is written first, so a failed write (an OSError) prints nothing."""
+def _emit(
+    args, payload: Dict, human: Callable[[Dict], str], stem: str, *digest_parts: str
+) -> None:
+    """Print the result: its JSON with --json, else `human(payload)`, so
+    the text is built only when printed and from the payload's strings.
+    With --golden also write the JSON to DIR/<stem>.json, or
+    DIR/<stem>_<digest of digest_parts>.json.  The file is written first,
+    so a failed write (an OSError) prints nothing."""
     text = json.dumps(payload, indent=2) + "\n" if args.json or args.golden else ""
     if args.golden:
         name = f"{stem}_{_digest(*digest_parts)}" if digest_parts else stem
@@ -163,7 +166,7 @@ def _emit(args, payload: Dict, human: str, stem: str, *digest_parts: str) -> Non
     if args.json:
         sys.stdout.write(text)
     else:
-        sys.stdout.write(human if human.endswith("\n") else human + "\n")
+        sys.stdout.write(human(payload) + "\n")
 
 
 def _digest(*parts: str) -> str:
@@ -181,11 +184,7 @@ def _format_table(rows: List[List[str]], header: Optional[List[str]] = None) -> 
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
     if header:
         lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
-
-
-def _matrix_human(tm: TransitionMatrix) -> str:
-    return _format_table([[str(v) for v in row] for row in tm.entries])
+    return "\n".join(lines)
 
 
 def _label_str(weight: Sequence[int]) -> str:
@@ -197,13 +196,19 @@ def _label_str(weight: Sequence[int]) -> str:
 
 def _cmd_basis(args) -> int:
     space = invariant_basis(_spec(args), args.weight)
-    payload = _space_payload(space)
+    stem = f"basis_r{args.rank}_k{args.order}_m{args.weight}"
+    _emit(args, _space_payload(space), _basis_text, stem)
+    return 0
+
+
+def _basis_text(payload: Dict) -> str:
+    spec = payload["spec"]
     lines = [
-        f"rank {space.spec.rank}, order {space.spec.order}, weight {space.weight}",
-        f"dimension: {space.dimension}",
+        f"rank {spec['rank']}, order {spec['order']}, weight {payload['weight']}",
+        f"dimension: {payload['dimension']}",
         "basis:",
     ]
-    for q, w in zip(space.basis, space.torus_weights()):
+    for q, w in zip(payload["basis"], payload["torus_weights"]):
         lines.append(f"  [{_label_str(w)}]  {q}")
     if payload["decomposition"] is not None:
         parts = ", ".join(
@@ -211,8 +216,7 @@ def _cmd_basis(args) -> int:
             for d in payload["decomposition"]
         )
         lines.append(f"decomposition: {parts}")
-    _emit(args, payload, "\n".join(lines), f"basis_r{args.rank}_k{args.order}_m{args.weight}")
-    return 0
+    return "\n".join(lines)
 
 
 def _cmd_dim(args) -> int:
@@ -224,7 +228,6 @@ def _cmd_dim(args) -> int:
         raise RuntimeError(
             f"modular rank {modular} disagrees with exact rank {exact}"
         )
-    dimension = system.ncols - exact
     payload = {
         "spec": {"rank": spec.rank, "order": spec.order},
         "weight": args.weight,
@@ -232,15 +235,19 @@ def _cmd_dim(args) -> int:
         "system_shape": [system.nrows, system.ncols],
         "system_rank": exact,
         "system_rank_modular": modular,
-        "dimension": dimension,
+        "dimension": system.ncols - exact,
     }
-    human = (
-        f"rank {spec.rank}, order {spec.order}, weight {args.weight}: "
-        f"{system.ncols} monomials, system rank {exact} "
-        f"(modular check {modular}), dimension {dimension}"
-    )
-    _emit(args, payload, human, f"dim_r{args.rank}_k{args.order}_m{args.weight}")
+    _emit(args, payload, _dim_text, f"dim_r{args.rank}_k{args.order}_m{args.weight}")
     return 0
+
+
+def _dim_text(payload: Dict) -> str:
+    spec = payload["spec"]
+    return (
+        f"rank {spec['rank']}, order {spec['order']}, weight {payload['weight']}: "
+        f"{payload['num_monomials']} monomials, system rank {payload['system_rank']} "
+        f"(modular check {payload['system_rank_modular']}), dimension {payload['dimension']}"
+    )
 
 
 def _cmd_decompose(args) -> int:
@@ -255,9 +262,13 @@ def _cmd_decompose(args) -> int:
             for l in labels
         ],
     }
-    human = f"dimension {space.dimension} = " + " + ".join(
-        f"{_label_str(l.highest_weight)} x{l.multiplicity} (dim {l.dimension()})" for l in labels
-    )
+
+    def human(p: Dict) -> str:
+        return f"dimension {p['dimension']} = " + " + ".join(
+            f"{_label_str(l.highest_weight)} x{l.multiplicity} (dim {l.dimension()})"
+            for l in labels
+        )
+
     _emit(args, payload, human, f"decompose_r{args.rank}_k{args.order}_m{args.weight}")
     return 0
 
@@ -273,12 +284,14 @@ def _cmd_verify(args) -> int:
         "weight": verdict.weight,
         "residual": None if verdict.residual is None else str(verdict.residual),
     }
-    if verdict.invariant:
-        human = f"invariant of weight {verdict.weight}"
-    else:
-        human = f"not invariant (weight {verdict.weight}); residual: {verdict.residual}"
-    _emit(args, payload, human, f"verify_r{args.rank}_k{args.order}", args.poly)
+    _emit(args, payload, _verify_text, f"verify_r{args.rank}_k{args.order}", args.poly)
     return 0
+
+
+def _verify_text(payload: Dict) -> str:
+    if payload["invariant"]:
+        return f"invariant of weight {payload['weight']}"
+    return f"not invariant (weight {payload['weight']}); residual: {payload['residual']}"
 
 
 def _cmd_transition(args) -> int:
@@ -296,35 +309,41 @@ def _cmd_transition(args) -> int:
         "psi": str(psi),
         "basepoint": [str(v) for v in point],
         "basis": [str(q) for q in space.basis],
-        "matrix": _matrix_payload(tm),
+        "matrix": _matrix_payload(tm.entries),
         "splitting": _splitting_payload(verdict),
         "first_order_block_closed": closure.closed,
     }
-    lines = [
-        f"transition of the weight-{space.weight} invariants under {psi} at "
-        f"({', '.join(str(v) for v in point)})",
-        _matrix_human(tm).rstrip("\n"),
-        "splits: " + ("yes" if verdict.splits else "no"),
-    ]
-    if not verdict.splits:
-        w = verdict.witnesses[0]
-        lines.append(
-            f"witness: entry ({w.row}, {w.col}) = {w.value} crosses "
-            f"from block {_label_str(_block_of(verdict, w.col).highest_weight)} "
-            f"into block {_label_str(_block_of(verdict, w.row).highest_weight)}"
-        )
-    lines.append(
-        "pure first-derivative block closed: " + ("yes" if closure.closed else "NO (bug)")
-    )
     stem = f"transition_r{args.rank}_k{args.order}_m{args.weight}"
-    _emit(args, payload, "\n".join(lines), stem, args.map, args.point)
+    _emit(args, payload, _transition_text, stem, args.map, args.point)
     return 0
 
 
-def _block_of(verdict: SplittingVerdict, index: int):
-    for label, idxs in verdict.partition:
-        if index in idxs:
-            return label
+def _transition_text(payload: Dict) -> str:
+    splitting = payload["splitting"]
+    lines = [
+        f"transition of the weight-{payload['weight']} invariants under {payload['psi']} at "
+        f"({', '.join(payload['basepoint'])})",
+        _format_table(payload["matrix"]),
+        "splits: " + ("yes" if splitting["splits"] else "no"),
+    ]
+    if not splitting["splits"]:
+        w = splitting["witnesses"][0]
+        lines.append(
+            f"witness: entry ({w['row']}, {w['col']}) = {w['value']} crosses "
+            f"from block {_block_of(splitting, w['col'])} "
+            f"into block {_block_of(splitting, w['row'])}"
+        )
+    lines.append(
+        "pure first-derivative block closed: "
+        + ("yes" if payload["first_order_block_closed"] else "NO (bug)")
+    )
+    return "\n".join(lines)
+
+
+def _block_of(splitting: Dict, index: int) -> str:
+    for block in splitting["partition"]:
+        if index in block["indices"]:
+            return _label_str(block["highest_weight"])
     raise ValueError(f"index {index} not in partition")
 
 
@@ -336,21 +355,24 @@ def _cmd_associated(args) -> int:
     payload = {
         "spec": {"rank": spec.rank, "order": spec.order},
         "weight": space.weight,
-        "group_element": [[str(v) for v in row] for row in g],
+        "group_element": _matrix_payload(g),
         "basis": [str(q) for q in space.basis],
-        "matrix": _matrix_payload(tm),
+        "matrix": _matrix_payload(tm.entries),
     }
-    human = (
-        f"fiberwise action on the weight-{space.weight} invariants\n"
-        + _matrix_human(tm).rstrip("\n")
-    )
     stem = f"associated_r{args.rank}_k{args.order}_m{args.weight}"
-    _emit(args, payload, human, stem, args.matrix)
+    _emit(args, payload, _associated_text, stem, args.matrix)
     return 0
 
 
+def _associated_text(payload: Dict) -> str:
+    return (
+        f"fiberwise action on the weight-{payload['weight']} invariants\n"
+        + _format_table(payload["matrix"])
+    )
+
+
 def _cmd_v1(args) -> int:
-    psi = parse_map(args.map, 2, 1)
+    psi = parse_map(args.map, 2, 2)
     point = _parse_point(args.point, 2)
     slope = _fraction(args.slope, 1)
     matrix, flag = v1_frame_transition(psi, point, slope)
@@ -358,16 +380,19 @@ def _cmd_v1(args) -> int:
         "psi": str(psi),
         "point": [str(v) for v in point],
         "slope": str(slope),
-        "matrix": [[str(v) for v in row] for row in matrix],
+        "matrix": _matrix_payload(matrix),
         "uses_second_derivatives": flag,
     }
-    human = (
-        _format_table([[str(v) for v in row] for row in matrix]).rstrip("\n")
-        + "\nsecond derivatives of the coordinate change enter: "
-        + ("yes" if flag else "no")
-    )
-    _emit(args, payload, human, "v1", args.map, args.point, args.slope)
+    _emit(args, payload, _v1_text, "v1", args.map, args.point, args.slope)
     return 0
+
+
+def _v1_text(payload: Dict) -> str:
+    return (
+        _format_table(payload["matrix"])
+        + "\nsecond derivatives of the coordinate change enter: "
+        + ("yes" if payload["uses_second_derivatives"] else "no")
+    )
 
 
 def _cmd_theta(args) -> int:
@@ -387,21 +412,24 @@ def _cmd_theta(args) -> int:
             for r in rows
         ],
     }
-    table = _format_table(
+    _emit(args, payload, _theta_text, f"theta_m{args.m}_d{degrees[0]}_{degrees[-1]}")
+    return 0
+
+
+def _theta_text(payload: Dict) -> str:
+    return _format_table(
         [
             [
-                str(r.degree),
-                str(r.lower_bound),
-                f"{float(r.lower_bound):+.6f}",
-                str(r.upper_bound),
-                "CONTRADICTION" if r.contradiction else "consistent",
+                str(r["degree"]),
+                r["lower_bound"],
+                f"{r['lower_bound_decimal']:+.6f}",
+                payload["upper_bound"],
+                "CONTRADICTION" if r["contradiction"] else "consistent",
             ]
-            for r in rows
+            for r in payload["rows"]
         ],
         header=["d", "lower", "lower (dec)", "upper", "verdict"],
     )
-    _emit(args, payload, table, f"theta_m{args.m}_d{degrees[0]}_{degrees[-1]}")
-    return 0
 
 
 # ---- parser wiring ----

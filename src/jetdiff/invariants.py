@@ -30,7 +30,10 @@ Highest-weight bookkeeping for the standard linear action on components
 component counts, the raising operator is the derivation with
 f_from^(i) -> f_to^(i) (`_derive` applies this rule and those of D1, D2),
 and for two components the decomposition into irreducibles is computed
-from per-weight kernels of raising.
+from per-weight kernels of raising.  Lowering after raising acts on each
+weight space of an isotypic component by a scalar that tells the
+components apart, so `irrep_partition` reads the component of every basis
+element off that scalar, with no second basis and no second solve.
 """
 
 from __future__ import annotations
@@ -299,9 +302,6 @@ class InvariantSpace:
         span, a monomial outside the weight-m support included."""
         return solve_in_span([q.terms for q in self.basis], [p.terms for p in polys])
 
-    def expand_in_basis(self, p: SparsePolynomial) -> Dict[int, Fraction]:
-        return self.expand_many([p])[0]
-
     def torus_weights(self) -> List[Tuple[int, ...]]:
         return list(self._torus_weights)
 
@@ -367,10 +367,6 @@ def _mono_torus_weight(mono: Monomial, rank: int) -> Tuple[int, ...]:
     return tuple(counts)
 
 
-def torus_weights(space: InvariantSpace) -> List[Tuple[int, ...]]:
-    return space.torus_weights()
-
-
 def raising_action(
     q: SparsePolynomial, from_comp: int, to_comp: int
 ) -> SparsePolynomial:
@@ -406,19 +402,19 @@ def decompose(space: InvariantSpace) -> List[IrrepLabel]:
     representation and raises.  The dimension identity
     sum (l1 - l2 + 1) * multiplicity = dim is checked before returning.
     """
-    return [label for label, _ in _highest_weight_vectors(space)]
+    return _highest_weight_vectors(space)[0]
 
 
 def _highest_weight_vectors(
     space: InvariantSpace,
-) -> List[Tuple[IrrepLabel, List[Dict[int, Fraction]]]]:
-    """Each irreducible label, highest weight first, with the kernel
-    vectors of raising on its torus weight block, as {basis index:
-    coefficient}.
+) -> Tuple[List[IrrepLabel], List[SparsePolynomial]]:
+    """The irreducible labels, highest weight first, and the raised basis
+    elements E b_i they were counted from.
 
     Every basis element is raised once and the results are expanded with
     one solve; each torus weight block then gives one `_kernel` of the
-    coordinates of its raised elements.
+    coordinates of its raised elements, whose size is the number of
+    highest-weight vectors there.
     """
     if space.spec.rank != 2:
         raise ValueError(
@@ -430,7 +426,7 @@ def _highest_weight_vectors(
         coords = space.expand_many(raised)
     except ValueError as exc:
         raise RuntimeError(f"raising operator left the invariant span: {exc}") from exc
-    found: List[Tuple[IrrepLabel, List[Dict[int, Fraction]]]] = []
+    labels: List[IrrepLabel] = []
     for wt, idxs in sorted(_weight_blocks(space).items(), reverse=True):
         kernel = _kernel({idx: coords[idx] for idx in idxs})
         if not kernel:
@@ -439,13 +435,13 @@ def _highest_weight_vectors(
             raise RuntimeError(
                 f"highest-weight vector found at non-dominant torus weight {wt}"
             )
-        found.append((IrrepLabel(wt, len(kernel)), kernel))
-    total = sum(l.dimension() * l.multiplicity for l, _ in found)
+        labels.append(IrrepLabel(wt, len(kernel)))
+    total = sum(l.dimension() * l.multiplicity for l in labels)
     if total != space.dimension:
         raise RuntimeError(
             f"decomposition dimensions sum to {total}, expected {space.dimension}"
         )
-    return found
+    return labels, raised
 
 
 def irrep_partition(
@@ -453,41 +449,24 @@ def irrep_partition(
 ) -> List[Tuple[IrrepLabel, Tuple[int, ...]]]:
     """Assign each basis index to the isotypic component containing it.
 
-    Isotypic spans are generated by lowering strings from the per-weight
-    highest-weight vectors; together the strings form an adapted basis P.
-    Basis element i lies in the span of label l exactly when column i of
-    P^-1 is supported on l's strings.  The canonical basis must be adapted
+    On a vector of torus weight (w1, w2) in the irreducible with highest
+    weight (a, b), lowering after raising is the scalar
+    kappa = (a - w1) * (w1 - b + 1), and constituents sharing a weight have
+    distinct kappa.  So basis element i lies in the isotypic span of a
+    label with a + b = w1 + w2 and b <= w1 <= a exactly when lowering its
+    raised image gives kappa * b_i.  The canonical basis must be adapted
     (each basis vector inside one isotypic span); when it is not, this
     raises rather than fabricating a partition.
     """
-    found = _highest_weight_vectors(space)
-    strings: List[SparsePolynomial] = []
-    owner: List[int] = []  # label index of each string element, i.e. column of P
-    for which, (label, kernel) in enumerate(found):
-        for kvec in kernel:
-            current = SparsePolynomial.zero()
-            for idx, coeff in kvec.items():
-                current = current + space.basis[idx] * coeff
-            for _ in range(label.dimension()):
-                strings.append(current)
-                owner.append(which)
-                current = raising_action(current, from_comp=1, to_comp=2)
-            if not current.is_zero():
-                raise RuntimeError(
-                    "lowering string did not terminate at the expected length"
-                )
-    try:
-        coords = solve_in_span([s.terms for s in strings], [q.terms for q in space.basis])
-    except ValueError as exc:
-        raise RuntimeError(
-            f"lowering strings do not form a basis of the invariant space: {exc}"
-        ) from exc
-    members: List[List[int]] = [[] for _ in found]
+    labels, raised = _highest_weight_vectors(space)
+    members: List[List[int]] = [[] for _ in labels]
     missing = []
-    for idx, vec in enumerate(coords):
-        owners = {owner[col] for col in vec}
-        if len(owners) == 1:
-            members[owners.pop()].append(idx)
+    for idx, (q, (w1, w2), up) in enumerate(zip(space.basis, space.torus_weights(), raised)):
+        lowered = raising_action(up, from_comp=1, to_comp=2)
+        for which, ((a, b), _) in enumerate(labels):
+            if a + b == w1 + w2 and b <= w1 <= a and lowered == q * ((a - w1) * (w1 - b + 1)):
+                members[which].append(idx)
+                break
         else:
             missing.append(idx)
     if missing:
@@ -495,4 +474,10 @@ def irrep_partition(
             f"basis elements {missing} lie in no single isotypic span; basis "
             "is not adapted to the decomposition"
         )
-    return [(label, tuple(idxs)) for (label, _), idxs in zip(found, members)]
+    for label, idxs in zip(labels, members):
+        if len(idxs) != label.dimension() * label.multiplicity:
+            raise RuntimeError(
+                f"isotypic span {label.highest_weight} holds {len(idxs)} basis "
+                f"elements, expected {label.dimension() * label.multiplicity}"
+            )
+    return [(label, tuple(idxs)) for label, idxs in zip(labels, members)]

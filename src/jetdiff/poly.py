@@ -62,8 +62,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
-Rational = Fraction
-
 # variable kinds, in global sort order
 BASE = 0
 JET = 1
@@ -427,11 +425,6 @@ class SparsePolynomial:
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
-
-
-# Polynomials in jet variables (optionally with parameters and base
-# coordinates mixed in) are the values the rest of the package passes around.
-JetPolynomial = SparsePolynomial
 
 
 def poly_sum(items: Iterable[PolyLike]) -> SparsePolynomial:

@@ -15,9 +15,10 @@ the coordinate change enter.  splitting_check makes that visible as
 nonzero off-diagonal blocks against a basis partition, with witnesses.
 
 The module also carries the order-1 counterpart (transition of a natural
-frame on the direction bundle over a two-dimensional base, again with a
-second-derivative flag) and the exact threshold arithmetic used by the
-contradiction audit.
+frame on the direction bundle over a two-dimensional base, read off the
+same moved jet at order 2, with a flag for whether second derivatives of
+the coordinate change enter) and the exact threshold arithmetic used by
+the contradiction audit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .invariants import InvariantSpace, IrrepLabel
-from .jets import JetPoint, TargetMap, act_target
+from .jets import JetPoint, JetSpec, TargetMap, act_target
 from .linalg import dense_rank
 from .poly import SparsePolynomial, jet_var, substitute_all
 
@@ -105,17 +106,15 @@ def differential_transition(
 
     The tautological jet is pushed through psi at the basepoint, each
     basis element is evaluated on the moved jet and re-expanded in the
-    basis.  A singular Jacobian is rejected (the fiber substitution is not
-    invertible there); an image outside the span would mean the invariant
-    subspace is not respected, which is a bug, not user error.
+    basis.  A singular Jacobian, read off the order-1 block of the moved
+    jet, is rejected (the fiber substitution is not invertible there); an
+    image outside the span would mean the invariant subspace is not
+    respected, which is a bug, not user error.
     """
     spec = space.spec
-    if psi.rank != spec.rank:
-        raise ValueError(f"rank mismatch: space {spec.rank} vs map {psi.rank}")
-    point = tuple(Fraction(v) for v in basepoint)
-    if dense_rank(psi.jacobian(point)) < spec.rank:
+    moved = act_target(JetPoint.formal(spec), psi, basepoint)
+    if dense_rank(_jacobian(moved)) < spec.rank:
         raise ValueError("target map has singular Jacobian at the basepoint")
-    moved = act_target(JetPoint.formal(spec), psi, point)
     bindings = {
         jet_var(j, i): moved.entry(i, j)
         for i in range(1, spec.order + 1)
@@ -274,50 +273,49 @@ def v1_frame_transition(
     frame by the returned 2x2 matrix: column 1 is the image of the
     vertical vector, column 2 the image of the lift.
 
-    Returns (matrix, flag) where the flag says whether any second
-    derivative of psi actually entered the entries: the matrix is
-    recomputed with all second derivatives forced to zero and compared.
+    The entries are read off the formal 2-jet moved by psi (so psi must
+    be prepared for order 2).  With J its order-1 block, (D, N) = J (1, xi)
+    and (P1, P2) its order-2 block at f' = (1, xi), f'' = 0, the image
+    slope is N/D and the matrix is ((det J / D^2, (P2 D - N P1) / D^2),
+    (0, D)).  Only entry (1,2) holds second derivatives of psi, so the
+    returned flag, whether any of them entered, is whether it is nonzero.
     Raises when the Jacobian is singular or when the image direction
-    leaves the first-component chart (its first component vanishes).
+    leaves the first-component chart (D = 0).
     """
     if psi.rank != 2:
         raise ValueError("direction-bundle frame transition is a rank-2 computation")
-    pt = [Fraction(v) for v in point]
     xi = Fraction(slope)
-    first = psi.jacobian(pt)
-    if dense_rank(first) < 2:
+    moved = act_target(JetPoint.formal(JetSpec(2, 2)), psi, point)
+    (j11, j12), (j21, j22) = _jacobian(moved)
+    det = j11 * j22 - j12 * j21
+    if det == 0:
         raise ValueError("target map has singular Jacobian at the point")
-    second = psi.second_derivatives(pt)
-    zero_second = [[[_ZERO] * 2 for _ in range(2)] for _ in range(2)]
-    full = _frame_entries(first, second, xi)
-    linearized = _frame_entries(first, zero_second, xi)
-    return full, full != linearized
-
-
-def _frame_entries(first, second, xi):
-    """The 2x2 frame matrix from first/second derivative values.
-
-    Writing the image slope as a quotient N/D of Jacobian contractions,
-    entry (1,1) is its derivative along the slope coordinate, entry (1,2)
-    its derivative along the base flowed in the direction (1, xi), entry
-    (2,2) the first component of the image direction, and entry (2,1) is
-    structurally zero (the vertical stays vertical).
-    """
-    d0 = first[0][0] + xi * first[0][1]
-    if d0 == 0:
+    d = j11 + xi * j12
+    if d == 0:
         raise ValueError(
             "image direction leaves the first-component chart (vanishing first component)"
         )
-    n0 = first[1][0] + xi * first[1][1]
-    dsq = d0 * d0
-    dxi_dxi = (first[1][1] * d0 - first[0][1] * n0) / dsq
-    dxi_dz = []
-    for l in range(2):
-        dn = second[1][0][l] + xi * second[1][1][l]
-        dd = second[0][0][l] + xi * second[0][1][l]
-        dxi_dz.append((dn * d0 - n0 * dd) / dsq)
-    e12 = dxi_dz[0] + xi * dxi_dz[1]
-    return ((dxi_dxi, e12), (_ZERO, d0))
+    n = j21 + xi * j22
+    along = {jet_var(1, 1): _ONE, jet_var(2, 1): xi, jet_var(1, 2): _ZERO, jet_var(2, 2): _ZERO}
+    p1, p2 = (_as_poly(moved.entry(2, j)).evaluate(along) for j in (1, 2))
+    dsq = d * d
+    e12 = (p2 * d - n * p1) / dsq
+    return ((det / dsq, e12), (_ZERO, d)), e12 != 0
+
+
+def _as_poly(value) -> SparsePolynomial:
+    """A jet entry as a polynomial (JetPoint stores a constant entry as a Fraction)."""
+    return value if isinstance(value, SparsePolynomial) else SparsePolynomial.constant(value)
+
+
+def _jacobian(moved: JetPoint) -> List[List[Fraction]]:
+    """[d psi_j / d z_l] at the basepoint, read off the order-1 block of the
+    formal jet moved by psi, whose entry j is sum_l J[j][l] * f_l'."""
+    rank = moved.spec.rank
+    return [
+        [_as_poly(moved.entry(1, j)).coefficient(((jet_var(l, 1), 1),)) for l in range(1, rank + 1)]
+        for j in range(1, rank + 1)
+    ]
 
 
 def theta_lower_bound(degree: int, weight: int) -> Fraction:

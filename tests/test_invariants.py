@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -18,7 +19,6 @@ from jetdiff.invariants import (
     irrep_partition,
     mono_weight,
     raising_action,
-    torus_weights,
     verify_invariance,
 )
 from jetdiff.jets import JetPoint, JetSpec, ReparamJet, act_reparam
@@ -319,7 +319,7 @@ def test_weighted_homogeneity_of_monomials():
 
 def test_torus_weights_r2_k2_m3():
     space = invariant_basis(JetSpec(2, 2), 3)
-    assert torus_weights(space) == [(3, 0), (2, 1), (1, 2), (0, 3), (1, 1)]
+    assert space.torus_weights() == [(3, 0), (2, 1), (1, 2), (0, 3), (1, 1)]
 
 
 def test_stored_torus_weights_match_every_term():
@@ -416,8 +416,10 @@ def test_irrep_partition_r2_k2_m3():
 
 
 def test_irrep_partition_covers_basis():
-    for weight in range(3, 13):
-        space = invariant_basis(JetSpec(2, 2), weight)
+    # every shape here has a basis adapted to the decomposition
+    shapes = [(2, m) for m in range(3, 13)] + [(k, m) for k in (1, 3, 4) for m in range(1, 6)]
+    for order, weight in shapes:
+        space = invariant_basis(JetSpec(2, order), weight)
         partition = irrep_partition(space)
         seen = []
         for label, indices in partition:
@@ -438,9 +440,20 @@ def test_irrep_partition_covers_basis():
 
 
 def test_irrep_partition_raises_on_non_adapted_basis():
-    space = invariant_basis(JetSpec(2, 3), 6)
-    with pytest.raises(RuntimeError, match=r"basis elements \[12\] lie in no single"):
-        irrep_partition(space)
+    # Each list names the basis elements that mix two constituents sharing
+    # a torus weight, so no isotypic span holds them.
+    cases = {
+        (3, 6): [12],
+        (3, 7): [14, 15, 16, 17],
+        (3, 8): [16, 17, 18, 20, 21],
+        (4, 6): [12],
+        (4, 8): [16, 17, 18, 20, 21, 24, 25, 26, 27],
+    }
+    for (order, weight), missing in cases.items():
+        space = invariant_basis(JetSpec(2, order), weight)
+        message = re.escape(f"basis elements {missing} lie in no single isotypic span")
+        with pytest.raises(RuntimeError, match=message):
+            irrep_partition(space)
 
 
 # ---- coordinate bookkeeping ----
@@ -448,12 +461,12 @@ def test_irrep_partition_raises_on_non_adapted_basis():
 
 def test_expand_in_basis():
     space = invariant_basis(JetSpec(2, 2), 3)
-    coords = space.expand_in_basis(wronskian())
+    coords = space.expand_many([wronskian()])[0]
     assert coords == {4: 1}
     mixed = space.basis[0] * 2 - space.basis[4]
-    assert space.expand_in_basis(mixed) == {0: 2, 4: -1}
+    assert space.expand_many([mixed])[0] == {0: 2, 4: -1}
     with pytest.raises(ValueError):
-        space.expand_in_basis(var(jet_var(1, 1)) * var(jet_var(1, 2)))
+        space.expand_many([var(jet_var(1, 1)) * var(jet_var(1, 2))])
     # a monomial outside the weight-3 support is outside the span too
     with pytest.raises(ValueError, match="outside the span"):
-        space.expand_in_basis(var(jet_var(1, 1)))
+        space.expand_many([var(jet_var(1, 1))])

@@ -99,9 +99,13 @@ def test_transition_independent_of_basepoint_for_linear():
 
 def test_singular_jacobian_rejected():
     space = weight3_space()
-    z1 = var(base_var(1))
+    z1, z2 = var(base_var(1)), var(base_var(2))
     with pytest.raises(ValueError):
         differential_transition(space, TargetMap(2, 2, [z1, z1]), [0, 0])
+    # the basepoint must have one coordinate per component
+    psi = TargetMap(2, 2, [z1 + z2 ** 2, z2])
+    with pytest.raises(ValueError, match="basepoint needs 2 coordinates"):
+        differential_transition(space, psi, [0])
 
 
 def test_splitting_check_validates_partition():
@@ -260,6 +264,64 @@ def test_v1_frame_chart_breakdown():
 def test_v1_frame_requires_rank_two():
     with pytest.raises(ValueError):
         v1_frame_transition(TargetMap.identity(1, 2), [0], Fraction(0))
+    # a short or long point is rejected, not misread or cut to two coordinates
+    z1, z2 = var(base_var(1)), var(base_var(2))
+    psi = TargetMap(2, 2, [z1 + z2 ** 2, z2])
+    for point in ([1], [0, 0, 5]):
+        with pytest.raises(ValueError, match="basepoint needs 2 coordinates"):
+            v1_frame_transition(psi, point, Fraction(0))
+
+
+def _frame_from_derivatives(psi, point, slope):
+    """The v1 frame written from psi's derivative tensors: the image slope
+    is N/D with (D, N) = J (1, slope); entry (1,1) is its derivative along
+    the slope, entry (1,2) its derivative along the base flowed in the
+    direction (1, slope), and the flag compares against the same frame
+    with every second derivative set to zero."""
+    jac = psi.jacobian(point)
+    if jac[0][0] * jac[1][1] == jac[0][1] * jac[1][0]:
+        return "singular Jacobian"
+
+    def frame(hess):
+        d = jac[0][0] + slope * jac[0][1]
+        if d == 0:
+            return "first-component chart"
+        n = jac[1][0] + slope * jac[1][1]
+        along_slope = (jac[1][1] * d - jac[0][1] * n) / (d * d)
+        along_base = []
+        for l in range(2):
+            dn = hess[1][0][l] + slope * hess[1][1][l]
+            dd = hess[0][0][l] + slope * hess[0][1][l]
+            along_base.append((dn * d - n * dd) / (d * d))
+        return ((along_slope, along_base[0] + slope * along_base[1]), (0, d))
+
+    full = frame(psi.second_derivatives(point))
+    if isinstance(full, str):
+        return full
+    return full, full != frame([[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+
+
+def test_v1_frame_matches_derivative_tensors():
+    rng = random.Random(307)
+    outcomes = set()
+    for case in range(120):
+        psi = random_target_map(rng, 2, 2, degree=1 + case % 3, points=())
+        if case % 8 == 7:
+            psi = TargetMap(2, 2, [psi.components[0], psi.components[0] * 2])
+        point = [rational(rng, -2, 2, 2), rational(rng, -2, 2, 2)]
+        slope = rational(rng, -3, 3, 2)
+        jac = psi.jacobian(point)
+        if case % 5 == 4 and jac[0][1]:
+            slope = -jac[0][0] / jac[0][1]  # the image direction leaves the chart
+        expected = _frame_from_derivatives(psi, point, slope)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                v1_frame_transition(psi, point, slope)
+            outcomes.add(expected)
+        else:
+            assert v1_frame_transition(psi, point, slope) == expected
+            outcomes.add(expected[1])
+    assert outcomes == {True, False, "singular Jacobian", "first-component chart"}
 
 
 # ---- the threshold audit ----
