@@ -134,9 +134,10 @@ def _reparam_rule(spec: JetSpec, s: int) -> Dict[Variable, Tuple[Variable, int]]
     }
 
 
-def _kernel(columns: Mapping[int, Mapping[Hashable, Fraction]]) -> List[Dict[int, Fraction]]:
+def _kernel(columns: Mapping[int, Mapping[Hashable, int]]) -> List[Dict[int, Fraction]]:
     """`nullspace` of one block: `columns` maps each column index, in
-    increasing order, to its sparse column (rows keyed by any hashable).
+    increasing order, to its sparse integer column (rows keyed by any
+    hashable), as `_derive` computes it.
     The kernel vectors are keyed by those column indices."""
     labels = list(columns)
     kernel = nullspace(RationalMatrix.from_columns(columns.values()))
@@ -335,7 +336,7 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     for torus, cols in blocks.items():
         columns = {
             col: {
-                (s, image): Fraction(coeff)
+                (s, image): coeff
                 for s, rule in enumerate(rules)
                 for image, coeff in _derive({monomials[col]: 1}, rule).items()
             }

@@ -17,24 +17,27 @@ choice: the reduced row echelon form of a matrix is unique, and so are
 the nullspace basis and the coordinates read off it, so results are
 byte-identical across runs and across pivot rules.
 
-Both fields run through the one pivot loop, `_eliminate`: `rref`, `rank`,
-`nullspace` and `solve_in_span` eliminate over Fraction, while
-`rank_modular_check` clears denominators row by row and eliminates
-modulo large primes.  The two ranks differ in their arithmetic, so `dim`
-still compares two independent computations; the loop itself is checked
-against a plain column-scan elimination in both fields by the test suite.
+Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
+and `solve_in_span` eliminate over Fraction.  `rank_modular_check` and
+`nullspace` clear denominators row by row and eliminate modulo large
+primes: the rank as a cross-check, so `dim` still compares two
+independent computations, and the kernel through rational reconstruction
+and an exact integer check, with Fraction elimination (`_nullspace_rational`)
+as the fallback and the test suite's reference.  The loop itself is
+checked against a plain column-scan elimination in both fields by the
+test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-Row = Dict[int, Fraction]
+Row = Dict[int, Fraction]  # entries may also be ints
 
 
 class PrimeFailure(ArithmeticError):
@@ -53,9 +56,12 @@ _DEFAULT_PRIMES: Tuple[int, ...] = (
     2147483497,
 )
 
+# Primes for `nullspace`; the second is tried after a failed exact check.
+_KERNEL_PRIMES: Tuple[int, ...] = (2**61 - 1, 2**62 - 57)
+
 
 class RationalMatrix:
-    """A rows-by-cols matrix of Fractions with sparse row storage."""
+    """A rows-by-cols matrix of Fractions or ints with sparse row storage."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -85,9 +91,9 @@ class RationalMatrix:
     def from_columns(cls, columns: Collection[Mapping[Hashable, Fraction]]) -> "RationalMatrix":
         """The matrix whose j-th column is the sparse vector `columns[j]`.
 
-        A column maps row coordinates (any hashable) to values; zero values
-        are dropped.  Rows come in order of first appearance of their
-        coordinate.
+        A column maps row coordinates (any hashable) to values, Fractions
+        or ints; zero values are dropped.  Rows come in order of first
+        appearance of their coordinate.
         """
         by_coord: Dict[Hashable, Row] = {}
         for j, column in enumerate(columns):
@@ -211,66 +217,141 @@ def _canonical_vector(vec: Row) -> Row:
     for v in vec.values():
         den = den * v.denominator // gcd(den, v.denominator)
     ints = {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
-    g = 0
-    for n in ints.values():
-        g = gcd(g, n)
+    g = gcd(*ints.values())
     if next(iter(ints.values())) < 0:
         g = -g
     return {c: Fraction(n // g) for c, n in ints.items()}
+
+
+def _rref_kernel(rows: List[Row], pivots: List[int], ncols: int, prime: int = 0) -> List[Row]:
+    """The kernel basis read off a reduced echelon form over Q, or over
+    GF(prime): per free column, in increasing order, the vector with 1
+    there and 0 at the other free columns.  A pivot row holds its pivot
+    and free columns right of it, so each vector's entries come in
+    increasing column order, its free column last."""
+    entries: Dict[int, Row] = {}
+    for r, pcol in enumerate(pivots):
+        for c, v in rows[r].items():
+            if c != pcol:
+                entries.setdefault(c, {})[pcol] = prime - v if prime else -v
+    pivot_set = set(pivots)
+    return [{**entries.get(f, {}), f: 1} for f in range(ncols) if f not in pivot_set]
+
+
+def _integer_rows(rows: Sequence[Row], prime: int = 0) -> List[Dict[int, int]]:
+    """The nonzero rows, each times the lcm of its denominators (a row
+    scale keeps rank and kernel).  With a `prime`, entries are reduced
+    modulo it and zeros dropped; PrimeFailure when it divides an lcm."""
+    out: List[Dict[int, int]] = []
+    for row in rows:
+        den = 1
+        for v in row.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        if not prime:
+            scaled = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        elif den % prime:
+            scaled = {}
+            for c, v in row.items():
+                iv = (v.numerator * (den // v.denominator)) % prime
+                if iv:
+                    scaled[c] = iv
+        else:
+            raise PrimeFailure(f"denominator lcm divisible by prime {prime}")
+        if scaled:
+            out.append(scaled)
+    return out
+
+
+def _log_retry(message: str, *args) -> None:
+    import logging  # only here: a retry is rare, and logging is slow to import
+
+    logging.getLogger(__name__).info(message, *args)
+
+
+def _nullspace_rational(matrix: RationalMatrix) -> List[Row]:
+    """`nullspace` by Fraction elimination: its fallback and reference."""
+    rows, pivots = _eliminate([dict(r) for r in matrix.rows])
+    return [_canonical_vector(vec) for vec in _rref_kernel(rows, pivots, matrix.ncols)]
+
+
+def _reconstructed_kernel(
+    rows: List[Row], pivots: List[int], ncols: int, prime: int
+) -> Optional[List[Row]]:
+    """The canonical vectors of `_rref_kernel` over GF(prime), or None.
+
+    Each entry but the free column's 1, times the lcm `den` of the
+    denominators found before it, is rebuilt as the n/d congruent to it
+    with |n|, d <= sqrt(prime/2), unique when it exists (Wang 1981;
+    Monagan 2004); carrying `den` makes most rebuilds trivial.  None when
+    some entry has no such n/d.  Each n/d is in lowest terms, so the
+    vector times the final `den` already has content 1.
+    """
+    bound = isqrt(prime // 2)
+    basis: List[Row] = []
+    for vec in _rref_kernel(rows, pivots, ncols, prime):
+        free_col, _ = vec.popitem()
+        den = 1
+        for c, a in vec.items():
+            # extended Euclid on (prime, a * den), with r == t * a * den
+            r0, r1, t0, t1 = prime, a * den % prime, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            if t1 != 1:
+                if t1 > bound:
+                    return None
+                den *= t1
+                for k in vec:  # the entries before c, now times the new den
+                    if k == c:
+                        break
+                    vec[k] *= t1
+            vec[c] = r1
+        vec[free_col] = den
+        sign = -1 if next(iter(vec.values())) < 0 else 1
+        basis.append({c: Fraction(sign * n) for c, n in vec.items()})
+    return basis
 
 
 def nullspace(matrix: RationalMatrix) -> List[Row]:
     """Canonical basis of the right kernel.
 
     One vector per free column, in increasing column order.  Each is a
-    {column: nonzero value} dict in increasing column order, so its free
+    {column: nonzero Fraction} dict in increasing column order, so its free
     column is the last key; it is scaled to integer entries with content
     1 and a positive leading (first) entry.  The result is fully
     deterministic.
+
+    The rows are cleared to integers, eliminated modulo p = 2**61 - 1,
+    and each kernel entry is rebuilt by rational reconstruction; every
+    vector must then satisfy A.v = 0 exactly over the integer rows, which
+    makes it the Fraction one.  Write F for the free columns over Q and F'
+    for those modulo p.  Rank can only drop modulo p, so |F'| >= |F|.  A
+    checked vector is a kernel vector over Q whose last nonzero entry is
+    at its free column f', so f' depends on the columns before it and lies
+    in F: F' is F.  A kernel vector is fixed by its entries on F, so each
+    checked vector is the Fraction one up to the canonical scale.
+    A failed check (p divides a pivotal minor) retries once with
+    2**62 - 57.  An entry with no reconstruction, too large for the bound
+    of any prime this size, goes straight to Fraction elimination, as
+    does a second failed check.  Each fallback is logged as a retry.
     """
-    rows = [dict(r) for r in matrix.rows]
-    rows, pivots = _eliminate(rows)
-    # In reduced echelon form a pivot row holds its pivot and free columns
-    # to the right of it, so a free column's entries arrive in increasing
-    # pivot column order and all lie left of the free column.
-    entries: Dict[int, Row] = {}
-    for r, pcol in enumerate(pivots):
-        for c, v in rows[r].items():
-            if c != pcol:
-                entries.setdefault(c, {})[pcol] = -v
-    pivot_set = set(pivots)
-    basis: List[Row] = []
-    for free_col in range(matrix.ncols):
-        if free_col in pivot_set:
-            continue
-        vec = entries.get(free_col, {})
-        vec[free_col] = _ONE
-        basis.append(_canonical_vector(vec))
-    return basis
-
-
-def _modular_rank(matrix: RationalMatrix, prime: int) -> int:
-    """Rank mod `prime` after clearing denominators row by row.
-
-    Raises PrimeFailure when a denominator is divisible by the prime.
-    """
-    reduced: List[Dict[int, int]] = []
-    for row in matrix.rows:
-        if not row:
-            continue
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        if den % prime == 0:
-            raise PrimeFailure(f"denominator lcm divisible by prime {prime}")
-        r: Dict[int, int] = {}
-        for c, v in row.items():
-            iv = (v.numerator * (den // v.denominator)) % prime
-            if iv:
-                r[c] = iv
-        if r:
-            reduced.append(r)
-    return len(_eliminate(reduced, prime)[1])
+    ints = _integer_rows(matrix.rows)
+    for prime in _KERNEL_PRIMES:
+        rows, pivots = _eliminate(_integer_rows(ints, prime), prime)
+        basis = _reconstructed_kernel(rows, pivots, matrix.ncols, prime)
+        if basis is None:
+            _log_retry("nullspace: no rational reconstruction mod %d, retrying over Q", prime)
+            break
+        if not any(
+            sum(a * vec[c].numerator for c, a in row.items() if c in vec)
+            for vec in basis
+            for row in ints
+        ):
+            return basis
+        _log_retry("nullspace: kernel mod %d fails the exact check, retrying", prime)
+    return _nullspace_rational(matrix)
 
 
 def rank_modular_check(
@@ -287,11 +368,9 @@ def rank_modular_check(
     results: List[int] = []
     for p in primes:
         try:
-            results.append(_modular_rank(matrix, p))
+            results.append(len(_eliminate(_integer_rows(matrix.rows, p), p)[1]))
         except PrimeFailure as exc:
-            import logging  # only here: a retry is rare, and logging is slow to import
-
-            logging.getLogger(__name__).info("modular rank: %s, retrying with next prime", exc)
+            _log_retry("modular rank: %s, retrying with next prime", exc)
             continue
         if len(results) == samples:
             break

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from jetdiff import invariants, linalg
 from jetdiff.invariants import (
     IrrepLabel,
     _derive,
@@ -149,6 +150,37 @@ def test_derivation_kernel_matches_substitution_nullspace():
                     for row in invariant_basis(spec, m).coefficients
                 ]
                 assert derived == nullspace(invariance_system(spec, m)), (r, k, m)
+
+
+def basis_and_labels(spec, m):
+    space = invariant_basis(spec, m)
+    try:
+        labels = decompose(space)
+    except ValueError as exc:  # decompose certifies rank 2 only
+        labels = str(exc)
+    return space.basis, space.torus_weights(), labels
+
+
+def test_modular_kernels_match_fraction_kernels(monkeypatch):
+    # The block kernels through GF(2**61 - 1) and through Fraction RREF
+    # must give the same basis, weights and labels.
+    shapes = [(2, 4, 10), (3, 3, 6), (4, 3, 5), (2, 2, 12)]
+    modular = [basis_and_labels(JetSpec(r, k), m) for r, k, m in shapes]
+    monkeypatch.setattr(invariants, "nullspace", linalg._nullspace_rational)
+    assert modular == [basis_and_labels(JetSpec(r, k), m) for r, k, m in shapes]
+
+
+def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
+    # A fallback keeps the bytes but loses the speed, so only this spy
+    # sees it: the benchmark's basis shapes must stay on the modular route.
+    def no_fallback(matrix):
+        raise AssertionError("nullspace fell back to Fraction elimination")
+
+    monkeypatch.setattr(linalg, "_nullspace_rational", no_fallback)
+    with caplog.at_level("INFO", logger="jetdiff.linalg"):
+        for r, k, m in [(2, 4, 10), (2, 4, 12), (4, 3, 7), (3, 4, 9)]:
+            invariant_basis(JetSpec(r, k), m)
+    assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
 
 
 def derivation(q, spec, s):

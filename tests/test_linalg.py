@@ -87,6 +87,7 @@ def test_nullspace_vectors_are_canonical_and_exact():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
         m = random_matrix(rng, nrows, ncols)
         basis = nullspace(m)
+        assert basis == linalg._nullspace_rational(m)
         assert len(basis) == ncols - rank(m)
         free = [next(reversed(vec)) for vec in basis]
         assert free == sorted(set(free))
@@ -113,6 +114,50 @@ def test_nullspace_is_deterministic():
     rng = random.Random(19)
     m = random_matrix(rng, 4, 7)
     assert nullspace(m) == nullspace(dense(m.to_rows()))
+
+
+def test_nullspace_fallbacks_match_rational(caplog):
+    # Each fallback of the modular route is logged once as a retry on
+    # "jetdiff.linalg" (perfbench counts these), and the result is still
+    # the Fraction one.
+    p = 2**61 - 1
+    cases = [
+        # entries with no n/d within the bound: straight to Fraction
+        (
+            [[Fraction(1, 3**25), Fraction(1, 5**13), 1]],
+            [{0: 3**25, 1: -(5**13)}, {0: 3**25, 2: -1}],
+            1,
+        ),
+        # p zeroes the row, so the kernel mod p is too big and fails the
+        # exact check; 2**62 - 57 then succeeds
+        ([[p, p]], [{0: 1, 1: -1}], 1),
+        # the same collapse, then no good reconstruction mod 2**62 - 57:
+        # -p is -55/2 there, which the check rejects too
+        ([[p, 1]], [{0: 1, 1: -p}], 2),
+        # -2**40 is -1/2**21 mod p and -57/2**22 mod 2**62 - 57: both
+        # reconstruct, both fail the check
+        ([[2**40, 1]], [{0: 1, 1: -(2**40)}], 2),
+    ]
+    for rows, expected, fallbacks in cases:
+        m = dense(rows)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="jetdiff.linalg"):
+            assert nullspace(m) == expected == linalg._nullspace_rational(m)
+        retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
+        assert len(retries) == fallbacks, rows
+        assert all("retrying" in r.getMessage() for r in retries)
+
+
+def test_nullspace_rational_takes_ints():
+    # Block columns arrive as ints; either route must read them as the
+    # Fractions they equal.
+    mixed = RationalMatrix(2, 4, [{0: 2, 1: Fraction(1, 3), 3: -1}, {1: 6, 2: Fraction(-1, 2)}])
+    as_fractions = dense(mixed.to_rows())
+    expected = [{0: 1, 1: -6, 2: -72}, {0: 1, 3: 2}]
+    assert linalg._nullspace_rational(mixed) == expected
+    assert linalg._nullspace_rational(as_fractions) == expected
+    assert nullspace(mixed) == expected
+    assert all(type(v) is Fraction for vec in nullspace(mixed) for v in vec.values())
 
 
 def test_modular_rank_agrees_with_exact():
@@ -309,8 +354,9 @@ def mod_rows(m, p):
 def test_kernels_match_column_scan(monkeypatch):
     p = 2147483647
     for m in oracle_matrices():
-        for fn in (rref, rank, nullspace):
+        for fn in (rref, rank, nullspace, linalg._nullspace_rational):
             assert fn(m) == reference(monkeypatch, fn, m), (fn.__name__, m.to_rows())
+        assert nullspace(m) == linalg._nullspace_rational(m), m.to_rows()
         assert rank_modular_check(m) == rank(m), m.to_rows()
         # the same pivot loop over GF(p), rows and pivots
         assert linalg._eliminate(mod_rows(m, p), p) == scan_eliminate(mod_rows(m, p), p), m.to_rows()
