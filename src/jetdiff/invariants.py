@@ -169,9 +169,9 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
         return RationalMatrix(0, len(monomials), [])
     bindings = _formal_action(spec.rank, spec.order, True)
     images = substitute_all([SparsePolynomial.monomial(m) for m in monomials], bindings)
-    return RationalMatrix.from_columns(
-        [(image - SparsePolynomial.monomial(m)).terms for m, image in zip(monomials, images)]
-    )
+    for m, image in zip(monomials, images):
+        del image.terms[m]  # the a-free part of the image, m itself; the dict is fresh
+    return RationalMatrix.from_columns([image.terms for image in images])
 
 
 class InvarianceVerdict(NamedTuple):
@@ -198,15 +198,16 @@ def _verify_all(polys: Sequence[SparsePolynomial], spec: JetSpec) -> List[Invari
     """`verify_invariance` for a batch, with one substitution call."""
     weights = [_homogeneous_weight(q, spec) for q in polys]
     images = substitute_all(polys, _formal_action(spec.rank, spec.order, False))
-    a1 = SparsePolynomial.variable(param_var(1))
-    scales = {weight: a1 ** weight for weight in set(weights)}
+    a1 = param_var(1)
     verdicts = []
     for q, weight, image in zip(polys, weights, images):
-        residual = image - scales[weight] * q
-        if residual.is_zero():
+        # a1 sorts after every jet variable, so appending a1^m keeps each
+        # monomial canonical; the residual is only built on a mismatch.
+        scaled = {mono + ((a1, weight),): c for mono, c in q.terms.items()} if weight else q.terms
+        if image.terms == scaled:
             verdicts.append(InvarianceVerdict(True, weight, None))
         else:
-            verdicts.append(InvarianceVerdict(False, weight, residual))
+            verdicts.append(InvarianceVerdict(False, weight, image - SparsePolynomial(scaled)))
     return verdicts
 
 

@@ -18,12 +18,13 @@ the nullspace basis and the coordinates read off it, so results are
 byte-identical across runs and across pivot rules.
 
 Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
-and `solve_in_span` eliminate over Fraction.  `rank_modular_check` and
-`nullspace` clear denominators row by row and eliminate modulo large
-primes: the rank as a cross-check, so `dim` still compares two
-independent computations, and the kernel through rational reconstruction
-and an exact integer check, with Fraction elimination (`_nullspace_rational`)
-as the fallback and the test suite's reference.  The loop itself is
+and `solve_in_span` eliminate over Fraction; `dim` uses none of them.
+`rank_modular_check` and `nullspace` clear denominators row by row and
+eliminate modulo large primes: the rank as a cross-check, and the kernel
+through rational reconstruction and an exact integer check, with Fraction
+elimination (`_nullspace_rational`) as the fallback and the test suite's
+reference.  `dim` reads its exact rank off the size of that checked
+kernel and compares it with the modular rank.  The loop itself is
 checked against a plain column-scan elimination in both fields by the
 test suite.
 """
@@ -246,7 +247,9 @@ def _integer_rows(rows: Sequence[Row], prime: int = 0) -> List[Dict[int, int]]:
     for row in rows:
         den = 1
         for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
         if not prime:
             scaled = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         elif den % prime:
@@ -276,8 +279,9 @@ def _nullspace_rational(matrix: RationalMatrix) -> List[Row]:
 
 def _reconstructed_kernel(
     rows: List[Row], pivots: List[int], ncols: int, prime: int
-) -> Optional[List[Row]]:
-    """The canonical vectors of `_rref_kernel` over GF(prime), or None.
+) -> Optional[List[Dict[int, int]]]:
+    """The canonical vectors of `_rref_kernel` over GF(prime), as ints, or
+    None.
 
     Each entry but the free column's 1, times the lcm `den` of the
     denominators found before it, is rebuilt as the n/d congruent to it
@@ -287,7 +291,7 @@ def _reconstructed_kernel(
     vector times the final `den` already has content 1.
     """
     bound = isqrt(prime // 2)
-    basis: List[Row] = []
+    basis: List[Dict[int, int]] = []
     for vec in _rref_kernel(rows, pivots, ncols, prime):
         free_col, _ = vec.popitem()
         den = 1
@@ -309,9 +313,20 @@ def _reconstructed_kernel(
                     vec[k] *= t1
             vec[c] = r1
         vec[free_col] = den
-        sign = -1 if next(iter(vec.values())) < 0 else 1
-        basis.append({c: Fraction(sign * n) for c, n in vec.items()})
+        if next(iter(vec.values())) < 0:
+            vec = {c: -n for c, n in vec.items()}
+        basis.append(vec)
     return basis
+
+
+def _in_kernel(vec: Dict[int, int], by_column: Dict[int, List[Tuple[int, int]]]) -> bool:
+    """A.v == 0, summing only over the columns of v: `by_column` maps a
+    column to its (row, entry) pairs."""
+    sums: Dict[int, int] = {}
+    for c, n in vec.items():
+        for i, a in by_column.get(c, ()):
+            sums[i] = sums.get(i, 0) + a * n
+    return not any(sums.values())
 
 
 def nullspace(matrix: RationalMatrix) -> List[Row]:
@@ -331,25 +346,35 @@ def nullspace(matrix: RationalMatrix) -> List[Row]:
     checked vector is a kernel vector over Q whose last nonzero entry is
     at its free column f', so f' depends on the columns before it and lies
     in F: F' is F.  A kernel vector is fixed by its entries on F, so each
-    checked vector is the Fraction one up to the canonical scale.
-    A failed check (p divides a pivotal minor) retries once with
-    2**62 - 57.  An entry with no reconstruction, too large for the bound
-    of any prime this size, goes straight to Fraction elimination, as
-    does a second failed check.  Each fallback is logged as a retry.
+    checked vector is the Fraction one up to the canonical scale, and
+    there are exactly ncols - rank(A) of them.
+    The check indexes the integer rows by column once the modular rows
+    are dropped, and sums each vector over its own columns only.
+    A failed check (p divides a pivotal minor), or p dividing a row's
+    denominators, retries once with 2**62 - 57.  An entry with no
+    reconstruction, too large for the bound of any prime this size, goes
+    straight to Fraction elimination, as does a second failure.  Each
+    fallback is logged as a retry.
     """
-    ints = _integer_rows(matrix.rows)
+    by_column: Optional[Dict[int, List[Tuple[int, int]]]] = None
     for prime in _KERNEL_PRIMES:
-        rows, pivots = _eliminate(_integer_rows(ints, prime), prime)
-        basis = _reconstructed_kernel(rows, pivots, matrix.ncols, prime)
+        try:
+            basis = _reconstructed_kernel(
+                *_eliminate(_integer_rows(matrix.rows, prime), prime), matrix.ncols, prime
+            )
+        except PrimeFailure as exc:
+            _log_retry("nullspace: %s, retrying with next prime", exc)
+            continue
         if basis is None:
             _log_retry("nullspace: no rational reconstruction mod %d, retrying over Q", prime)
             break
-        if not any(
-            sum(a * vec[c].numerator for c, a in row.items() if c in vec)
-            for vec in basis
-            for row in ints
-        ):
-            return basis
+        if by_column is None:
+            by_column = {}
+            for i, row in enumerate(_integer_rows(matrix.rows)):
+                for c, a in row.items():
+                    by_column.setdefault(c, []).append((i, a))
+        if all(_in_kernel(vec, by_column) for vec in basis):
+            return [{c: Fraction(n) for c, n in vec.items()} for vec in basis]
         _log_retry("nullspace: kernel mod %d fails the exact check, retrying", prime)
     return _nullspace_rational(matrix)
 
@@ -358,12 +383,16 @@ def rank_modular_check(
     matrix: RationalMatrix,
     primes: Sequence[int] = _DEFAULT_PRIMES,
     samples: int = 3,
+    stop_at: Optional[int] = None,
 ) -> int:
     """Rank computed modulo several large primes, a cross-check of `rank`.
 
     Modular rank can only undercount (a prime may divide a pivotal minor),
     so the maximum over `samples` successful primes is returned.  A prime
-    dividing some denominator is reported and skipped.
+    dividing some denominator is reported and skipped.  With `stop_at`,
+    the loop also stops at the first rank >= `stop_at`.  No modular rank
+    exceeds the rank over Q, so when `stop_at` is that rank the result,
+    and whether it differs from `stop_at`, is that of the full loop.
     """
     results: List[int] = []
     for p in primes:
@@ -372,7 +401,7 @@ def rank_modular_check(
         except PrimeFailure as exc:
             _log_retry("modular rank: %s, retrying with next prime", exc)
             continue
-        if len(results) == samples:
+        if len(results) == samples or (stop_at is not None and results[-1] >= stop_at):
             break
     if not results:
         raise ArithmeticError(

@@ -1,5 +1,6 @@
 """Tests for the command line interface: schema, determinism, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import jetdiff
+from jetdiff import cli, linalg
 from jetdiff.cli import _digest, main
+from jetdiff.invariants import invariance_system
+from jetdiff.jets import JetSpec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -70,6 +74,40 @@ def test_dim_cross_checks_rank(capsys):
     assert payload["system_rank"] == 3
     assert payload["system_rank_modular"] == 3
     assert payload["dimension"] == 5
+
+
+def test_dim_rank_matches_fraction_rank(capsys):
+    # dim reads its rank off a checked modular kernel; the Fraction rank of
+    # the same system is the reference, zero rows (order 1) and weight 0
+    # included.
+    for r, k, m in itertools.product(range(1, 5), range(1, 5), range(7)):
+        payload = run_json(capsys, ["dim", "--rank", str(r), "--order", str(k), "--weight", str(m)])
+        exact = linalg.rank(invariance_system(JetSpec(r, k), m))
+        assert payload["system_rank"] == payload["system_rank_modular"] == exact, (r, k, m)
+        assert payload["dimension"] == payload["num_monomials"] - exact
+
+
+def test_dim_eliminates_once_per_route(capsys, monkeypatch):
+    # One kernel modulo 2**61 - 1, then one 31-bit rank that already
+    # reaches the exact rank: no Fraction elimination, no second prime.
+    primes = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, prime=0):
+        primes.append(prime)
+        return eliminate(rows, prime)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    run_json(capsys, ["dim", "--rank", "2", "--order", "4", "--weight", "12"])
+    assert primes == [2**61 - 1, linalg._DEFAULT_PRIMES[0]]
+
+
+def test_dim_exits_three_when_ranks_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rank_modular_check", lambda system, stop_at: stop_at - 1)
+    assert main(["dim", "--rank", "2", "--order", "2", "--weight", "3", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jetdiff: modular rank 2 disagrees with exact rank 3\n"
 
 
 def test_decompose_json(capsys):

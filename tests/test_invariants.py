@@ -172,7 +172,8 @@ def test_modular_kernels_match_fraction_kernels(monkeypatch):
 
 def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
     # A fallback keeps the bytes but loses the speed, so only this spy
-    # sees it: the benchmark's basis shapes must stay on the modular route.
+    # sees it: the benchmark's basis shapes, and the whole system behind
+    # its dim shapes, must stay on the modular route.
     def no_fallback(matrix):
         raise AssertionError("nullspace fell back to Fraction elimination")
 
@@ -180,6 +181,8 @@ def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
     with caplog.at_level("INFO", logger="jetdiff.linalg"):
         for r, k, m in [(2, 4, 10), (2, 4, 12), (4, 3, 7), (3, 4, 9)]:
             invariant_basis(JetSpec(r, k), m)
+        for r, k, m in [(2, 4, 10), (2, 4, 12)]:
+            nullspace(invariance_system(JetSpec(r, k), m))
     assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
 
 

@@ -137,6 +137,11 @@ def test_nullspace_fallbacks_match_rational(caplog):
         # -2**40 is -1/2**21 mod p and -57/2**22 mod 2**62 - 57: both
         # reconstruct, both fail the check
         ([[2**40, 1]], [{0: 1, 1: -(2**40)}], 2),
+        # p zeroes the second row only: the first vector mod p is right, and
+        # the second, {2: 1}, meets the lost row through one column
+        ([[1, 1, 0, 0], [0, 0, p, p]], [{0: 1, 1: -1}, {2: 1, 3: -1}], 1),
+        # p divides a denominator: that prime is skipped
+        ([[Fraction(1, p), Fraction(2, p)]], [{0: 2, 1: -1}], 1),
     ]
     for rows, expected, fallbacks in cases:
         m = dense(rows)
@@ -166,6 +171,7 @@ def test_modular_rank_agrees_with_exact():
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
         m = random_matrix(rng, nrows, ncols)
         assert rank_modular_check(m) == rank(m)
+        assert rank_modular_check(m, stop_at=rank(m)) == rank(m)
 
 
 def test_modular_rank_agrees_on_structured_low_rank():
@@ -179,6 +185,7 @@ def test_modular_rank_agrees_on_structured_low_rank():
         r = rank(m)
         assert r <= k
         assert rank_modular_check(m) == r
+        assert rank_modular_check(m, stop_at=r) == r
 
 
 def test_modular_rank_skips_bad_primes(caplog):
@@ -197,11 +204,13 @@ def test_modular_rank_skips_bad_primes(caplog):
 
 def test_modular_rank_undercounts_only_at_one_prime():
     # p divides the pivot p, so the rank mod p alone drops to 1; the
-    # default call takes the maximum over three primes and sees 2.
+    # default call takes the maximum over three primes and sees 2, and so
+    # does a call that may stop early at 2, after the second prime.
     p = 2147483647
     m = dense([[p, 0], [0, 1]])
     assert rank_modular_check(m, primes=(p,), samples=1) == 1
     assert rank_modular_check(m) == 2
+    assert rank_modular_check(m, stop_at=2) == 2
 
 
 def test_prime_failure_is_arithmetic_error():
