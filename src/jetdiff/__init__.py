@@ -33,7 +33,7 @@ from .jets import (
     invert_reparam,
 )
 from .linalg import RationalMatrix, nullspace, rank, rank_modular_check, rref
-from .parsing import ParseError, parse_map, parse_polynomial, parse_reparam
+from .parsing import ParseError, parse_map, parse_polynomial
 from .poly import (
     Monomial,
     SparsePolynomial,
@@ -96,7 +96,6 @@ __all__ = [
     "param_var",
     "parse_map",
     "parse_polynomial",
-    "parse_reparam",
     "raising_action",
     "rank",
     "rank_modular_check",

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .invariants import (
     InvariantSpace,
+    IrrepLabel,
     decompose,
     invariance_system,
     invariant_basis,
@@ -112,21 +113,21 @@ def _spec(args) -> JetSpec:
         raise ValueError(str(exc).replace("pass allow_large=True", "pass --allow-large")) from exc
 
 
+def _decomposition_payload(space: InvariantSpace) -> List[Dict]:
+    return [
+        {"highest_weight": list(l.highest_weight), "multiplicity": l.multiplicity}
+        for l in decompose(space)
+    ]
+
+
 def _space_payload(space: InvariantSpace) -> Dict:
-    if space.spec.rank == 2:
-        decomposition = [
-            {"highest_weight": list(l.highest_weight), "multiplicity": l.multiplicity}
-            for l in decompose(space)
-        ]
-    else:
-        decomposition = None
     return {
         "spec": {"rank": space.spec.rank, "order": space.spec.order},
         "weight": space.weight,
         "dimension": space.dimension,
         "basis": [str(q) for q in space.basis],
         "torus_weights": [list(w) for w in space.torus_weights()],
-        "decomposition": decomposition,
+        "decomposition": _decomposition_payload(space) if space.spec.rank == 2 else None,
     }
 
 
@@ -253,25 +254,24 @@ def _dim_text(payload: Dict) -> str:
 
 def _cmd_decompose(args) -> int:
     space = invariant_basis(_spec(args), args.weight)
-    labels = decompose(space)
     payload = {
         "spec": {"rank": space.spec.rank, "order": space.spec.order},
         "weight": space.weight,
         "dimension": space.dimension,
-        "decomposition": [
-            {"highest_weight": list(l.highest_weight), "multiplicity": l.multiplicity}
-            for l in labels
-        ],
+        "decomposition": _decomposition_payload(space),
     }
-
-    def human(p: Dict) -> str:
-        return f"dimension {p['dimension']} = " + " + ".join(
-            f"{_label_str(l.highest_weight)} x{l.multiplicity} (dim {l.dimension()})"
-            for l in labels
-        )
-
-    _emit(args, payload, human, f"decompose_r{args.rank}_k{args.order}_m{args.weight}")
+    _emit(args, payload, _decompose_text, f"decompose_r{args.rank}_k{args.order}_m{args.weight}")
     return 0
+
+
+def _decompose_text(payload: Dict) -> str:
+    parts = []
+    for d in payload["decomposition"]:
+        label = IrrepLabel(tuple(d["highest_weight"]), d["multiplicity"])
+        parts.append(
+            f"{_label_str(label.highest_weight)} x{label.multiplicity} (dim {label.dimension()})"
+        )
+    return f"dimension {payload['dimension']} = " + " + ".join(parts)
 
 
 def _cmd_verify(args) -> int:

@@ -20,13 +20,13 @@ byte-identical across runs and across pivot rules.
 Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
 and `solve_in_span` eliminate over Fraction; `dim` uses none of them.
 `rank_modular_check` and `nullspace` clear denominators row by row and
-eliminate modulo large primes: the rank as a cross-check, and the kernel
-through rational reconstruction and an exact integer check, with Fraction
-elimination (`_nullspace_rational`) as the fallback and the test suite's
-reference.  `dim` reads its exact rank off the size of that checked
-kernel and compares it with the modular rank.  The loop itself is
-checked against a plain column-scan elimination in both fields by the
-test suite.
+eliminate modulo large primes: the rank as a cross-check over 31-bit
+primes, and the kernel modulo 2**61 - 1 through rational reconstruction
+and an exact integer check, with one Fraction elimination
+(`_nullspace_rational`) as the fallback and the test suite's reference.
+`dim` reads its exact rank off the size of that checked kernel and
+compares it with the modular rank.  The loop itself is checked against a
+plain column-scan elimination in both fields by the test suite.
 """
 
 from __future__ import annotations
@@ -57,8 +57,11 @@ _DEFAULT_PRIMES: Tuple[int, ...] = (
     2147483497,
 )
 
-# Primes for `nullspace`; the second is tried after a failed exact check.
-_KERNEL_PRIMES: Tuple[int, ...] = (2**61 - 1, 2**62 - 57)
+# How many primes of `_DEFAULT_PRIMES` `rank_modular_check` eliminates with.
+_SAMPLES = 3
+
+# The prime `nullspace` eliminates with.
+_KERNEL_PRIME = 2**61 - 1
 
 
 class RationalMatrix:
@@ -350,58 +353,51 @@ def nullspace(matrix: RationalMatrix) -> List[Row]:
     there are exactly ncols - rank(A) of them.
     The check indexes the integer rows by column once the modular rows
     are dropped, and sums each vector over its own columns only.
-    A failed check (p divides a pivotal minor), or p dividing a row's
-    denominators, retries once with 2**62 - 57.  An entry with no
-    reconstruction, too large for the bound of any prime this size, goes
-    straight to Fraction elimination, as does a second failure.  Each
-    fallback is logged as a retry.
+    There is one modular attempt.  p dividing a row's denominators, an
+    entry with no reconstruction (too large for the bound) and a failed
+    check (p divides a pivotal minor) each log one retry and fall back to
+    Fraction elimination.
     """
-    by_column: Optional[Dict[int, List[Tuple[int, int]]]] = None
-    for prime in _KERNEL_PRIMES:
-        try:
-            basis = _reconstructed_kernel(
-                *_eliminate(_integer_rows(matrix.rows, prime), prime), matrix.ncols, prime
-            )
-        except PrimeFailure as exc:
-            _log_retry("nullspace: %s, retrying with next prime", exc)
-            continue
-        if basis is None:
-            _log_retry("nullspace: no rational reconstruction mod %d, retrying over Q", prime)
-            break
-        if by_column is None:
-            by_column = {}
-            for i, row in enumerate(_integer_rows(matrix.rows)):
-                for c, a in row.items():
-                    by_column.setdefault(c, []).append((i, a))
-        if all(_in_kernel(vec, by_column) for vec in basis):
-            return [{c: Fraction(n) for c, n in vec.items()} for vec in basis]
-        _log_retry("nullspace: kernel mod %d fails the exact check, retrying", prime)
+    p = _KERNEL_PRIME
+    try:
+        basis = _reconstructed_kernel(
+            *_eliminate(_integer_rows(matrix.rows, p), p), matrix.ncols, p
+        )
+    except PrimeFailure as exc:
+        _log_retry("nullspace: %s, retrying over Q", exc)
+        return _nullspace_rational(matrix)
+    if basis is None:
+        _log_retry("nullspace: no rational reconstruction mod %d, retrying over Q", p)
+        return _nullspace_rational(matrix)
+    by_column: Dict[int, List[Tuple[int, int]]] = {}
+    for i, row in enumerate(_integer_rows(matrix.rows)):
+        for c, a in row.items():
+            by_column.setdefault(c, []).append((i, a))
+    if all(_in_kernel(vec, by_column) for vec in basis):
+        return [{c: Fraction(n) for c, n in vec.items()} for vec in basis]
+    _log_retry("nullspace: kernel mod %d fails the exact check, retrying over Q", p)
     return _nullspace_rational(matrix)
 
 
-def rank_modular_check(
-    matrix: RationalMatrix,
-    primes: Sequence[int] = _DEFAULT_PRIMES,
-    samples: int = 3,
-    stop_at: Optional[int] = None,
-) -> int:
+def rank_modular_check(matrix: RationalMatrix, stop_at: Optional[int] = None) -> int:
     """Rank computed modulo several large primes, a cross-check of `rank`.
 
     Modular rank can only undercount (a prime may divide a pivotal minor),
-    so the maximum over `samples` successful primes is returned.  A prime
-    dividing some denominator is reported and skipped.  With `stop_at`,
-    the loop also stops at the first rank >= `stop_at`.  No modular rank
-    exceeds the rank over Q, so when `stop_at` is that rank the result,
-    and whether it differs from `stop_at`, is that of the full loop.
+    so the maximum over `_SAMPLES` successful primes of `_DEFAULT_PRIMES`
+    is returned.  A prime dividing some denominator is reported and
+    skipped.  With `stop_at`, the loop also stops at the first rank >=
+    `stop_at`.  No modular rank exceeds the rank over Q, so when `stop_at`
+    is that rank the result, and whether it differs from `stop_at`, is
+    that of the full loop.
     """
     results: List[int] = []
-    for p in primes:
+    for p in _DEFAULT_PRIMES:
         try:
             results.append(len(_eliminate(_integer_rows(matrix.rows, p), p)[1]))
         except PrimeFailure as exc:
             _log_retry("modular rank: %s, retrying with next prime", exc)
             continue
-        if len(results) == samples or (stop_at is not None and results[-1] >= stop_at):
+        if len(results) == _SAMPLES or (stop_at is not None and results[-1] >= stop_at):
             break
     if not results:
         raise ArithmeticError(

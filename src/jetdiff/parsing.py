@@ -1,14 +1,13 @@
-"""Text grammar for polynomials, coordinate changes and reparametrizations.
+"""Text grammar for polynomials and coordinate changes.
 
-One small recursive-descent parser serves three surface syntaxes:
+One small recursive-descent parser serves two surface syntaxes:
 
     jet polynomials       "f1'*f2'' - f2'*f1''", "f1'^3 + 2/3*f2'^3"
     coordinate changes    "w1 = z1; w2 = z2 + z1^2"
-    reparametrizations    "t + t^2", "2t - t^3"
 
 Operators are +, -, *, ^ and parentheses; rational literals are written
 p/q (the slash only joins two integer literals, there is no general
-division).  Juxtaposition multiplies, so "2t" works.  The printed form of
+division).  Juxtaposition multiplies, so "2f1'" works.  The printed form of
 any polynomial in this package re-parses to the same polynomial.
 
 Errors carry 1-based line and column positions.
@@ -20,8 +19,8 @@ import re
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .jets import JetSpec, ReparamJet, TargetMap
-from .poly import SparsePolynomial, Variable, base_var, jet_var, param_var
+from .jets import JetSpec, TargetMap
+from .poly import SparsePolynomial, base_var, jet_var, param_var
 
 _TOKEN_RE = re.compile(
     r"""
@@ -77,7 +76,7 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 # An identifier resolver turns an identifier token into a polynomial; each
-# surface syntax installs its own (jet variables, base coordinates, or t).
+# surface syntax installs its own (jet variables or base coordinates).
 Resolver = Callable[[_Token], SparsePolynomial]
 
 
@@ -134,7 +133,7 @@ class _Parser:
                 self.advance()
                 total = total * self.parse_power()
             elif tok.kind in ("number", "ident") or (tok.kind == "op" and tok.text == "("):
-                # juxtaposition: "2t", "3(x + y)"
+                # juxtaposition: "2f1'", "3(x + y)"
                 total = total * self.parse_power()
             else:
                 return total
@@ -263,16 +262,6 @@ def _base_resolver(rank: int) -> Resolver:
     return resolve
 
 
-def _t_resolver(tok: _Token) -> SparsePolynomial:
-    letters, index, primes = _split_ident(tok)
-    if letters != "t" or index is not None or primes:
-        raise ParseError(
-            f"only the parameter t may appear here, found {tok.text!r}", tok.line, tok.column
-        )
-    # reuse base component 1 as the series variable; extracted immediately
-    return SparsePolynomial.variable(base_var(1))
-
-
 def parse_polynomial(text: str, spec: JetSpec) -> SparsePolynomial:
     """Parse a jet polynomial against a shape.
 
@@ -320,25 +309,3 @@ def parse_map(text: str, rank: int, order: int) -> TargetMap:
         )
     return TargetMap(rank, order, [components[j] for j in range(1, rank + 1)])
 
-
-def parse_reparam(text: str, order: int) -> ReparamJet:
-    """Parse a reparametrization like "t + t^2" or "2t - t^3".
-
-    The expression must be a polynomial in t with zero constant term,
-    nonzero linear coefficient, and degree at most the jet order.
-    """
-    parser = _Parser(_tokenize(text), _t_resolver)
-    poly = parser.parse_full()
-    coeffs = [Fraction(0)] * order
-    for mono, coeff in poly.terms.items():
-        if not mono:
-            raise ParseError("reparametrization must have zero constant term", 1, 1)
-        (v, e), = mono  # single-variable monomials only; resolver guarantees it
-        if e > order:
-            raise ParseError(
-                f"degree {e} exceeds the jet order {order}", 1, 1
-            )
-        coeffs[e - 1] = coeff
-    if coeffs[0] == 0:
-        raise ParseError("linear coefficient a1 must be nonzero", 1, 1)
-    return ReparamJet(order, coeffs)

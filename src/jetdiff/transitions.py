@@ -190,14 +190,12 @@ class SplittingVerdict(NamedTuple):
 
     `splits` is True when every off-diagonal block vanishes; `witnesses`
     lists the nonzero off-diagonal entries (row, column, value) in row
-    major order, and `block_mixing` records, per ordered pair of distinct
-    partition labels, whether the corresponding block is nonzero.
+    major order.
     """
 
     partition: Tuple[Tuple[IrrepLabel, Tuple[int, ...]], ...]
     splits: bool
     witnesses: Tuple[Witness, ...]
-    block_mixing: Tuple[Tuple[Tuple[IrrepLabel, IrrepLabel], bool], ...]
 
 
 def splitting_check(
@@ -217,21 +215,16 @@ def splitting_check(
     if len(seen) != n:
         missing = [i for i in range(n) if i not in seen]
         raise ValueError(f"partition misses indices {missing}")
-    witnesses: List[Witness] = []
-    mixing: List[Tuple[Tuple[IrrepLabel, IrrepLabel], bool]] = []
-    for row_label, row_idxs in partition:
-        for col_label, col_idxs in partition:
-            if row_label == col_label:
-                continue
-            found = _nonzero_entries(matrix, row_idxs, col_idxs)
-            witnesses.extend(found)
-            mixing.append(((row_label, col_label), bool(found)))
-    witnesses.sort(key=lambda w: (w.row, w.col))
+    witnesses = tuple(
+        Witness(i, j, v)
+        for i, row in enumerate(matrix.entries)
+        for j, v in enumerate(row)
+        if v and seen[i] != seen[j]
+    )
     return SplittingVerdict(
         partition=tuple((l, tuple(ix)) for l, ix in partition),
         splits=not witnesses,
-        witnesses=tuple(witnesses),
-        block_mixing=tuple(mixing),
+        witnesses=witnesses,
     )
 
 

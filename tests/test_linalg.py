@@ -116,9 +116,10 @@ def test_nullspace_is_deterministic():
     assert nullspace(m) == nullspace(dense(m.to_rows()))
 
 
-def test_nullspace_fallbacks_match_rational(caplog):
+def test_nullspace_fallbacks_match_rational(caplog, monkeypatch):
     # Each fallback of the modular route is logged once as a retry on
-    # "jetdiff.linalg" (perfbench counts these), and the result is still
+    # "jetdiff.linalg" (perfbench counts these), runs at most one modular
+    # elimination and then exactly one over Q, and the result is still
     # the Fraction one.
     p = 2**61 - 1
     cases = [
@@ -129,28 +130,39 @@ def test_nullspace_fallbacks_match_rational(caplog):
             1,
         ),
         # p zeroes the row, so the kernel mod p is too big and fails the
-        # exact check; 2**62 - 57 then succeeds
+        # exact check
         ([[p, p]], [{0: 1, 1: -1}], 1),
-        # the same collapse, then no good reconstruction mod 2**62 - 57:
-        # -p is -55/2 there, which the check rejects too
-        ([[p, 1]], [{0: 1, 1: -p}], 2),
-        # -2**40 is -1/2**21 mod p and -57/2**22 mod 2**62 - 57: both
-        # reconstruct, both fail the check
-        ([[2**40, 1]], [{0: 1, 1: -(2**40)}], 2),
+        # p zeroes the first entry, so the kernel mod p is {0: 1}, which
+        # the check rejects
+        ([[p, 1]], [{0: 1, 1: -p}], 1),
+        # -1/2**40 is -2**21 mod p: it reconstructs to that wrong small
+        # integer, which the check rejects
+        ([[2**40, 1]], [{0: 1, 1: -(2**40)}], 1),
         # p zeroes the second row only: the first vector mod p is right, and
         # the second, {2: 1}, meets the lost row through one column
         ([[1, 1, 0, 0], [0, 0, p, p]], [{0: 1, 1: -1}, {2: 1, 3: -1}], 1),
-        # p divides a denominator: that prime is skipped
-        ([[Fraction(1, p), Fraction(2, p)]], [{0: 2, 1: -1}], 1),
+        # p divides a denominator: no modular elimination at all
+        ([[Fraction(1, p), Fraction(2, p)]], [{0: 2, 1: -1}], 0),
     ]
-    for rows, expected, fallbacks in cases:
+    primes = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, prime=0):
+        primes.append(prime)
+        return eliminate(rows, prime)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    for rows, expected, modular in cases:
         m = dense(rows)
         caplog.clear()
+        primes.clear()
         with caplog.at_level("INFO", logger="jetdiff.linalg"):
-            assert nullspace(m) == expected == linalg._nullspace_rational(m)
+            assert nullspace(m) == expected
+        assert primes == [p] * modular + [0], rows
         retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
-        assert len(retries) == fallbacks, rows
-        assert all("retrying" in r.getMessage() for r in retries)
+        assert len(retries) == 1, rows
+        assert "retrying" in retries[0].getMessage()
+        assert expected == linalg._nullspace_rational(m)
 
 
 def test_nullspace_rational_takes_ints():
@@ -188,7 +200,7 @@ def test_modular_rank_agrees_on_structured_low_rank():
         assert rank_modular_check(m, stop_at=r) == r
 
 
-def test_modular_rank_skips_bad_primes(caplog):
+def test_modular_rank_skips_bad_primes(caplog, monkeypatch):
     # A denominator equal to the first prime forces a retry with the next,
     # reported on the "jetdiff.linalg" logger (perfbench counts these).
     p = 2147483647
@@ -198,19 +210,21 @@ def test_modular_rank_skips_bad_primes(caplog):
     retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
     assert len(retries) == 1
     assert "retrying" in retries[0].getMessage()
+    monkeypatch.setattr(linalg, "_DEFAULT_PRIMES", (p,))
     with pytest.raises(ArithmeticError):
-        rank_modular_check(m, primes=(p,), samples=1)
+        rank_modular_check(m)
 
 
-def test_modular_rank_undercounts_only_at_one_prime():
+def test_modular_rank_undercounts_only_at_one_prime(monkeypatch):
     # p divides the pivot p, so the rank mod p alone drops to 1; the
     # default call takes the maximum over three primes and sees 2, and so
     # does a call that may stop early at 2, after the second prime.
     p = 2147483647
     m = dense([[p, 0], [0, 1]])
-    assert rank_modular_check(m, primes=(p,), samples=1) == 1
     assert rank_modular_check(m) == 2
     assert rank_modular_check(m, stop_at=2) == 2
+    monkeypatch.setattr(linalg, "_DEFAULT_PRIMES", (p,))
+    assert rank_modular_check(m) == 1
 
 
 def test_prime_failure_is_arithmetic_error():

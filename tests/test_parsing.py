@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetdiff.jets import JetSpec, ReparamJet, TargetMap
-from jetdiff.parsing import MAX_NESTING, ParseError, parse_map, parse_polynomial, parse_reparam
+from jetdiff.jets import JetSpec, TargetMap
+from jetdiff.parsing import MAX_NESTING, ParseError, parse_map, parse_polynomial
 from jetdiff.poly import SparsePolynomial, base_var, jet_var, param_var
 
 from helpers import random_poly
@@ -36,6 +36,9 @@ def test_parse_juxtaposition_multiplies():
     assert parse_polynomial("2f1'", SPEC22) == 2 * f1p
     assert parse_polynomial("3(f1' + f2')", SPEC22) == 3 * (f1p + f2p)
     assert parse_polynomial("2 f1'^2 f2'", SPEC22) == 2 * f1p ** 2 * f2p
+    # a rational literal followed directly by a name
+    assert parse_polynomial("1/2 f1'", SPEC22) == Fraction(1, 2) * f1p
+    assert parse_polynomial("2f1' - 1/2f2'^3", SPEC22) == 2 * f1p - Fraction(1, 2) * f2p ** 3
 
 
 def test_parse_precedence_and_signs():
@@ -68,7 +71,7 @@ def test_parse_error_positions():
 
 
 def test_parse_error_cases():
-    for bad in ("f3'", "f1", "q2'", "z1'", "(f1'", "f1' +", "f1'^", "1/0", "f1' & f2'"):
+    for bad in ("f3'", "f1", "f'", "x", "q2'", "z1'", "(f1'", "f1' +", "f1'^", "1/0", "f1' & f2'"):
         with pytest.raises(ParseError):
             parse_polynomial(bad, SPEC22)
     with pytest.raises(ParseError):
@@ -124,24 +127,6 @@ def test_parse_map_errors():
     for text, column in (("w1 = ; w2 = z2", 6), ("w1 = z1 +; w2 = z2", 10)):
         with pytest.raises(ParseError, match=f"column {column}: expected a term, found ';'"):
             parse_map(text, 2, 2)
-
-
-def test_parse_reparam_examples():
-    assert parse_reparam("t + t^2", 2) == ReparamJet(2, [1, 1])
-    assert parse_reparam("2t - t^3", 3) == ReparamJet(3, [2, 0, -1])
-    assert parse_reparam("t", 3) == ReparamJet(3, [1, 0, 0])
-    assert parse_reparam("1/2 t", 1) == ReparamJet(1, [Fraction(1, 2)])
-
-
-def test_parse_reparam_errors():
-    with pytest.raises(ParseError):
-        parse_reparam("1 + t", 2)  # constant term
-    with pytest.raises(ParseError):
-        parse_reparam("t^2", 2)  # vanishing linear coefficient
-    with pytest.raises(ParseError):
-        parse_reparam("t + t^4", 3)  # degree beyond the order
-    with pytest.raises(ParseError):
-        parse_reparam("x + t", 2)  # only t is a valid name
 
 
 def test_printed_polynomials_reparse():

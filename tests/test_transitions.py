@@ -61,9 +61,31 @@ def test_shear_does_not_split():
     verdict = splitting_check(tm, irrep_partition(space))
     assert not verdict.splits
     assert verdict.witnesses == (Witness(0, 4, Fraction(2)),)
-    mixing = dict(verdict.block_mixing)
-    assert mixing[(IrrepLabel((3, 0), 1), IrrepLabel((1, 1), 1))] is True
-    assert mixing[(IrrepLabel((1, 1), 1), IrrepLabel((3, 0), 1))] is False
+    # The one witness takes the Wronskian, column block (1,1), into row
+    # block (3,0); nothing crosses the other way.
+    block = {i: label for label, idxs in verdict.partition for i in idxs}
+    assert block[0] == IrrepLabel((3, 0), 1)
+    assert block[4] == IrrepLabel((1, 1), 1)
+
+
+def test_witnesses_match_a_scan_of_every_block_pair():
+    z1, z2 = var(base_var(1)), var(base_var(2))
+    psi = TargetMap(2, 2, [z1 + 2 * z2 ** 2, z2 - z1 ** 2])
+    for m in (6, 8, 10, 12):
+        space = invariant_basis(JetSpec(2, 2), m)
+        tm = differential_transition(space, psi, [1, -1])
+        partition = irrep_partition(space)
+        expected = sorted(
+            Witness(i, j, tm.entry(i, j))
+            for row_label, rows in partition
+            for col_label, cols in partition
+            if row_label != col_label
+            for i in rows
+            for j in cols
+            if tm.entry(i, j)
+        )
+        witnesses = splitting_check(tm, partition).witnesses
+        assert witnesses and list(witnesses) == expected, m
 
 
 def test_identity_transition_splits():
