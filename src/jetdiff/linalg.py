@@ -19,10 +19,11 @@ byte-identical across runs and across pivot rules.
 
 Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
 and `solve_in_span` eliminate over Fraction; `dim` uses none of them.
-`rank_modular_check` and `nullspace` clear denominators row by row and
-eliminate modulo large primes: the rank as a cross-check over 31-bit
-primes, and the kernel modulo 2**61 - 1 through rational reconstruction
-and an exact integer check, with one Fraction elimination
+`rank_modular_check` and `nullspace` clear each row to integers once and
+then reduce those integer rows modulo large primes, which is valid for
+every prime: the rank as a cross-check over 31-bit primes, and the kernel
+modulo 2**61 - 1 through rational reconstruction and an exact check
+against the same integer rows, with one Fraction elimination
 (`_nullspace_rational`) as the fallback and the test suite's reference.
 `dim` reads its exact rank off the size of that checked kernel and
 compares it with the modular rank.  The loop itself is checked against a
@@ -41,24 +42,8 @@ _ONE = Fraction(1)
 Row = Dict[int, Fraction]  # entries may also be ints
 
 
-class PrimeFailure(ArithmeticError):
-    """A denominator in the matrix is divisible by the working prime."""
-
-
-# Large primes below 2**31 for the modular rank path.
-_DEFAULT_PRIMES: Tuple[int, ...] = (
-    2147483647,
-    2147483629,
-    2147483587,
-    2147483579,
-    2147483563,
-    2147483549,
-    2147483543,
-    2147483497,
-)
-
-# How many primes of `_DEFAULT_PRIMES` `rank_modular_check` eliminates with.
-_SAMPLES = 3
+# The primes below 2**31 that `rank_modular_check` eliminates with.
+_DEFAULT_PRIMES: Tuple[int, ...] = (2147483647, 2147483629, 2147483587)
 
 # The prime `nullspace` eliminates with.
 _KERNEL_PRIME = 2**61 - 1
@@ -88,7 +73,7 @@ class RationalMatrix:
         for r in dense_rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            rows.append({j: Fraction(v) for j, v in enumerate(r) if Fraction(v)})
+            rows.append({j: f for j, f in enumerate(map(Fraction, r)) if f})
         return cls(nrows, ncols, rows)
 
     @classmethod
@@ -217,10 +202,7 @@ def rank(matrix: RationalMatrix) -> int:
 
 def _canonical_vector(vec: Row) -> Row:
     """Scale to integer entries with content 1 and positive leading entry."""
-    den = 1
-    for v in vec.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+    (ints,) = _integer_rows([vec])
     g = gcd(*ints.values())
     if next(iter(ints.values())) < 0:
         g = -g
@@ -242,10 +224,9 @@ def _rref_kernel(rows: List[Row], pivots: List[int], ncols: int, prime: int = 0)
     return [{**entries.get(f, {}), f: 1} for f in range(ncols) if f not in pivot_set]
 
 
-def _integer_rows(rows: Sequence[Row], prime: int = 0) -> List[Dict[int, int]]:
-    """The nonzero rows, each times the lcm of its denominators (a row
-    scale keeps rank and kernel).  With a `prime`, entries are reduced
-    modulo it and zeros dropped; PrimeFailure when it divides an lcm."""
+def _integer_rows(rows: Sequence[Row]) -> List[Dict[int, int]]:
+    """The nonzero rows as ints, each times the lcm of its denominators (a
+    row scale keeps rank and kernel)."""
     out: List[Dict[int, int]] = []
     for row in rows:
         den = 1
@@ -253,19 +234,14 @@ def _integer_rows(rows: Sequence[Row], prime: int = 0) -> List[Dict[int, int]]:
             d = v.denominator
             if d != 1:
                 den = den * d // gcd(den, d)
-        if not prime:
-            scaled = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-        elif den % prime:
-            scaled = {}
-            for c, v in row.items():
-                iv = (v.numerator * (den // v.denominator)) % prime
-                if iv:
-                    scaled[c] = iv
-        else:
-            raise PrimeFailure(f"denominator lcm divisible by prime {prime}")
-        if scaled:
-            out.append(scaled)
+        if row:
+            out.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
     return out
+
+
+def _modular_rows(ints: Sequence[Dict[int, int]], prime: int) -> List[Dict[int, int]]:
+    """Integer rows reduced modulo `prime`, zero entries dropped."""
+    return [{c: r for c, a in row.items() if (r := a % prime)} for row in ints]
 
 
 def _log_retry(message: str, *args) -> None:
@@ -341,69 +317,54 @@ def nullspace(matrix: RationalMatrix) -> List[Row]:
     1 and a positive leading (first) entry.  The result is fully
     deterministic.
 
-    The rows are cleared to integers, eliminated modulo p = 2**61 - 1,
-    and each kernel entry is rebuilt by rational reconstruction; every
-    vector must then satisfy A.v = 0 exactly over the integer rows, which
-    makes it the Fraction one.  Write F for the free columns over Q and F'
-    for those modulo p.  Rank can only drop modulo p, so |F'| >= |F|.  A
-    checked vector is a kernel vector over Q whose last nonzero entry is
-    at its free column f', so f' depends on the columns before it and lies
-    in F: F' is F.  A kernel vector is fixed by its entries on F, so each
+    The rows are cleared to integers once, reduced and eliminated modulo
+    p = 2**61 - 1, and each kernel entry is rebuilt by rational
+    reconstruction; every vector must then satisfy A.v = 0 exactly over
+    the same integer rows, which makes it the Fraction one.  Write F for
+    the free columns over Q and F' for those modulo p.  Rank can only drop
+    modulo p, so |F'| >= |F|.  A checked vector is a kernel vector over Q
+    whose last nonzero entry is at its free column f', so f' depends on
+    the columns before it and lies in F: F' is F.  A kernel vector is fixed by its entries on F, so each
     checked vector is the Fraction one up to the canonical scale, and
     there are exactly ncols - rank(A) of them.
-    The check indexes the integer rows by column once the modular rows
-    are dropped, and sums each vector over its own columns only.
-    There is one modular attempt.  p dividing a row's denominators, an
-    entry with no reconstruction (too large for the bound) and a failed
-    check (p divides a pivotal minor) each log one retry and fall back to
-    Fraction elimination.
+    The check indexes the integer rows by column and sums each vector over
+    its own columns only.
+    There is one modular attempt.  An entry with no reconstruction (too
+    large for the bound) or a failed check (p divides a pivotal minor)
+    logs one retry and falls back to Fraction elimination.
     """
     p = _KERNEL_PRIME
-    try:
-        basis = _reconstructed_kernel(
-            *_eliminate(_integer_rows(matrix.rows, p), p), matrix.ncols, p
-        )
-    except PrimeFailure as exc:
-        _log_retry("nullspace: %s, retrying over Q", exc)
-        return _nullspace_rational(matrix)
-    if basis is None:
-        _log_retry("nullspace: no rational reconstruction mod %d, retrying over Q", p)
-        return _nullspace_rational(matrix)
-    by_column: Dict[int, List[Tuple[int, int]]] = {}
-    for i, row in enumerate(_integer_rows(matrix.rows)):
-        for c, a in row.items():
-            by_column.setdefault(c, []).append((i, a))
-    if all(_in_kernel(vec, by_column) for vec in basis):
-        return [{c: Fraction(n) for c, n in vec.items()} for vec in basis]
-    _log_retry("nullspace: kernel mod %d fails the exact check, retrying over Q", p)
+    ints = _integer_rows(matrix.rows)
+    basis = _reconstructed_kernel(*_eliminate(_modular_rows(ints, p), p), matrix.ncols, p)
+    if basis is not None:
+        by_column: Dict[int, List[Tuple[int, int]]] = {}
+        for i, row in enumerate(ints):
+            for c, a in row.items():
+                by_column.setdefault(c, []).append((i, a))
+        if all(_in_kernel(vec, by_column) for vec in basis):
+            return [{c: Fraction(n) for c, n in vec.items()} for vec in basis]
+    _log_retry("nullspace: no checked kernel mod %d, retrying over Q", p)
     return _nullspace_rational(matrix)
 
 
-def rank_modular_check(matrix: RationalMatrix, stop_at: Optional[int] = None) -> int:
-    """Rank computed modulo several large primes, a cross-check of `rank`.
+def rank_modular_check(matrix: RationalMatrix, stop_at: int) -> int:
+    """Rank computed modulo large primes, a cross-check of the exact rank.
 
-    Modular rank can only undercount (a prime may divide a pivotal minor),
-    so the maximum over `_SAMPLES` successful primes of `_DEFAULT_PRIMES`
-    is returned.  A prime dividing some denominator is reported and
-    skipped.  With `stop_at`, the loop also stops at the first rank >=
-    `stop_at`.  No modular rank exceeds the rank over Q, so when `stop_at`
-    is that rank the result, and whether it differs from `stop_at`, is
-    that of the full loop.
+    The rows are cleared to integers once and reduced modulo each prime of
+    `_DEFAULT_PRIMES` in turn.  The rank of an integer matrix modulo any
+    prime is at most its rank over Q, and falls short only when the prime
+    divides every minor of that size, so the maximum over the primes is
+    returned, and the loop stops at the first rank >= `stop_at`.  With
+    `stop_at` the rank over Q, the result, and whether it differs from
+    `stop_at`, is that of the full loop.
     """
-    results: List[int] = []
+    ints = _integer_rows(matrix.rows)
+    best = 0
     for p in _DEFAULT_PRIMES:
-        try:
-            results.append(len(_eliminate(_integer_rows(matrix.rows, p), p)[1]))
-        except PrimeFailure as exc:
-            _log_retry("modular rank: %s, retrying with next prime", exc)
-            continue
-        if len(results) == _SAMPLES or (stop_at is not None and results[-1] >= stop_at):
+        best = max(best, len(_eliminate(_modular_rows(ints, p), p)[1]))
+        if best >= stop_at:
             break
-    if not results:
-        raise ArithmeticError(
-            "all candidate primes divided a denominator; matrix entries are pathological"
-        )
-    return max(results)
+    return best
 
 
 def dense_rank(dense_rows: Sequence[Sequence]) -> int:

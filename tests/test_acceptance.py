@@ -154,7 +154,7 @@ def test_criterion_6_dimension_table_two_paths():
         for weight, dim in expected.items():
             system = invariance_system(JetSpec(2, 2), weight)
             exact = rank(system)
-            assert rank_modular_check(system) == exact
+            assert rank_modular_check(system, stop_at=exact) == exact
             assert system.ncols - exact == dim
 
     _run(6, "weight 3..6 dimensions 5, 7, 9, 12 with exact and modular ranks agreeing", 30.0, check)

@@ -7,7 +7,6 @@ import pytest
 
 from jetdiff import linalg
 from jetdiff.linalg import (
-    PrimeFailure,
     RationalMatrix,
     dense_rank,
     nullspace,
@@ -116,34 +115,8 @@ def test_nullspace_is_deterministic():
     assert nullspace(m) == nullspace(dense(m.to_rows()))
 
 
-def test_nullspace_fallbacks_match_rational(caplog, monkeypatch):
-    # Each fallback of the modular route is logged once as a retry on
-    # "jetdiff.linalg" (perfbench counts these), runs at most one modular
-    # elimination and then exactly one over Q, and the result is still
-    # the Fraction one.
-    p = 2**61 - 1
-    cases = [
-        # entries with no n/d within the bound: straight to Fraction
-        (
-            [[Fraction(1, 3**25), Fraction(1, 5**13), 1]],
-            [{0: 3**25, 1: -(5**13)}, {0: 3**25, 2: -1}],
-            1,
-        ),
-        # p zeroes the row, so the kernel mod p is too big and fails the
-        # exact check
-        ([[p, p]], [{0: 1, 1: -1}], 1),
-        # p zeroes the first entry, so the kernel mod p is {0: 1}, which
-        # the check rejects
-        ([[p, 1]], [{0: 1, 1: -p}], 1),
-        # -1/2**40 is -2**21 mod p: it reconstructs to that wrong small
-        # integer, which the check rejects
-        ([[2**40, 1]], [{0: 1, 1: -(2**40)}], 1),
-        # p zeroes the second row only: the first vector mod p is right, and
-        # the second, {2: 1}, meets the lost row through one column
-        ([[1, 1, 0, 0], [0, 0, p, p]], [{0: 1, 1: -1}, {2: 1, 3: -1}], 1),
-        # p divides a denominator: no modular elimination at all
-        ([[Fraction(1, p), Fraction(2, p)]], [{0: 2, 1: -1}], 0),
-    ]
+def spy_eliminate(monkeypatch):
+    """The list of primes `_eliminate` is called with, 0 for Q."""
     primes = []
     eliminate = linalg._eliminate
 
@@ -152,13 +125,42 @@ def test_nullspace_fallbacks_match_rational(caplog, monkeypatch):
         return eliminate(rows, prime)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
-    for rows, expected, modular in cases:
+    return primes
+
+
+def test_nullspace_fallbacks_match_rational(caplog, monkeypatch):
+    # Each fallback of the modular route is logged once as a retry on
+    # "jetdiff.linalg" (perfbench counts these), runs one modular
+    # elimination and then exactly one over Q, and the result is still
+    # the Fraction one.
+    p = 2**61 - 1
+    cases = [
+        # entries with no n/d within the bound: straight to Fraction
+        (
+            [[Fraction(1, 3**25), Fraction(1, 5**13), 1]],
+            [{0: 3**25, 1: -(5**13)}, {0: 3**25, 2: -1}],
+        ),
+        # p zeroes the row, so the kernel mod p is too big and fails the
+        # exact check
+        ([[p, p]], [{0: 1, 1: -1}]),
+        # p zeroes the first entry, so the kernel mod p is {0: 1}, which
+        # the check rejects
+        ([[p, 1]], [{0: 1, 1: -p}]),
+        # -1/2**40 is -2**21 mod p: it reconstructs to that wrong small
+        # integer, which the check rejects
+        ([[2**40, 1]], [{0: 1, 1: -(2**40)}]),
+        # p zeroes the second row only: the first vector mod p is right, and
+        # the second, {2: 1}, meets the lost row through one column
+        ([[1, 1, 0, 0], [0, 0, p, p]], [{0: 1, 1: -1}, {2: 1, 3: -1}]),
+    ]
+    primes = spy_eliminate(monkeypatch)
+    for rows, expected in cases:
         m = dense(rows)
         caplog.clear()
         primes.clear()
         with caplog.at_level("INFO", logger="jetdiff.linalg"):
             assert nullspace(m) == expected
-        assert primes == [p] * modular + [0], rows
+        assert primes == [p, 0], rows
         retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
         assert len(retries) == 1, rows
         assert "retrying" in retries[0].getMessage()
@@ -182,7 +184,6 @@ def test_modular_rank_agrees_with_exact():
     for _ in range(12):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
         m = random_matrix(rng, nrows, ncols)
-        assert rank_modular_check(m) == rank(m)
         assert rank_modular_check(m, stop_at=rank(m)) == rank(m)
 
 
@@ -196,39 +197,33 @@ def test_modular_rank_agrees_on_structured_low_rank():
         m = matmul(a, b)
         r = rank(m)
         assert r <= k
-        assert rank_modular_check(m) == r
         assert rank_modular_check(m, stop_at=r) == r
 
 
-def test_modular_rank_skips_bad_primes(caplog, monkeypatch):
-    # A denominator equal to the first prime forces a retry with the next,
-    # reported on the "jetdiff.linalg" logger (perfbench counts these).
-    p = 2147483647
-    m = dense([[Fraction(1, p), 0], [0, 1]])
+def test_denominator_divisible_by_prime_is_cleared_not_skipped(caplog, monkeypatch):
+    # Rows are cleared to integers before they are reduced, so a
+    # denominator equal to the working prime costs nothing: one elimination
+    # mod p reaches the rank, the kernel takes the modular route, and
+    # nothing is retried.
+    p, q = 2147483647, 2**61 - 1
+    primes = spy_eliminate(monkeypatch)
     with caplog.at_level("INFO", logger="jetdiff.linalg"):
-        assert rank_modular_check(m) == 2
-    retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
-    assert len(retries) == 1
-    assert "retrying" in retries[0].getMessage()
-    monkeypatch.setattr(linalg, "_DEFAULT_PRIMES", (p,))
-    with pytest.raises(ArithmeticError):
-        rank_modular_check(m)
+        assert rank_modular_check(dense([[Fraction(1, p), 0], [0, 1]]), 2) == 2
+        assert primes == [p]
+        primes.clear()
+        assert nullspace(dense([[Fraction(1, q), Fraction(2, q)]])) == [{0: 2, 1: -1}]
+        assert primes == [q]
+    assert [r for r in caplog.records if r.name == "jetdiff.linalg"] == []
 
 
 def test_modular_rank_undercounts_only_at_one_prime(monkeypatch):
     # p divides the pivot p, so the rank mod p alone drops to 1; the
-    # default call takes the maximum over three primes and sees 2, and so
-    # does a call that may stop early at 2, after the second prime.
+    # call takes the next prime and sees 2.
     p = 2147483647
     m = dense([[p, 0], [0, 1]])
-    assert rank_modular_check(m) == 2
     assert rank_modular_check(m, stop_at=2) == 2
     monkeypatch.setattr(linalg, "_DEFAULT_PRIMES", (p,))
-    assert rank_modular_check(m) == 1
-
-
-def test_prime_failure_is_arithmetic_error():
-    assert issubclass(PrimeFailure, ArithmeticError)
+    assert rank_modular_check(m, stop_at=2) == 1
 
 
 def test_matmul_and_apply():
@@ -380,7 +375,7 @@ def test_kernels_match_column_scan(monkeypatch):
         for fn in (rref, rank, nullspace, linalg._nullspace_rational):
             assert fn(m) == reference(monkeypatch, fn, m), (fn.__name__, m.to_rows())
         assert nullspace(m) == linalg._nullspace_rational(m), m.to_rows()
-        assert rank_modular_check(m) == rank(m), m.to_rows()
+        assert rank_modular_check(m, stop_at=rank(m)) == rank(m), m.to_rows()
         # the same pivot loop over GF(p), rows and pivots
         assert linalg._eliminate(mod_rows(m, p), p) == scan_eliminate(mod_rows(m, p), p), m.to_rows()
 
@@ -424,5 +419,5 @@ def test_rank_needs_index_fill_in():
     # so a kernel whose column index misses fill-in stops at rank 2.
     m = dense([[0, 1, 0], [-1, 0, 2], [-1, -1, 0]])
     assert rank(m) == 3
-    assert rank_modular_check(m) == 3
+    assert rank_modular_check(m, stop_at=3) == 3
     assert rref(m) == RationalMatrix.identity(3)
