@@ -150,9 +150,7 @@ def _formal_action(rank: int, order: int, unipotent: bool) -> Mapping[Variable, 
     unipotent), computed once per shape and shared read-only."""
     spec = JetSpec(rank, order, allow_large=True)
     moved = act_reparam(JetPoint.formal(spec), ReparamJet.formal(order, unipotent))
-    return MappingProxyType(
-        {jet_var(j, i): moved.entry(i, j) for i in range(1, order + 1) for j in range(1, rank + 1)}
-    )
+    return MappingProxyType(moved.bindings())
 
 
 def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
@@ -165,8 +163,6 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     Order 1 has no unipotent part, so the matrix has zero rows there.
     """
     monomials = enumerate_monomials(spec, weight)
-    if spec.order == 1:
-        return RationalMatrix(0, len(monomials), [])
     bindings = _formal_action(spec.rank, spec.order, True)
     images = substitute_all([SparsePolynomial.monomial(m) for m in monomials], bindings)
     for m, image in zip(monomials, images):

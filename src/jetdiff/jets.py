@@ -19,8 +19,8 @@ Conventions (the factorials bite otherwise):
     derivative at 0 is i! * a_i.
 
 Both compositions substitute one polynomial into another, so both go
-through `poly.substitute_all`.  Entries may be Fractions or polynomials
-(formal jets, formal group coefficients, polynomial basepoints).
+through `poly.substitute_all`.  Entries are polynomials; rational input
+is stored as constants.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .poly import (
     BASE,
+    PolyLike,
     SparsePolynomial,
     Variable,
     base_var,
@@ -40,8 +41,6 @@ from .poly import (
     poly_sum,
     substitute_all,
 )
-
-Value = Union[Fraction, SparsePolynomial]
 
 # Guardrail on formal computations; everything is exact, so runaway sizes
 # come from the user, not from roundoff.  Override with allow_large=True.
@@ -80,22 +79,17 @@ class JetSpec(namedtuple("JetSpec", "rank order")):
         return [jet_var(j, i) for i in range(1, self.order + 1) for j in range(1, self.rank + 1)]
 
 
-def _as_value(x) -> Value:
-    if isinstance(x, SparsePolynomial):
-        return x.constant_value() if x.is_constant() else x
-    return Fraction(x)
-
-
-def _is_scalar(x: Value) -> bool:
-    return isinstance(x, Fraction)
+def _as_poly(x: PolyLike) -> SparsePolynomial:
+    """A jet entry, coefficient or coordinate as a polynomial."""
+    return x if isinstance(x, SparsePolynomial) else SparsePolynomial.constant(x)
 
 
 class ReparamJet:
     """A k-jet of a source reparametrization, phi(t) = sum a_i t^i.
 
-    Coefficients may be rational numbers or polynomials in formal
-    parameters.  The leading coefficient must be nonzero; when it is a
-    genuine polynomial its invertibility cannot be decided here and is
+    Coefficients are polynomials in formal parameters; rational input is
+    stored as constants.  The leading coefficient must be nonzero; when
+    it is not constant its invertibility cannot be decided here and is
     checked at the point of use (inversion requires a numeric leading
     coefficient).
     """
@@ -105,7 +99,7 @@ class ReparamJet:
     def __init__(self, order: int, coeffs: Sequence):
         if order < 1:
             raise ValueError(f"reparametrization order must be >= 1, got {order}")
-        coeffs = tuple(_as_value(c) for c in coeffs)
+        coeffs = tuple(_as_poly(c) for c in coeffs)
         if len(coeffs) != order:
             raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
         if not coeffs[0]:
@@ -120,14 +114,9 @@ class ReparamJet:
     @classmethod
     def formal(cls, order: int, unipotent: bool = False) -> "ReparamJet":
         """Fully formal phi; with unipotent=True the leading coefficient is 1."""
-        lead: Value = _ONE if unipotent else SparsePolynomial.variable(param_var(1))
+        lead = _ONE if unipotent else SparsePolynomial.variable(param_var(1))
         tail = [SparsePolynomial.variable(param_var(i)) for i in range(2, order + 1)]
         return cls(order, [lead] + tail)
-
-    def is_identity(self) -> bool:
-        if not (_is_scalar(self.coeffs[0]) and self.coeffs[0] == 1):
-            return False
-        return all(_is_scalar(c) and c == 0 for c in self.coeffs[1:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReparamJet):
@@ -147,7 +136,7 @@ class JetPoint:
     __slots__ = ("spec", "entries")
 
     def __init__(self, spec: JetSpec, entries: Sequence[Sequence]):
-        rows = tuple(tuple(_as_value(v) for v in row) for row in entries)
+        rows = tuple(tuple(_as_poly(v) for v in row) for row in entries)
         if len(rows) != spec.order or any(len(r) != spec.rank for r in rows):
             raise ValueError(
                 f"entries must be {spec.order} rows of {spec.rank} values"
@@ -166,8 +155,16 @@ class JetPoint:
             ],
         )
 
-    def entry(self, order: int, comp: int) -> Value:
+    def entry(self, order: int, comp: int) -> SparsePolynomial:
         return self.entries[order - 1][comp - 1]
+
+    def bindings(self) -> Dict[Variable, SparsePolynomial]:
+        """f_j^(i) -> entry(i, j), for substituting this jet into a polynomial."""
+        return {
+            jet_var(j, i): value
+            for i, row in enumerate(self.entries, start=1)
+            for j, value in enumerate(row, start=1)
+        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JetPoint):
@@ -190,7 +187,7 @@ class JetPoint:
 _T = Variable(BASE, 0, 0)
 
 
-def _series(coeffs: Sequence[Value]) -> SparsePolynomial:
+def _series(coeffs: Sequence[PolyLike]) -> SparsePolynomial:
     """sum_i coeffs[i] * t^i."""
     t = SparsePolynomial.variable(_T)
     return poly_sum(c * t ** i for i, c in enumerate(coeffs))
@@ -205,7 +202,7 @@ def _coefficients(series: SparsePolynomial, order: int) -> List[SparsePolynomial
     return [SparsePolynomial(terms) for terms in out]
 
 
-def _taylor(jet: JetPoint, comp: int, constant: Value) -> SparsePolynomial:
+def _taylor(jet: JetPoint, comp: int, constant: PolyLike) -> SparsePolynomial:
     """constant + sum_i f_comp^(i) t^i / i!, one component of the jet."""
     orders = range(1, jet.spec.order + 1)
     return _series([constant] + [jet.entry(i, comp) * Fraction(1, factorial(i)) for i in orders])
@@ -241,16 +238,14 @@ def invert_reparam(phi: ReparamJet) -> ReparamJet:
     the t^n coefficient of phi(psi(t)) is a1*b_n plus terms in b_1..b_{n-1}
     only, so each b_n comes from one division.
     """
-    a1 = phi.coeffs[0]
-    if not _is_scalar(a1):
+    if not phi.coeffs[0].is_constant():
         raise ValueError(
             "inversion needs a numeric leading coefficient; a formal a1 has no "
             "polynomial inverse"
         )
-    if a1 == 0:
-        raise ValueError("leading coefficient a1 must be nonzero")
+    a1 = phi.coeffs[0].constant_value()
     k = phi.order
-    b: List[Value] = [_ONE / a1] + [_ZERO] * (k - 1)
+    b = [_ONE / a1] + [_ZERO] * (k - 1)
     for n in range(2, k + 1):
         partial = ReparamJet(k, b)
         c = compose_reparam(phi, partial).coeffs[n - 1]
@@ -290,7 +285,7 @@ class TargetMap:
             raise ValueError(f"expected {rank} components, got {len(components)}")
         comps = []
         for c in components:
-            poly = c if isinstance(c, SparsePolynomial) else SparsePolynomial.constant(c)
+            poly = _as_poly(c)
             for v in poly.variables():
                 if v.kind != BASE or v.comp > rank:
                     raise ValueError(f"component uses non-base variable {v.name}")
@@ -395,7 +390,7 @@ def act_target(jet: JetPoint, psi: TargetMap, basepoint: Sequence) -> JetPoint:
         )
     if len(basepoint) != spec.rank:
         raise ValueError(f"basepoint needs {spec.rank} coordinates")
-    point = [_as_value(v) for v in basepoint]
+    point = [_as_poly(v) for v in basepoint]
     bindings = {
         base_var(l): _taylor(jet, l, point[l - 1]) for l in range(1, spec.rank + 1)
     }

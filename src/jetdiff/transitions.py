@@ -1,10 +1,10 @@
 """How invariant jet differentials move under target coordinate changes.
 
-Two constructions are deliberately kept as independent code paths:
+Two substitutions of the jet variables are deliberately built by
+independent code paths, then re-expanded in the basis by one shared step:
 
   * differential_transition pushes the tautological jet through a
-    polynomial coordinate change (full chain rule, all derivative orders)
-    and re-expands each basis element in the basis;
+    polynomial coordinate change (full chain rule, all derivative orders);
   * associated_action substitutes f^(i) -> g * f^(i) for a constant
     matrix g, the naive fiberwise linear action, with no series machinery
     at all.
@@ -24,12 +24,12 @@ the contradiction audit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .invariants import InvariantSpace, IrrepLabel
 from .jets import JetPoint, JetSpec, TargetMap, act_target
 from .linalg import dense_rank
-from .poly import SparsePolynomial, jet_var, substitute_all
+from .poly import SparsePolynomial, Variable, jet_var, substitute_all
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,9 +40,9 @@ class TransitionMatrix:
 
     Convention: column j holds the coordinates of the image of basis
     element j, so the matrix acts on coefficient vectors from the left.
-    Built either from a polynomial coordinate change at a basepoint or
-    from a constant fiberwise matrix.  Entries are stored as given, so
-    they must already be Fractions; only the n x n shape is checked.
+    Both producers, differential_transition and associated_action, build
+    it in `_transition_matrix`, so its entries are Fractions; the
+    constructor checks only the n x n shape.
     """
 
     __slots__ = ("space", "entries")
@@ -57,43 +57,6 @@ class TransitionMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
-
-    def column(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def apply(self, vec: Sequence[Fraction]) -> List[Fraction]:
-        n = self.space.dimension
-        if len(vec) != n:
-            raise ValueError(f"vector length {len(vec)}, expected {n}")
-        return [
-            sum((row[j] * vec[j] for j in range(n)), _ZERO) for row in self.entries
-        ]
-
-    def matmul(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        if other.space is not self.space and other.space.monomials != self.space.monomials:
-            raise ValueError("matrices live over different spaces")
-        n = self.space.dimension
-        prod = [
-            [
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), _ZERO)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return TransitionMatrix(self.space, prod)
-
-    def is_identity(self) -> bool:
-        n = self.space.dimension
-        return all(
-            self.entries[i][j] == (_ONE if i == j else _ZERO)
-            for i in range(n)
-            for j in range(n)
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TransitionMatrix):
-            return NotImplemented
-        return self.entries == other.entries
 
     def __repr__(self) -> str:
         return f"TransitionMatrix({self.space!r}, {len(self.entries)}x{len(self.entries)})"
@@ -115,27 +78,18 @@ def differential_transition(
     moved = act_target(JetPoint.formal(spec), psi, basepoint)
     if dense_rank(_jacobian(moved)) < spec.rank:
         raise ValueError("target map has singular Jacobian at the basepoint")
-    bindings = {
-        jet_var(j, i): moved.entry(i, j)
-        for i in range(1, spec.order + 1)
-        for j in range(1, spec.rank + 1)
-    }
-    images = substitute_all(space.basis, bindings)
-    try:
-        columns = space.expand_many(images)
-    except ValueError as exc:
-        raise RuntimeError(
-            f"transition left the invariant span (bug in the action): {exc}"
-        ) from exc
-    return TransitionMatrix(space, _square(columns))
+    return _transition_matrix(
+        space, moved.bindings(), "transition left the invariant span (bug in the action)"
+    )
 
 
 def associated_action(g: Sequence[Sequence], space: InvariantSpace) -> TransitionMatrix:
     """Matrix of the naive fiberwise action f^(i) -> g f^(i), all orders i.
 
-    Pure substitution with a constant invertible matrix; shares no code
-    with differential_transition on purpose, so agreement between the two
-    on linear coordinate changes is an actual cross-check.
+    The substitution is written down directly from the constant invertible
+    matrix, with no series machinery; only the substitute-and-expand tail
+    is shared with differential_transition, so agreement between the two
+    on linear coordinate changes is an actual cross-check of act_target.
     """
     spec = space.spec
     rows = [[Fraction(v) for v in row] for row in g]
@@ -151,38 +105,32 @@ def associated_action(g: Sequence[Sequence], space: InvariantSpace) -> Transitio
                 if rows[j - 1][l - 1]:
                     image = image + SparsePolynomial.variable(jet_var(l, i)) * rows[j - 1][l - 1]
             bindings[jet_var(j, i)] = image
+    return _transition_matrix(space, bindings, "fiberwise action left the invariant span (bug)")
+
+
+def _transition_matrix(
+    space: InvariantSpace, bindings: Mapping[Variable, SparsePolynomial], failure: str
+) -> TransitionMatrix:
+    """The matrix of Q -> Q(bindings) on the space, densified last (every
+    entry is printed).  An image outside the span raises RuntimeError
+    with the message `failure: <reason>`."""
     images = substitute_all(space.basis, bindings)
     try:
         columns = space.expand_many(images)
     except ValueError as exc:
-        raise RuntimeError(
-            f"fiberwise action left the invariant span (bug): {exc}"
-        ) from exc
-    return TransitionMatrix(space, _square(columns))
-
-
-def _square(columns: Sequence[Dict[int, Fraction]]) -> List[List[Fraction]]:
-    """The n x n entries whose column j is the sparse coordinate vector
-    columns[j]; every entry is printed, so this is the one dense step."""
-    n = len(columns)
+        raise RuntimeError(f"{failure}: {exc}") from exc
+    n = space.dimension
     entries = [[_ZERO] * n for _ in range(n)]
     for j, col in enumerate(columns):
         for i, value in col.items():
             entries[i][j] = value
-    return entries
+    return TransitionMatrix(space, entries)
 
 
 class Witness(NamedTuple):
     row: int
     col: int
     value: Fraction
-
-
-def _nonzero_entries(
-    matrix: TransitionMatrix, rows: Sequence[int], cols: Sequence[int]
-) -> List[Witness]:
-    """The nonzero entries of one block of `matrix`, row by row."""
-    return [Witness(i, j, v) for i in rows for j in cols if (v := matrix.entry(i, j))]
 
 
 class SplittingVerdict(NamedTuple):
@@ -250,8 +198,10 @@ def s_block_closure(matrix: TransitionMatrix) -> ClosureVerdict:
     # is a first derivative, and the torus weight counts the total degree
     pure = tuple(i for i, w in enumerate(space.torus_weights()) if sum(w) == space.weight)
     outside = [i for i in range(space.dimension) if i not in pure]
-    violations = _nonzero_entries(matrix, outside, pure)
-    return ClosureVerdict(pure, not violations, tuple(violations))
+    violations = tuple(
+        Witness(i, j, v) for i in outside for j in pure if (v := matrix.entry(i, j))
+    )
+    return ClosureVerdict(pure, not violations, violations)
 
 
 def v1_frame_transition(
@@ -290,15 +240,10 @@ def v1_frame_transition(
         )
     n = j21 + xi * j22
     along = {jet_var(1, 1): _ONE, jet_var(2, 1): xi, jet_var(1, 2): _ZERO, jet_var(2, 2): _ZERO}
-    p1, p2 = (_as_poly(moved.entry(2, j)).evaluate(along) for j in (1, 2))
+    p1, p2 = (moved.entry(2, j).evaluate(along) for j in (1, 2))
     dsq = d * d
     e12 = (p2 * d - n * p1) / dsq
     return ((det / dsq, e12), (_ZERO, d)), e12 != 0
-
-
-def _as_poly(value) -> SparsePolynomial:
-    """A jet entry as a polynomial (JetPoint stores a constant entry as a Fraction)."""
-    return value if isinstance(value, SparsePolynomial) else SparsePolynomial.constant(value)
 
 
 def _jacobian(moved: JetPoint) -> List[List[Fraction]]:
@@ -306,7 +251,7 @@ def _jacobian(moved: JetPoint) -> List[List[Fraction]]:
     formal jet moved by psi, whose entry j is sum_l J[j][l] * f_l'."""
     rank = moved.spec.rank
     return [
-        [_as_poly(moved.entry(1, j)).coefficient(((jet_var(l, 1), 1),)) for l in range(1, rank + 1)]
+        [moved.entry(1, j).coefficient(((jet_var(l, 1), 1),)) for l in range(1, rank + 1)]
         for j in range(1, rank + 1)
     ]
 

@@ -53,6 +53,11 @@ def matmul(a, b):
     return RationalMatrix(a.nrows, b.ncols, rows)
 
 
+def as_matrix(tm):
+    """The entries of a TransitionMatrix as a RationalMatrix."""
+    return RationalMatrix.from_rows(tm.entries)
+
+
 def apply_matrix(matrix, vec):
     """A RationalMatrix times a dense vector, as a list of Fractions."""
     if len(vec) != matrix.ncols:

@@ -85,6 +85,7 @@ def test_jet_variables_enumeration():
 def test_jet_point_shape_and_access():
     spec = JetSpec(2, 2)
     jet = JetPoint(spec, [[1, 2], [3, 4]])
+    assert isinstance(jet.entry(1, 1), SparsePolynomial)
     assert jet.entry(1, 1) == 1
     assert jet.entry(1, 2) == 2
     assert jet.entry(2, 1) == 3
@@ -105,8 +106,6 @@ def test_reparam_validation():
         ReparamJet(2, [0, 1])
     with pytest.raises(ValueError):
         ReparamJet(2, [1])
-    assert ReparamJet.identity(3).is_identity()
-    assert not reparam(1, 1).is_identity()
     formal = ReparamJet.formal(3)
     assert formal.coeffs[0] == var(param_var(1))
     unip = ReparamJet.formal(3, unipotent=True)
@@ -156,6 +155,11 @@ def test_invert_examples():
     assert invert_reparam(reparam(1, 1)) == reparam(1, -1)
     assert invert_reparam(ReparamJet(3, [1, 1, 0])) == ReparamJet(3, [1, -1, 2])
     assert invert_reparam(reparam(2)) == reparam(Fraction(1, 2))
+    lead = SparsePolynomial.constant(2)
+    inverse = ReparamJet(2, [Fraction(1, 2), Fraction(-1, 8)])
+    inverted = invert_reparam(ReparamJet(2, [lead, 1]))
+    assert inverted == inverse
+    assert all(isinstance(c, SparsePolynomial) for c in inverted.coeffs)
 
 
 def test_invert_is_two_sided():
@@ -316,6 +320,10 @@ def test_act_target_shear_off_origin():
     f1pp, f2pp = var(jet_var(1, 2)), var(jet_var(2, 2))
     assert moved.entry(1, 2) == f2p + 2 * f1p
     assert moved.entry(2, 2) == f2pp + 2 * f1pp + 2 * f1p ** 2
+    # a numeric jet at the numeric basepoint stays polynomial-valued
+    numeric = act_target(JetPoint(spec, [[1, 0], [0, 0]]), shear, [1, 0])
+    assert isinstance(numeric.entry(1, 2), SparsePolynomial)
+    assert numeric.entry(1, 2) == 2
 
 
 def test_act_target_identity():
