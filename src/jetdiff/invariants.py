@@ -16,14 +16,21 @@ t^3 d/dt, so invariance is the same as D1 Q = D2 Q = 0 for the derivations
 the first-order terms of phi = t + eps*t^(s+1) (Demailly 1997; Merker
 2010).  Both derivations keep the component counts of a monomial (its
 torus weight), so the linear system splits into one small integer block
-per torus weight.  `invariant_basis` takes the exact kernel of each block
-(`_kernel`, the one block kernel here) and merges the kernels in the
-global column order; every basis element is then re-verified against the
-fully formal action, including formal a1, before it is returned.
+per torus weight.  A permutation of the components (the Weyl group of
+GL(W)) commutes with the action, so it carries each block onto the block
+of the permuted weight; only the dominant blocks, whose torus weight is
+weakly decreasing, are solved.  `invariant_basis` takes the exact kernel
+of each dominant block (`_kernel`, the one block kernel here), carries it
+to the other blocks of its orbit (`_permuted_kernel`) and merges the
+kernels in the global column order; every basis element is then
+re-verified against the fully formal action, including formal a1, before
+it is returned.
 
 `invariance_system` is the independent route: one constraint row per mixed
 monomial (parameters x jet variables) of the series-substitution residuals.
-It backs `dim` and the tests that check the derivation kernel against it.
+`dim` solves it on the dominant blocks (`dominant_system`) and weights
+each block by its orbit size; the whole system is the reference that the
+tests check the derivation kernel and `dim` against.
 
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
@@ -45,7 +52,7 @@ from types import MappingProxyType
 from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
-from .linalg import RationalMatrix, nullspace, solve_in_span
+from .linalg import RationalMatrix, _canonical_vector, _eliminate, nullspace, solve_in_span
 from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
 from .poly import (
     JET,
@@ -153,6 +160,17 @@ def _formal_action(rank: int, order: int, unipotent: bool) -> Mapping[Variable, 
     return MappingProxyType(moved.bindings())
 
 
+def _substitution_system(spec: JetSpec, monomials: Sequence[Monomial]) -> RationalMatrix:
+    """The series-substitution constraints on the given columns: one row
+    per mixed monomial (parameters and jet variables together) of their
+    residuals, in order of first appearance."""
+    bindings = _formal_action(spec.rank, spec.order, True)
+    images = substitute_all([SparsePolynomial.monomial(m) for m in monomials], bindings)
+    for m, image in zip(monomials, images):
+        del image.terms[m]  # the a-free part of the image, m itself; the dict is fresh
+    return RationalMatrix.from_columns([image.terms for image in images])
+
+
 def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     """Linear constraints on weight-m coefficient vectors for unipotent
     invariance.
@@ -162,12 +180,33 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     together) appearing in any residual, in order of first appearance.
     Order 1 has no unipotent part, so the matrix has zero rows there.
     """
+    return _substitution_system(spec, enumerate_monomials(spec, weight))
+
+
+def dominant_system(spec: JetSpec, weight: int) -> Tuple[RationalMatrix, List[int], int]:
+    """`invariance_system` restricted to its dominant torus blocks.
+
+    Returns (system, orbit, n): the system on the weight-m monomials whose
+    torus weight is weakly decreasing, in global column order; orbit[j],
+    the number of torus weights in the Weyl orbit of column j's weight;
+    and n, the number of all weight-m monomials.
+
+    The unipotent action keeps each component's variables, so every row
+    of `invariance_system` has its entries in one torus block.  A
+    permutation of the components commutes with that action, so it
+    carries the block of weight w onto the block of the permuted weight,
+    permuting rows and columns.  Each block is therefore a copy of the
+    dominant block of its orbit, with the same rows, rank and kernel size.
+    """
     monomials = enumerate_monomials(spec, weight)
-    bindings = _formal_action(spec.rank, spec.order, True)
-    images = substitute_all([SparsePolynomial.monomial(m) for m in monomials], bindings)
-    for m, image in zip(monomials, images):
-        del image.terms[m]  # the a-free part of the image, m itself; the dict is fresh
-    return RationalMatrix.from_columns([image.terms for image in images])
+    dominant: List[Monomial] = []
+    orbit: List[int] = []
+    for mono in monomials:
+        torus = _mono_torus_weight(mono, spec.rank)
+        if _is_dominant(torus):
+            dominant.append(mono)
+            orbit.append(_orbit_size(torus))
+    return _substitution_system(spec, dominant), orbit, len(monomials)
 
 
 class InvarianceVerdict(NamedTuple):
@@ -251,8 +290,9 @@ class InvariantSpace:
 
     The constructor takes each basis vector as {column: nonzero value} in
     increasing column order, and the torus weight of each; the
-    weights are the torus blocks the vectors were found in, so they are
-    stored rather than read back off the polynomials.  `coefficients`
+    weights are the torus blocks the vectors were found in, solved there
+    or carried there from the dominant block of their Weyl orbit, so they
+    are stored rather than read back off the polynomials.  `coefficients`
     holds the vectors densely, built on first access.
     """
 
@@ -311,14 +351,18 @@ class InvariantSpace:
 
 
 def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
-    """The kernel of D1 and D2, one torus block at a time.
+    """The kernel of D1 and D2, one Weyl orbit of torus blocks at a time.
 
     Each block holds the monomials of one torus weight, in global column
     order; its rows are the image monomials of each D_s, kept apart by s.
-    The block kernels are embedded in the global columns and sorted by
-    free column (the last key), which reproduces the canonical nullspace
-    of the whole system: the reduced kernel basis is unique once the
-    kernel and the column order are fixed.
+    Only the dominant blocks (weakly decreasing torus weight) are solved.
+    A permutation of the components commutes with D1 and D2, so it carries
+    a dominant block's kernel onto the kernel of each block in its orbit;
+    those permuted vectors are reduced to canonical form there
+    (`_permuted_kernel`).  The block kernels are embedded in the global
+    columns and sorted by free column (the last key), which reproduces the
+    canonical nullspace of the whole system: the reduced kernel basis is
+    unique once the kernel and the column order are fixed.
 
     Every returned element is checked to be invariant under the fully
     formal action (formal a1 too); a failure there would be a bug in the
@@ -329,17 +373,26 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     blocks: Dict[Tuple[int, ...], List[int]] = {}
     for col, mono in enumerate(monomials):
         blocks.setdefault(_mono_torus_weight(mono, spec.rank), []).append(col)
-    keyed: List[Tuple[Dict[int, Fraction], Tuple[int, ...]]] = []
-    for torus, cols in blocks.items():
-        columns = {
+    kernels = {
+        torus: _kernel({
             col: {
                 (s, image): coeff
                 for s, rule in enumerate(rules)
                 for image, coeff in _derive({monomials[col]: 1}, rule).items()
             }
             for col in cols
-        }
-        keyed.extend((vec, torus) for vec in _kernel(columns))
+        })
+        for torus, cols in blocks.items()
+        if _is_dominant(torus)
+    }
+    column = {mono: col for col, mono in enumerate(monomials)}
+    keyed: List[Tuple[Dict[int, Fraction], Tuple[int, ...]]] = []
+    for torus in blocks:
+        kernel = kernels.get(torus)
+        if kernel is None:
+            dominant = tuple(sorted(torus, reverse=True))
+            kernel = _permuted_kernel(kernels[dominant], torus, monomials, column)
+        keyed.extend((vec, torus) for vec in kernel)
     keyed.sort(key=lambda item: next(reversed(item[0])))
     space = InvariantSpace(
         spec,
@@ -357,12 +410,53 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     return space
 
 
+def _permuted_kernel(
+    kernel: Sequence[Mapping[int, Fraction]],
+    torus: Tuple[int, ...],
+    monomials: Sequence[Monomial],
+    column: Mapping[Monomial, int],
+) -> List[Dict[int, Fraction]]:
+    """The canonical kernel of the block of weight `torus`, given that of
+    the dominant block in its orbit.
+
+    The permutation sending component j to the position of the j-th
+    largest entry of `torus` (ties in index order) carries the dominant
+    block onto this one; `column` maps each permuted monomial back to its
+    global column.  The permuted vectors span the kernel here.  Reducing
+    them with the pivot at each one's last nonzero column (`_eliminate` on
+    negated column labels) gives one vector per free column, 1 there and 0
+    at the other free columns, which `_canonical_vector` scales as
+    `nullspace` does.
+    """
+    target = [0] + [j + 1 for j in sorted(range(len(torus)), key=lambda j: -torus[j])]
+    negated: Dict[int, int] = {}
+    for c in {c for vec in kernel for c in vec}:
+        image = sorted((jet_var(target[v.comp], v.order), e) for v, e in monomials[c])
+        negated[c] = -column[tuple(image)]
+    rows, _ = _eliminate([{negated[c]: value for c, value in vec.items()} for vec in kernel])
+    return [_canonical_vector({-c: row[c] for c in sorted(row, reverse=True)}) for row in rows]
+
+
 def _mono_torus_weight(mono: Monomial, rank: int) -> Tuple[int, ...]:
     """Component-count vector (d1..dr) of one jet monomial."""
     counts = [0] * rank
     for v, e in mono:
         counts[v.comp - 1] += e
     return tuple(counts)
+
+
+def _is_dominant(torus: Tuple[int, ...]) -> bool:
+    """Whether a torus weight is weakly decreasing, the one such weight in
+    its Weyl orbit."""
+    return all(a >= b for a, b in zip(torus, torus[1:]))
+
+
+def _orbit_size(torus: Tuple[int, ...]) -> int:
+    """The number of distinct permutations of a torus weight."""
+    size = factorial(len(torus))
+    for value in set(torus):
+        size //= factorial(torus.count(value))
+    return size
 
 
 def raising_action(

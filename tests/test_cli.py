@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import jetdiff
-from jetdiff import cli, linalg
+from jetdiff import cli, invariants, linalg
 from jetdiff.cli import _digest, main
-from jetdiff.invariants import invariance_system
+from jetdiff.invariants import enumerate_monomials, invariance_system, invariant_basis
 from jetdiff.jets import JetSpec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -80,11 +80,45 @@ def test_dim_rank_matches_fraction_rank(capsys):
     # dim reads its rank off a checked modular kernel; the Fraction rank of
     # the same system is the reference, zero rows (order 1) and weight 0
     # included.
+    # dim solves the dominant torus blocks only, so the shape is an
+    # orbit-weighted row count that must match the whole system's.
     for r, k, m in itertools.product(range(1, 5), range(1, 5), range(7)):
         payload = run_json(capsys, ["dim", "--rank", str(r), "--order", str(k), "--weight", str(m)])
-        exact = linalg.rank(invariance_system(JetSpec(r, k), m))
+        system = invariance_system(JetSpec(r, k), m)
+        exact = linalg.rank(system)
         assert payload["system_rank"] == payload["system_rank_modular"] == exact, (r, k, m)
+        assert payload["system_shape"] == [system.nrows, system.ncols], (r, k, m)
         assert payload["dimension"] == payload["num_monomials"] - exact
+
+
+def test_orbit_route_solves_dominant_blocks_only(capsys, monkeypatch):
+    # At r4k3m7, 123 of the 1,004 monomials lie in dominant torus blocks
+    # (weakly decreasing component counts); dim's one kernel sees only
+    # those, and invariant_basis takes one kernel per dominant weight.
+    seen = []
+
+    def spy(nullspace):
+        def counted(matrix):
+            seen.append(matrix.ncols)
+            return nullspace(matrix)
+        return counted
+
+    monkeypatch.setattr(cli, "nullspace", spy(cli.nullspace))
+    payload = run_json(capsys, ["dim", "--rank", "4", "--order", "3", "--weight", "7"])
+    assert payload["num_monomials"] == 1004
+    assert seen == [123]
+    seen.clear()
+    monkeypatch.setattr(invariants, "nullspace", spy(invariants.nullspace))
+    monomials = enumerate_monomials(JetSpec(4, 3), 7)
+    dominant = set()
+    for mono in monomials:
+        counts = [0] * 4
+        for v, e in mono:
+            counts[v.comp - 1] += e
+        dominant.add(tuple(sorted(counts, reverse=True)))
+    invariant_basis(JetSpec(4, 3), 7)
+    assert len(seen) == len(dominant)
+    assert sum(seen) == 123
 
 
 def test_dim_eliminates_once_per_route(capsys, monkeypatch):
@@ -103,11 +137,13 @@ def test_dim_eliminates_once_per_route(capsys, monkeypatch):
 
 
 def test_dim_exits_three_when_ranks_disagree(capsys, monkeypatch):
+    # The ranks compared are those of the dominant blocks' system, whose
+    # exact rank at r2k2m3 is 2 (the whole system's is 3).
     monkeypatch.setattr(cli, "rank_modular_check", lambda system, stop_at: stop_at - 1)
     assert main(["dim", "--rank", "2", "--order", "2", "--weight", "3", "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "jetdiff: modular rank 2 disagrees with exact rank 3\n"
+    assert captured.err == "jetdiff: modular rank 1 disagrees with exact rank 2\n"
 
 
 def test_decompose_json(capsys):
