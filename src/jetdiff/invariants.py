@@ -19,12 +19,13 @@ torus weight), so the linear system splits into one small integer block
 per torus weight.  A permutation of the components (the Weyl group of
 GL(W)) commutes with the action, so it carries each block onto the block
 of the permuted weight; only the dominant blocks, whose torus weight is
-weakly decreasing, are solved.  `invariant_basis` takes the exact kernel
-of each dominant block (`_kernel`, the one block kernel here), carries it
-to the other blocks of its orbit (`_permuted_kernel`) and merges the
-kernels in the global column order; every basis element is then
-re-verified against the fully formal action, including formal a1, before
-it is returned.
+weakly decreasing, are solved.  `invariant_basis` builds each dominant
+block on packed monomials, one bit field per jet variable, so applying
+D_s to one variable is one integer add (`_packed_derivations`), takes its
+exact kernel (`_kernel`, the one block kernel here), carries it to the
+other blocks of its orbit (`_permuted_kernel`) and merges the kernels in
+the global column order; every basis element is then re-verified against
+the fully formal action, including formal a1, before it is returned.
 
 `invariance_system` is the independent route: one constraint row per mixed
 monomial (parameters x jet variables) of the series-substitution residuals.
@@ -35,12 +36,13 @@ tests check the derivation kernel and `dim` against.
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
 component counts, the raising operator is the derivation with
-f_from^(i) -> f_to^(i) (`_derive` applies this rule and those of D1, D2),
-and for two components the decomposition into irreducibles is computed
-from per-weight kernels of raising.  Lowering after raising acts on each
-weight space of an isotypic component by a scalar that tells the
-components apart, so `irrep_partition` reads the component of every basis
-element off that scalar, with no second basis and no second solve.
+f_from^(i) -> f_to^(i) (`_derive` applies it and the lowering one; the
+packed blocks above do not use it), and for two components the
+decomposition into irreducibles is computed from per-weight kernels of
+raising.  Lowering after raising acts on each weight space of an isotypic
+component by a scalar that tells the components apart, so
+`irrep_partition` reads the component of every basis element off that
+scalar, with no second basis and no second solve.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from .poly import (
     SparsePolynomial,
     Variable,
     jet_var,
+    mono_degree,
     mono_mul,
-    mono_sort_key,
     param_var,
     substitute_all,
 )
@@ -86,6 +88,13 @@ def enumerate_monomials(spec: JetSpec, weight: int) -> List[Monomial]:
     Variables of derivative order above the weight can never occur (their
     weight alone exceeds the budget), so an order beyond the weight
     contributes nothing new.  weight 0 yields just the constant monomial.
+
+    The recursion takes the variables in global order, each exponent from
+    largest to smallest, so each monomial comes out already sorted by
+    variable and the monomials come out in decreasing lexicographic order
+    of their exponent vectors.  Within one total degree that is the
+    canonical order (`mono_sort_key`), so a stable sort on decreasing total
+    degree yields the canonical order without comparing monomials.
     """
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
@@ -94,7 +103,7 @@ def enumerate_monomials(spec: JetSpec, weight: int) -> List[Monomial]:
 
     def extend(idx: int, remaining: int, acc: List[Tuple[Variable, int]]):
         if remaining == 0:
-            results.append(tuple(sorted(acc)))
+            results.append(tuple(acc))
             return
         if idx == len(variables):
             return
@@ -108,7 +117,7 @@ def enumerate_monomials(spec: JetSpec, weight: int) -> List[Monomial]:
             else:
                 extend(idx + 1, remaining, acc)
     extend(0, weight, [])
-    results.sort(key=mono_sort_key)
+    results.sort(key=mono_degree, reverse=True)  # stable, even reversed
     return results
 
 
@@ -144,7 +153,7 @@ def _reparam_rule(spec: JetSpec, s: int) -> Dict[Variable, Tuple[Variable, int]]
 def _kernel(columns: Mapping[int, Mapping[Hashable, int]]) -> List[Dict[int, Fraction]]:
     """`nullspace` of one block: `columns` maps each column index, in
     increasing order, to its sparse integer column (rows keyed by any
-    hashable), as `_derive` computes it.
+    hashable), as `_packed_derivations` computes it.
     The kernel vectors are keyed by those column indices."""
     labels = list(columns)
     kernel = nullspace(RationalMatrix.from_columns(columns.values()))
@@ -354,7 +363,10 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     """The kernel of D1 and D2, one Weyl orbit of torus blocks at a time.
 
     Each block holds the monomials of one torus weight, in global column
-    order; its rows are the image monomials of each D_s, kept apart by s.
+    order; its rows are the image monomials of each D_s, kept apart by s,
+    as (s, packed image) with one bit field per jet variable, each as wide
+    as the weight (no exponent exceeds it).  Monomial tuples are only
+    built for the columns, which are enumerated already canonical.
     Only the dominant blocks (weakly decreasing torus weight) are solved.
     A permutation of the components commutes with D1 and D2, so it carries
     a dominant block's kernel onto the kernel of each block in its orbit;
@@ -369,29 +381,23 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     construction, not in the input, hence RuntimeError.
     """
     monomials = enumerate_monomials(spec, weight)
-    rules = [_reparam_rule(spec, s) for s in (1, 2) if s < spec.order]
+    shift, moves = _packed_moves(spec, weight)
     blocks: Dict[Tuple[int, ...], List[int]] = {}
     for col, mono in enumerate(monomials):
         blocks.setdefault(_mono_torus_weight(mono, spec.rank), []).append(col)
     kernels = {
-        torus: _kernel({
-            col: {
-                (s, image): coeff
-                for s, rule in enumerate(rules)
-                for image, coeff in _derive({monomials[col]: 1}, rule).items()
-            }
-            for col in cols
-        })
+        torus: _kernel({col: _packed_derivations(monomials[col], shift, moves) for col in cols})
         for torus, cols in blocks.items()
         if _is_dominant(torus)
     }
     column = {mono: col for col, mono in enumerate(monomials)}
+    variables = spec.jet_variables()
     keyed: List[Tuple[Dict[int, Fraction], Tuple[int, ...]]] = []
     for torus in blocks:
         kernel = kernels.get(torus)
         if kernel is None:
             dominant = tuple(sorted(torus, reverse=True))
-            kernel = _permuted_kernel(kernels[dominant], torus, monomials, column)
+            kernel = _permuted_kernel(kernels[dominant], torus, variables, monomials, column)
         keyed.extend((vec, torus) for vec in kernel)
     keyed.sort(key=lambda item: next(reversed(item[0])))
     space = InvariantSpace(
@@ -410,9 +416,53 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     return space
 
 
+def _packed_moves(
+    spec: JetSpec, weight: int
+) -> Tuple[Dict[Variable, int], List[Dict[Variable, Tuple[int, int]]]]:
+    """(shift, moves) for `_packed_derivations` at this shape and weight:
+    the jet variables in global order, each with a bit field as wide as
+    the weight, and the rules of D1 (and D2) as key changes."""
+    width = weight.bit_length()
+    shift = {v: i * width for i, v in enumerate(spec.jet_variables())}
+    moves = [
+        {v: ((1 << shift[image]) - (1 << shift[v]), factor) for v, (image, factor) in rule.items()}
+        for rule in (_reparam_rule(spec, s) for s in (1, 2) if s < spec.order)
+    ]
+    return shift, moves
+
+
+def _packed_derivations(
+    mono: Monomial,
+    shift: Mapping[Variable, int],
+    moves: Sequence[Mapping[Variable, Tuple[int, int]]],
+) -> Dict[Tuple[int, int], int]:
+    """The images of one monomial under D1 (and D2), as one sparse integer
+    column with rows (s, packed image).
+
+    A packed monomial has one bit field per jet variable, starting at
+    shift[v] and wide enough for any exponent at this weight.  moves[s]
+    maps each variable v that D_s moves to (key change, factor): taking
+    one v into its image changes the key by (1 << shift[image]) -
+    (1 << shift[v]), and the term's coefficient is e * factor for v^e.
+    Distinct variables have distinct images under one D_s, so no two
+    terms of the column share a row.
+    """
+    key = 0
+    for v, e in mono:
+        key += e << shift[v]
+    column: Dict[Tuple[int, int], int] = {}
+    for s, move in enumerate(moves):
+        for v, e in mono:
+            hit = move.get(v)
+            if hit is not None:
+                column[(s, key + hit[0])] = e * hit[1]
+    return column
+
+
 def _permuted_kernel(
     kernel: Sequence[Mapping[int, Fraction]],
     torus: Tuple[int, ...],
+    variables: Sequence[Variable],
     monomials: Sequence[Monomial],
     column: Mapping[Monomial, int],
 ) -> List[Dict[int, Fraction]]:
@@ -421,19 +471,25 @@ def _permuted_kernel(
 
     The permutation sending component j to the position of the j-th
     largest entry of `torus` (ties in index order) carries the dominant
-    block onto this one; `column` maps each permuted monomial back to its
-    global column.  The permuted vectors span the kernel here.  Reducing
-    them with the pivot at each one's last nonzero column (`_eliminate` on
-    negated column labels) gives one vector per free column, 1 there and 0
-    at the other free columns, which `_canonical_vector` scales as
-    `nullspace` does.
+    block onto this one; it is applied to each of `variables` once, and
+    `column` maps each permuted monomial back to its global column.  The
+    permuted vectors span the kernel here.  A one-vector kernel is the
+    permuted vector itself: its integer entries keep content 1, so only
+    the sign of its leading entry can be wrong, which `_canonical_vector`
+    fixes.  Otherwise, reducing the vectors with the pivot at each one's
+    last nonzero column (`_eliminate` on negated column labels) gives one
+    vector per free column, 1 there and 0 at the other free columns,
+    which `_canonical_vector` scales as `nullspace` does.
     """
     target = [0] + [j + 1 for j in sorted(range(len(torus)), key=lambda j: -torus[j])]
-    negated: Dict[int, int] = {}
-    for c in {c for vec in kernel for c in vec}:
-        image = sorted((jet_var(target[v.comp], v.order), e) for v, e in monomials[c])
-        negated[c] = -column[tuple(image)]
-    rows, _ = _eliminate([{negated[c]: value for c, value in vec.items()} for vec in kernel])
+    moved = {v: jet_var(target[v.comp], v.order) for v in variables}
+    image = {
+        c: column[tuple(sorted((moved[v], e) for v, e in monomials[c]))]
+        for c in {c for vec in kernel for c in vec}
+    }
+    if len(kernel) == 1:
+        return [_canonical_vector(dict(sorted((image[c], value) for c, value in kernel[0].items())))]
+    rows, _ = _eliminate([{-image[c]: value for c, value in vec.items()} for vec in kernel])
     return [_canonical_vector({-c: row[c] for c in sorted(row, reverse=True)}) for row in rows]
 
 

@@ -59,6 +59,7 @@ output stays byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
@@ -172,13 +173,15 @@ def mono_from_pairs(pairs: Iterable[Tuple[Variable, int]]) -> Monomial:
     return tuple(sorted((v, e) for v, e in acc.items() if e))
 
 
+@lru_cache(maxsize=4096)
+def _factor_str(factor: Tuple[Variable, int]) -> str:
+    """One printed factor such as f1'^3, formatted once per (variable, exponent)."""
+    v, e = factor
+    return v.name if e == 1 else f"{v.name}^{e}"
+
+
 def mono_str(m: Monomial) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for v, e in m:
-        parts.append(v.name if e == 1 else f"{v.name}^{e}")
-    return "*".join(parts)
+    return "*".join(map(_factor_str, m)) if m else "1"
 
 
 Scalar = Union[int, Fraction]
@@ -409,18 +412,17 @@ class SparsePolynomial:
         if not self.terms:
             return "0"
         chunks = []
-        for i, (mono, coeff) in enumerate(self.sorted_terms()):
-            mag = coeff if coeff > 0 else -coeff
+        for mono, coeff in self.sorted_terms():
+            num, den = coeff.numerator, coeff.denominator
+            chunks.append(" - " if num < 0 else " + ")
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono_str(mono)
+                chunks.append(mag)
+            elif mag == "1":
+                chunks.append(mono_str(mono))
             else:
-                body = f"{mag}*{mono_str(mono)}"
-            if i == 0:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
+                chunks.append(f"{mag}*{mono_str(mono)}")
+        chunks[0] = "-" if chunks[0] == " - " else ""  # the first separator is a sign
         return "".join(chunks)
 
     def __repr__(self) -> str:

@@ -287,6 +287,11 @@ GOLDEN_CASES = [
         "basis_r2_k4_m10.json",
         ["basis", "--rank", "2", "--order", "4", "--weight", "10"],
     ),
+    # rank 4: the orbit copies include one-vector and two-vector kernels
+    (
+        "basis_r4_k3_m4.json",
+        ["basis", "--rank", "4", "--order", "3", "--weight", "4"],
+    ),
 ]
 
 

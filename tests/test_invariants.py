@@ -12,6 +12,8 @@ from jetdiff import invariants, linalg
 from jetdiff.invariants import (
     IrrepLabel,
     _derive,
+    _packed_derivations,
+    _packed_moves,
     _reparam_rule,
     decompose,
     dominant_system,
@@ -31,6 +33,7 @@ from jetdiff.poly import (
     base_var,
     jet_var,
     mono_from_pairs,
+    mono_sort_key,
     param_var,
 )
 
@@ -85,15 +88,18 @@ def brute_force_monomials(spec, weight):
 
 
 def test_enumerate_monomials_against_brute_force():
-    for rank_ in (1, 2):
-        for order in (1, 2, 3):
-            spec = JetSpec(rank_, order)
-            for weight in range(0, 7):
-                monos = enumerate_monomials(spec, weight)
-                assert len(set(monos)) == len(monos)
-                assert set(monos) == brute_force_monomials(spec, weight)
-                for m in monos:
-                    assert mono_weight(m) == weight
+    cases = [(rank_, order, weight) for rank_ in (1, 2) for order in (1, 2, 3) for weight in range(7)]
+    cases += [(3, order, weight) for order in (1, 2, 3) for weight in range(5)]
+    cases += [(4, order, weight) for order in (1, 2, 3) for weight in range(4)]
+    for rank_, order, weight in cases:
+        spec = JetSpec(rank_, order)
+        monos = enumerate_monomials(spec, weight)
+        assert len(set(monos)) == len(monos)
+        assert set(monos) == brute_force_monomials(spec, weight)
+        # the canonical column order, however the enumeration produces it
+        assert monos == sorted(monos, key=mono_sort_key)
+        for m in monos:
+            assert mono_weight(m) == weight
 
 
 # ---- the constraint system and its nullspace ----
@@ -219,6 +225,26 @@ def test_derivation_is_first_order_term_of_reparametrization():
                 image = q.substitute(bindings).collect([eps])
                 first = image.get(((eps, 1),), SparsePolynomial.zero())
                 assert derivation(q, spec, s) == first
+
+
+def test_packed_derivations_match_derive():
+    # The packed block columns of invariant_basis are D1 and D2 of one
+    # monomial: unpacking each row, one field as wide as the weight per
+    # variable, gives the images of the checked rule above.
+    for r, k, m in [(1, 4, 7), (1, 3, 8), (2, 4, 8), (3, 3, 6), (4, 2, 5)]:
+        spec = JetSpec(r, k)
+        shift, moves = _packed_moves(spec, m)
+        mask = (1 << m.bit_length()) - 1
+        for mono in enumerate_monomials(spec, m):
+            expected = {}
+            for s in range(len(moves)):
+                image = derivation(SparsePolynomial.monomial(mono), spec, s + 1)
+                expected.update({(s, out): coeff for out, coeff in image.terms.items()})
+            unpacked = {
+                (s, tuple((v, key >> at & mask) for v, at in shift.items() if key >> at & mask)): c
+                for (s, key), c in _packed_derivations(mono, shift, moves).items()
+            }
+            assert unpacked == expected
 
 
 def test_dimension_table_with_modular_cross_check():

@@ -298,6 +298,12 @@ def test_string_rendering():
     assert str(f1p ** 3 + Fraction(2, 3) * f2p ** 3) == "f1'^3 + 2/3*f2'^3"
     assert str(-var(X) + 1) == "-z1 + 1"
     assert str(var(param_var(2)) * 2) == "2*a2"
+    # signs and magnitudes the printer reads off numerator and denominator
+    assert str(Fraction(-3, 4) * f1p ** 2 - f2p) == "-3/4*f1'^2 - f2'"
+    assert str(f1p - f2p ** 2) == "-f2'^2 + f1'"
+    assert str(-f1p + 2) == "-f1' + 2"
+    assert str(f1p ** 2 - Fraction(5, 2)) == "f1'^2 - 5/2"
+    assert str(SparsePolynomial.constant(Fraction(-1, 2))) == "-1/2"
 
 
 def test_poly_sum_matches_loop():
