@@ -17,6 +17,7 @@ from .invariants import (
     enumerate_monomials,
     invariance_system,
     invariant_basis,
+    invariant_dimension,
     irrep_partition,
     mono_weight,
     raising_action,
@@ -88,6 +89,7 @@ __all__ = [
     "enumerate_monomials",
     "invariance_system",
     "invariant_basis",
+    "invariant_dimension",
     "invert_reparam",
     "irrep_partition",
     "jet_var",

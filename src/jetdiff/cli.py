@@ -28,15 +28,15 @@ from .invariants import (
     InvariantSpace,
     IrrepLabel,
     decompose,
-    dominant_system,
     invariance_system,  # noqa: F401  perfbench's tracer wraps this name
     invariant_basis,
+    invariant_dimension,
     irrep_partition,
     verify_invariance,
 )
 from .jets import JetSpec
-from .linalg import nullspace, rank_modular_check
 from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
+from .linalg import rank_modular_check  # noqa: F401  perfbench's tracer wraps this name
 from .parsing import ParseError, parse_map, parse_polynomial
 from .transitions import (
     SplittingVerdict,
@@ -222,37 +222,15 @@ def _basis_text(payload: Dict) -> str:
 
 
 def _cmd_dim(args) -> int:
-    """Dimension from the series-substitution system, solved on the
-    dominant torus blocks only (`dominant_system`).
-
-    Every other block is a permuted copy of the dominant block of its
-    orbit, so the whole system's row count, kernel size and rank are sums
-    over the dominant rows and kernel vectors weighted by orbit size; a
-    kernel vector lies in the block of its free column (its last key), a
-    row in the block of any of its columns.  The modular rank of each
-    block is at most its exact rank and a permuted block has the same
-    entries, so equality on the dominant system forces equality on every
-    block, and the whole system's modular rank is then its exact rank.
-    """
-    spec = _spec(args)
-    system, orbit, num_monomials = dominant_system(spec, args.weight)
-    # nullspace checks every vector exactly, so it has one per free column over Q
-    kernel = nullspace(system)
-    exact = system.ncols - len(kernel)
-    modular = rank_modular_check(system, stop_at=exact)
-    if modular != exact:
-        raise RuntimeError(
-            f"modular rank {modular} disagrees with exact rank {exact}"
-        )
-    dimension = sum(orbit[next(reversed(vec))] for vec in kernel)
+    counts = invariant_dimension(_spec(args), args.weight)
     payload = {
-        "spec": {"rank": spec.rank, "order": spec.order},
+        "spec": {"rank": args.rank, "order": args.order},
         "weight": args.weight,
-        "num_monomials": num_monomials,
-        "system_shape": [sum(orbit[next(iter(row))] for row in system.rows), num_monomials],
-        "system_rank": num_monomials - dimension,
-        "system_rank_modular": num_monomials - dimension,
-        "dimension": dimension,
+        "num_monomials": counts.num_monomials,
+        "system_shape": [counts.rows, counts.num_monomials],
+        "system_rank": counts.rank,
+        "system_rank_modular": counts.rank,
+        "dimension": counts.dimension,
     }
     _emit(args, payload, _dim_text, f"dim_r{args.rank}_k{args.order}_m{args.weight}")
     return 0

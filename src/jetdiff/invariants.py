@@ -29,9 +29,9 @@ the fully formal action, including formal a1, before it is returned.
 
 `invariance_system` is the independent route: one constraint row per mixed
 monomial (parameters x jet variables) of the series-substitution residuals.
-`dim` solves it on the dominant blocks (`dominant_system`) and weights
-each block by its orbit size; the whole system is the reference that the
-tests check the derivation kernel and `dim` against.
+`invariant_dimension` solves it one dominant block at a time, weighting
+each by its orbit size; the whole system is the reference that the tests
+check the derivation kernel and `invariant_dimension` against.
 
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
@@ -51,11 +51,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
-from .linalg import RationalMatrix, _canonical_vector, _eliminate, nullspace, solve_in_span
+from .linalg import RationalMatrix, _canonical_vector, _eliminate, nullspace, rank_modular_check
 from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
+from .linalg import solve_in_span
 from .poly import (
     JET,
     Monomial,
@@ -192,30 +193,48 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     return _substitution_system(spec, enumerate_monomials(spec, weight))
 
 
-def dominant_system(spec: JetSpec, weight: int) -> Tuple[RationalMatrix, List[int], int]:
-    """`invariance_system` restricted to its dominant torus blocks.
+class InvariantDimension(NamedTuple):
+    """The counts of `invariance_system` that `invariant_dimension` returns."""
 
-    Returns (system, orbit, n): the system on the weight-m monomials whose
-    torus weight is weakly decreasing, in global column order; orbit[j],
-    the number of torus weights in the Weyl orbit of column j's weight;
-    and n, the number of all weight-m monomials.
+    num_monomials: int  # its columns
+    rows: int
+    rank: int
+    dimension: int  # its kernel size, num_monomials - rank
 
-    The unipotent action keeps each component's variables, so every row
-    of `invariance_system` has its entries in one torus block.  A
-    permutation of the components commutes with that action, so it
-    carries the block of weight w onto the block of the permuted weight,
-    permuting rows and columns.  Each block is therefore a copy of the
-    dominant block of its orbit, with the same rows, rank and kernel size.
+
+def invariant_dimension(spec: JetSpec, weight: int) -> InvariantDimension:
+    """The shape, rank and kernel size of `invariance_system`, solved one
+    dominant torus block at a time, the blocks `invariant_basis` solves.
+
+    Every row of `invariance_system` lies in one torus block, since the
+    unipotent action keeps each component's variables, and a permutation
+    of the components carries the block of weight w onto that of the
+    permuted weight.  So each block is a copy of the dominant block of its
+    orbit, rows, rank and kernel size included, and the whole system's
+    counts are the dominant blocks' weighted by orbit size.  A block's
+    exact rank is its columns minus its kernel size (`nullspace` checks
+    every vector exactly); its modular rank, at most that, must reach it,
+    else RuntimeError names the first block that disagrees.  A permuted
+    block has the same entries, so the whole system's modular rank is then
+    its exact rank.  One block's system is held at a time.
     """
     monomials = enumerate_monomials(spec, weight)
-    dominant: List[Monomial] = []
-    orbit: List[int] = []
-    for mono in monomials:
-        torus = _mono_torus_weight(mono, spec.rank)
-        if _is_dominant(torus):
-            dominant.append(mono)
-            orbit.append(_orbit_size(torus))
-    return _substitution_system(spec, dominant), orbit, len(monomials)
+    rows = rank = 0
+    for torus, cols in _torus_blocks(_mono_torus_weight(m, spec.rank) for m in monomials).items():
+        if not _is_dominant(torus):
+            continue
+        system = _substitution_system(spec, [monomials[col] for col in cols])
+        exact = system.ncols - len(nullspace(system))
+        modular = rank_modular_check(system, stop_at=exact)
+        if modular != exact:
+            raise RuntimeError(
+                f"modular rank {modular} disagrees with exact rank {exact} "
+                f"in torus block {torus}"
+            )
+        orbit = _orbit_size(torus)
+        rows += orbit * system.nrows
+        rank += orbit * exact
+    return InvariantDimension(len(monomials), rows, rank, len(monomials) - rank)
 
 
 class InvarianceVerdict(NamedTuple):
@@ -382,9 +401,7 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     """
     monomials = enumerate_monomials(spec, weight)
     shift, moves = _packed_moves(spec, weight)
-    blocks: Dict[Tuple[int, ...], List[int]] = {}
-    for col, mono in enumerate(monomials):
-        blocks.setdefault(_mono_torus_weight(mono, spec.rank), []).append(col)
+    blocks = _torus_blocks(_mono_torus_weight(mono, spec.rank) for mono in monomials)
     kernels = {
         torus: _kernel({col: _packed_derivations(monomials[col], shift, moves) for col in cols})
         for torus, cols in blocks.items()
@@ -493,6 +510,14 @@ def _permuted_kernel(
     return [_canonical_vector({-c: row[c] for c in sorted(row, reverse=True)}) for row in rows]
 
 
+def _torus_blocks(weights: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:
+    """{torus weight: [index]}, the weights in order of first appearance."""
+    blocks: Dict[Tuple[int, ...], List[int]] = {}
+    for idx, torus in enumerate(weights):
+        blocks.setdefault(torus, []).append(idx)
+    return blocks
+
+
 def _mono_torus_weight(mono: Monomial, rank: int) -> Tuple[int, ...]:
     """Component-count vector (d1..dr) of one jet monomial."""
     counts = [0] * rank
@@ -534,13 +559,6 @@ def raising_action(
     return SparsePolynomial(_derive(q.terms, rule))
 
 
-def _weight_blocks(space: InvariantSpace) -> Dict[Tuple[int, ...], List[int]]:
-    blocks: Dict[Tuple[int, ...], List[int]] = {}
-    for idx, wt in enumerate(space.torus_weights()):
-        blocks.setdefault(wt, []).append(idx)
-    return blocks
-
-
 def decompose(space: InvariantSpace) -> List[IrrepLabel]:
     """Multiplicities of irreducible constituents for two components.
 
@@ -575,7 +593,7 @@ def _highest_weight_vectors(
     except ValueError as exc:
         raise RuntimeError(f"raising operator left the invariant span: {exc}") from exc
     labels: List[IrrepLabel] = []
-    for wt, idxs in sorted(_weight_blocks(space).items(), reverse=True):
+    for wt, idxs in sorted(_torus_blocks(space.torus_weights()).items(), reverse=True):
         kernel = _kernel({idx: coords[idx] for idx in idxs})
         if not kernel:
             continue

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jetdiff
-from jetdiff import cli, invariants, linalg
+from jetdiff import invariants, linalg
 from jetdiff.cli import _digest, main
 from jetdiff.invariants import enumerate_monomials, invariance_system, invariant_basis
 from jetdiff.jets import JetSpec
@@ -91,39 +91,44 @@ def test_dim_rank_matches_fraction_rank(capsys):
         assert payload["dimension"] == payload["num_monomials"] - exact
 
 
-def test_orbit_route_solves_dominant_blocks_only(capsys, monkeypatch):
-    # At r4k3m7, 123 of the 1,004 monomials lie in dominant torus blocks
-    # (weakly decreasing component counts); dim's one kernel sees only
-    # those, and invariant_basis takes one kernel per dominant weight.
-    seen = []
-
-    def spy(nullspace):
-        def counted(matrix):
-            seen.append(matrix.ncols)
-            return nullspace(matrix)
-        return counted
-
-    monkeypatch.setattr(cli, "nullspace", spy(cli.nullspace))
-    payload = run_json(capsys, ["dim", "--rank", "4", "--order", "3", "--weight", "7"])
-    assert payload["num_monomials"] == 1004
-    assert seen == [123]
-    seen.clear()
-    monkeypatch.setattr(invariants, "nullspace", spy(invariants.nullspace))
-    monomials = enumerate_monomials(JetSpec(4, 3), 7)
+def dominant_weights(spec, m):
+    """The sorted component counts of the weight-m monomials."""
     dominant = set()
-    for mono in monomials:
-        counts = [0] * 4
+    for mono in enumerate_monomials(spec, m):
+        counts = [0] * spec.rank
         for v, e in mono:
             counts[v.comp - 1] += e
         dominant.add(tuple(sorted(counts, reverse=True)))
+    return dominant
+
+
+def test_orbit_route_solves_dominant_blocks_only(capsys, monkeypatch):
+    # At r4k3m7, 123 of the 1,004 monomials lie in dominant torus blocks
+    # (weakly decreasing component counts).  dim and invariant_basis both
+    # take one kernel per dominant weight, on the same blocks, so no dim
+    # matrix is wider than its largest block.
+    seen = []
+    nullspace = invariants.nullspace
+
+    def counted(matrix):
+        seen.append(matrix.ncols)
+        return nullspace(matrix)
+
+    monkeypatch.setattr(invariants, "nullspace", counted)
+    payload = run_json(capsys, ["dim", "--rank", "4", "--order", "3", "--weight", "7"])
+    assert payload["num_monomials"] == 1004
+    from_dim = list(seen)
+    seen.clear()
     invariant_basis(JetSpec(4, 3), 7)
-    assert len(seen) == len(dominant)
+    assert from_dim == seen
+    assert len(seen) == len(dominant_weights(JetSpec(4, 3), 7))
     assert sum(seen) == 123
 
 
 def test_dim_eliminates_once_per_route(capsys, monkeypatch):
-    # One kernel modulo 2**61 - 1, then one 31-bit rank that already
-    # reaches the exact rank: no Fraction elimination, no second prime.
+    # Per dominant block, one kernel modulo 2**61 - 1, then one 31-bit rank
+    # that already reaches the exact rank: no Fraction elimination, no
+    # second prime.
     primes = []
     eliminate = linalg._eliminate
 
@@ -133,17 +138,26 @@ def test_dim_eliminates_once_per_route(capsys, monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     run_json(capsys, ["dim", "--rank", "2", "--order", "4", "--weight", "12"])
-    assert primes == [2**61 - 1, linalg._DEFAULT_PRIMES[0]]
+    blocks = len(dominant_weights(JetSpec(2, 4), 12))
+    assert blocks == 45
+    assert primes == [2**61 - 1, linalg._DEFAULT_PRIMES[0]] * blocks
 
 
 def test_dim_exits_three_when_ranks_disagree(capsys, monkeypatch):
-    # The ranks compared are those of the dominant blocks' system, whose
-    # exact rank at r2k2m3 is 2 (the whole system's is 3).
-    monkeypatch.setattr(cli, "rank_modular_check", lambda system, stop_at: stop_at - 1)
+    # The ranks compared are those of one dominant block at a time.  At
+    # r2k2m3 the blocks of degree 3 have rank 0, so with a modular rank
+    # one short of every nonzero exact rank, the first to disagree is
+    # (2, 0), of exact rank 1 (the whole system's is 3).
+    def short(system, stop_at):
+        return max(stop_at - 1, 0)
+
+    monkeypatch.setattr(invariants, "rank_modular_check", short)
     assert main(["dim", "--rank", "2", "--order", "2", "--weight", "3", "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "jetdiff: modular rank 1 disagrees with exact rank 2\n"
+    assert captured.err == (
+        "jetdiff: modular rank 0 disagrees with exact rank 1 in torus block (2, 0)\n"
+    )
 
 
 def test_decompose_json(capsys):

@@ -16,10 +16,10 @@ from jetdiff.invariants import (
     _packed_moves,
     _reparam_rule,
     decompose,
-    dominant_system,
     enumerate_monomials,
     invariance_system,
     invariant_basis,
+    invariant_dimension,
     irrep_partition,
     mono_weight,
     raising_action,
@@ -179,9 +179,9 @@ def test_modular_kernels_match_fraction_kernels(monkeypatch):
 
 def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
     # A fallback keeps the bytes but loses the speed, so only this spy
-    # sees it: the benchmark's basis shapes, and the whole and the
-    # dominant-block systems behind its dim shapes, must stay on the
-    # modular route.
+    # sees it: the benchmark's basis shapes, and the whole system and
+    # the dominant blocks behind its dim shapes, must stay on the modular
+    # route.
     def no_fallback(matrix):
         raise AssertionError("nullspace fell back to Fraction elimination")
 
@@ -191,7 +191,7 @@ def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
             invariant_basis(JetSpec(r, k), m)
         for r, k, m in [(2, 4, 10), (2, 4, 12)]:
             nullspace(invariance_system(JetSpec(r, k), m))
-            nullspace(dominant_system(JetSpec(r, k), m)[0])
+            invariant_dimension(JetSpec(r, k), m)
     assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
 
 
