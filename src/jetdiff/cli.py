@@ -290,7 +290,7 @@ def _verify_text(payload: Dict) -> str:
 
 def _cmd_transition(args) -> int:
     spec = _spec(args)
-    psi = parse_map(args.map, spec.rank, spec.order)
+    psi = parse_map(args.map, spec.rank)
     point = _parse_point(args.point, spec.rank)
     space = invariant_basis(spec, args.weight)
     tm = differential_transition(space, psi, point)
@@ -366,7 +366,7 @@ def _associated_text(payload: Dict) -> str:
 
 
 def _cmd_v1(args) -> int:
-    psi = parse_map(args.map, 2, 2)
+    psi = parse_map(args.map, 2)
     point = _parse_point(args.point, 2)
     slope = _fraction(args.slope, 1)
     matrix, flag = v1_frame_transition(psi, point, slope)

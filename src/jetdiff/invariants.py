@@ -162,11 +162,10 @@ def _kernel(columns: Mapping[int, Mapping[Hashable, int]]) -> List[Dict[int, Fra
 
 
 @lru_cache(maxsize=16)
-def _formal_action(rank: int, order: int, unipotent: bool) -> Mapping[Variable, SparsePolynomial]:
+def _formal_action(spec: JetSpec, unipotent: bool) -> Mapping[Variable, SparsePolynomial]:
     """jet variable -> its image under the formal action (a1 = 1 when
     unipotent), computed once per shape and shared read-only."""
-    spec = JetSpec(rank, order, allow_large=True)
-    moved = act_reparam(JetPoint.formal(spec), ReparamJet.formal(order, unipotent))
+    moved = act_reparam(JetPoint.formal(spec), ReparamJet.formal(spec.order, unipotent))
     return MappingProxyType(moved.bindings())
 
 
@@ -174,7 +173,7 @@ def _substitution_system(spec: JetSpec, monomials: Sequence[Monomial]) -> Ration
     """The series-substitution constraints on the given columns: one row
     per mixed monomial (parameters and jet variables together) of their
     residuals, in order of first appearance."""
-    bindings = _formal_action(spec.rank, spec.order, True)
+    bindings = _formal_action(spec, True)
     images = substitute_all([SparsePolynomial.monomial(m) for m in monomials], bindings)
     for m, image in zip(monomials, images):
         del image.terms[m]  # the a-free part of the image, m itself; the dict is fresh
@@ -260,7 +259,7 @@ def verify_invariance(q: SparsePolynomial, spec: JetSpec) -> InvarianceVerdict:
 def _verify_all(polys: Sequence[SparsePolynomial], spec: JetSpec) -> List[InvarianceVerdict]:
     """`verify_invariance` for a batch, with one substitution call."""
     weights = [_homogeneous_weight(q, spec) for q in polys]
-    images = substitute_all(polys, _formal_action(spec.rank, spec.order, False))
+    images = substitute_all(polys, _formal_action(spec, False))
     a1 = param_var(1)
     verdicts = []
     for q, weight, image in zip(polys, weights, images):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (
     BASE,
@@ -87,41 +87,39 @@ def _as_poly(x: PolyLike) -> SparsePolynomial:
 class ReparamJet:
     """A k-jet of a source reparametrization, phi(t) = sum a_i t^i.
 
-    Coefficients are polynomials in formal parameters; rational input is
-    stored as constants.  The leading coefficient must be nonzero; when
-    it is not constant its invertibility cannot be decided here and is
-    checked at the point of use (inversion requires a numeric leading
-    coefficient).
+    The order k is the number of coefficients a_1..a_k.  Coefficients are
+    polynomials in formal parameters; rational input is stored as
+    constants.  The leading coefficient must be nonzero; when it is not
+    constant its invertibility cannot be decided here and is checked at
+    the point of use (inversion requires a numeric leading coefficient).
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Sequence):
-        if order < 1:
-            raise ValueError(f"reparametrization order must be >= 1, got {order}")
+    def __init__(self, coeffs: Sequence):
         coeffs = tuple(_as_poly(c) for c in coeffs)
-        if len(coeffs) != order:
-            raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
+        if not coeffs:
+            raise ValueError("a reparametrization needs at least the coefficient a1")
         if not coeffs[0]:
             raise ValueError("leading coefficient a1 must be nonzero")
-        self.order = order
+        self.order = len(coeffs)
         self.coeffs = coeffs
 
     @classmethod
     def identity(cls, order: int) -> "ReparamJet":
-        return cls(order, [_ONE] + [_ZERO] * (order - 1))
+        return cls([_ONE] + [_ZERO] * (order - 1))
 
     @classmethod
     def formal(cls, order: int, unipotent: bool = False) -> "ReparamJet":
         """Fully formal phi; with unipotent=True the leading coefficient is 1."""
         lead = _ONE if unipotent else SparsePolynomial.variable(param_var(1))
         tail = [SparsePolynomial.variable(param_var(i)) for i in range(2, order + 1)]
-        return cls(order, [lead] + tail)
+        return cls([lead] + tail)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReparamJet):
             return NotImplemented
-        return self.order == other.order and list(self.coeffs) == list(other.coeffs)
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         parts = []
@@ -227,7 +225,7 @@ def compose_reparam(outer: ReparamJet, inner: ReparamJet) -> ReparamJet:
         raise ValueError(f"order mismatch: {outer.order} vs {inner.order}")
     outer_t, inner_t = (_series([_ZERO, *phi.coeffs]) for phi in (outer, inner))
     (composed,) = substitute_all([outer_t], {_T: inner_t}, truncate=(_T, outer.order))
-    return ReparamJet(outer.order, _coefficients(composed, outer.order))
+    return ReparamJet(_coefficients(composed, outer.order))
 
 
 def invert_reparam(phi: ReparamJet) -> ReparamJet:
@@ -247,10 +245,10 @@ def invert_reparam(phi: ReparamJet) -> ReparamJet:
     k = phi.order
     b = [_ONE / a1] + [_ZERO] * (k - 1)
     for n in range(2, k + 1):
-        partial = ReparamJet(k, b)
+        partial = ReparamJet(b)
         c = compose_reparam(phi, partial).coeffs[n - 1]
         b[n - 1] = c * (Fraction(-1) / a1)
-    return ReparamJet(k, b)
+    return ReparamJet(b)
 
 
 def act_reparam(jet: JetPoint, phi: ReparamJet) -> JetPoint:
@@ -271,18 +269,18 @@ def act_reparam(jet: JetPoint, phi: ReparamJet) -> JetPoint:
 class TargetMap:
     """A polynomial coordinate change on the target: w_j = psi_j(z1..zr).
 
-    `order` is the highest jet order the map may move (act_target rejects
-    a jet of higher order).  Components are kept exactly as given: a term
-    of any degree reaches the jets at a nonzero basepoint.
+    The rank r is the number of components.  A map has no jet order: it
+    moves jets of every order, and `act_target` truncates at the jet's.
+    Components are kept exactly as given: a term of any degree reaches
+    the jets at a nonzero basepoint.
     """
 
-    __slots__ = ("rank", "order", "components")
+    __slots__ = ("rank", "components")
 
-    def __init__(self, rank: int, order: int, components: Sequence[SparsePolynomial]):
-        if rank < 1 or order < 1:
-            raise ValueError(f"rank and order must be >= 1, got ({rank}, {order})")
-        if len(components) != rank:
-            raise ValueError(f"expected {rank} components, got {len(components)}")
+    def __init__(self, components: Sequence[SparsePolynomial]):
+        rank = len(components)
+        if rank < 1:
+            raise ValueError("a target map needs at least one component")
         comps = []
         for c in components:
             poly = _as_poly(c)
@@ -291,16 +289,16 @@ class TargetMap:
                     raise ValueError(f"component uses non-base variable {v.name}")
             comps.append(poly)
         self.rank = rank
-        self.order = order
         self.components = tuple(comps)
 
     @classmethod
-    def identity(cls, rank: int, order: int) -> "TargetMap":
-        return cls(rank, order, [SparsePolynomial.variable(base_var(j)) for j in range(1, rank + 1)])
+    def identity(cls, rank: int) -> "TargetMap":
+        return cls([SparsePolynomial.variable(base_var(j)) for j in range(1, rank + 1)])
 
     @classmethod
-    def linear(cls, matrix: Sequence[Sequence], order: int) -> "TargetMap":
-        """The map w = matrix * z."""
+    def linear(cls, matrix: Sequence[Sequence], order: Optional[int] = None) -> "TargetMap":
+        """The map w = matrix * z.  A second argument is accepted and ignored:
+        a map has no jet order."""
         rank = len(matrix)
         comps = []
         for row in matrix:
@@ -310,7 +308,7 @@ class TargetMap:
             for l, v in enumerate(row, start=1):
                 comp = comp + SparsePolynomial.variable(base_var(l)) * Fraction(v)
             comps.append(comp)
-        return cls(rank, order, comps)
+        return cls(comps)
 
     def evaluate(self, point: Sequence) -> Tuple[Fraction, ...]:
         values = {base_var(l): Fraction(v) for l, v in enumerate(point, start=1)}
@@ -354,16 +352,12 @@ class TargetMap:
             base_var(l): inner.components[l - 1] for l in range(1, self.rank + 1)
         }
         comps = [c.substitute(bindings) for c in self.components]
-        return TargetMap(self.rank, max(self.order, inner.order), comps)
+        return TargetMap(comps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TargetMap):
             return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.order == other.order
-            and self.components == other.components
-        )
+        return self.components == other.components
 
     def __str__(self) -> str:
         return "; ".join(f"w{j} = {c}" for j, c in enumerate(self.components, start=1))
@@ -377,17 +371,14 @@ def act_target(jet: JetPoint, psi: TargetMap, basepoint: Sequence) -> JetPoint:
     of f into psi and read off derivatives.
 
     The basepoint supplies the constant terms of the expansion (f(0) = x);
-    entries of the result are the raw derivatives of psi o f at 0.  A
-    map that is singular at the basepoint still gives a well-defined jet;
-    callers that need a fiber isomorphism check the Jacobian themselves.
+    entries of the result are the raw derivatives of psi o f at 0, up to
+    the jet's order, whatever the degree of psi.  A map that is singular
+    at the basepoint still gives a well-defined jet; callers that need a
+    fiber isomorphism check the Jacobian themselves.
     """
     spec = jet.spec
     if psi.rank != spec.rank:
         raise ValueError(f"rank mismatch: jet {spec.rank} vs map {psi.rank}")
-    if psi.order < spec.order:
-        raise ValueError(
-            f"map prepared for order {psi.order} cannot move an order-{spec.order} jet"
-        )
     if len(basepoint) != spec.rank:
         raise ValueError(f"basepoint needs {spec.rank} coordinates")
     point = [_as_poly(v) for v in basepoint]

@@ -272,8 +272,8 @@ def parse_polynomial(text: str, spec: JetSpec) -> SparsePolynomial:
     return parser.parse_full()
 
 
-def parse_map(text: str, rank: int, order: int) -> TargetMap:
-    """Parse "w1 = ...; w2 = ..." into a TargetMap for jets up to `order`.
+def parse_map(text: str, rank: int) -> TargetMap:
+    """Parse "w1 = ...; w2 = ..." into a TargetMap of the given rank.
 
     Every component w1..w<rank> must be assigned exactly once; components
     are kept exactly, terms of every degree included.
@@ -307,5 +307,5 @@ def parse_map(text: str, rank: int, order: int) -> TargetMap:
             parser.tokens[-1].line,
             parser.tokens[-1].column,
         )
-    return TargetMap(rank, order, [components[j] for j in range(1, rank + 1)])
+    return TargetMap([components[j] for j in range(1, rank + 1)])
 

@@ -216,12 +216,12 @@ def v1_frame_transition(
     frame by the returned 2x2 matrix: column 1 is the image of the
     vertical vector, column 2 the image of the lift.
 
-    The entries are read off the formal 2-jet moved by psi (so psi must
-    be prepared for order 2).  With J its order-1 block, (D, N) = J (1, xi)
-    and (P1, P2) its order-2 block at f' = (1, xi), f'' = 0, the image
-    slope is N/D and the matrix is ((det J / D^2, (P2 D - N P1) / D^2),
-    (0, D)).  Only entry (1,2) holds second derivatives of psi, so the
-    returned flag, whether any of them entered, is whether it is nonzero.
+    The entries are read off the formal 2-jet moved by psi.  With J its
+    order-1 block, (D, N) = J (1, xi) and (P1, P2) its order-2 block at
+    f' = (1, xi), f'' = 0, the image slope is N/D and the matrix is
+    ((det J / D^2, (P2 D - N P1) / D^2), (0, D)).  Only entry (1,2) holds
+    second derivatives of psi, so the returned flag, whether any of them
+    entered, is whether it is nonzero.
     Raises when the Jacobian is singular or when the image direction
     leaves the first-component chart (D = 0).
     """

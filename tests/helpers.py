@@ -175,7 +175,7 @@ def reference_raising(q, from_comp, to_comp):
 
 def random_reparam(rng, order):
     coeffs = [nonzero_rational(rng)] + [rational(rng) for _ in range(order - 1)]
-    return ReparamJet(order, coeffs)
+    return ReparamJet(coeffs)
 
 
 def random_jet(rng, spec):
@@ -193,7 +193,7 @@ def random_invertible(rng, n, lo=-4, hi=4, max_den=2):
             return rows
 
 
-def random_target_map(rng, rank, order, degree=2, points=((0, 0),)):
+def random_target_map(rng, rank, degree=2, points=((0, 0),)):
     """A random polynomial coordinate change whose Jacobian is invertible.
 
     The Jacobian is checked at every point in `points`; candidates failing
@@ -215,6 +215,6 @@ def random_target_map(rng, rank, order, degree=2, points=((0, 0),)):
                 for z in zs:
                     p = p + SparsePolynomial.variable(z) ** 3 * rational(rng, -2, 2, 1)
             comps.append(p)
-        psi = TargetMap(rank, order, comps)
+        psi = TargetMap(comps)
         if all(dense_rank(psi.jacobian(pt)) == rank for pt in points):
             return psi

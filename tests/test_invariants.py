@@ -211,7 +211,7 @@ def test_derivation_is_first_order_term_of_reparametrization():
                 continue
             coeffs = [1] + [0] * (k - 1)
             coeffs[s] = var(eps)
-            moved = act_reparam(JetPoint.formal(spec), ReparamJet(k, coeffs))
+            moved = act_reparam(JetPoint.formal(spec), ReparamJet(coeffs))
             bindings = {}
             for i in range(1, k + 1):
                 for j in (1, 2):

@@ -28,9 +28,9 @@ def var(v):
     return SparsePolynomial.variable(v)
 
 
-def shear_map(order=2):
+def shear_map():
     z1, z2 = var(base_var(1)), var(base_var(2))
-    return TargetMap(2, order, [z1, z2 + z1 ** 2])
+    return TargetMap([z1, z2 + z1 ** 2])
 
 
 def weight3_space():
@@ -71,7 +71,7 @@ def test_shear_does_not_split():
 
 def test_witnesses_match_a_scan_of_every_block_pair():
     z1, z2 = var(base_var(1)), var(base_var(2))
-    psi = TargetMap(2, 2, [z1 + 2 * z2 ** 2, z2 - z1 ** 2])
+    psi = TargetMap([z1 + 2 * z2 ** 2, z2 - z1 ** 2])
     for m in (6, 8, 10, 12):
         space = invariant_basis(JetSpec(2, 2), m)
         tm = differential_transition(space, psi, [1, -1])
@@ -91,7 +91,7 @@ def test_witnesses_match_a_scan_of_every_block_pair():
 
 def test_identity_transition_splits():
     space = weight3_space()
-    tm = differential_transition(space, TargetMap.identity(2, 2), [0, 0])
+    tm = differential_transition(space, TargetMap.identity(2), [0, 0])
     assert as_matrix(tm) == RationalMatrix.identity(5)
     verdict = splitting_check(tm, irrep_partition(space))
     assert verdict.splits
@@ -100,7 +100,7 @@ def test_identity_transition_splits():
 
 def test_diagonal_transition_scales_basis():
     space = weight3_space()
-    tm = differential_transition(space, TargetMap.linear([[2, 0], [0, 3]], 2), [0, 0])
+    tm = differential_transition(space, TargetMap.linear([[2, 0], [0, 3]]), [0, 0])
     diag = [tm.entry(i, i) for i in range(5)]
     assert diag == [8, 12, 18, 27, 6]
     for i in range(5):
@@ -114,7 +114,7 @@ def test_transition_independent_of_basepoint_for_linear():
     rng = random.Random(211)
     space = weight3_space()
     g = random_invertible(rng, 2)
-    psi = TargetMap.linear(g, 2)
+    psi = TargetMap.linear(g)
     at_zero = differential_transition(space, psi, [0, 0])
     at_pt = differential_transition(space, psi, [rational(rng), rational(rng)])
     assert at_zero.entries == at_pt.entries
@@ -124,16 +124,16 @@ def test_singular_jacobian_rejected():
     space = weight3_space()
     z1, z2 = var(base_var(1)), var(base_var(2))
     with pytest.raises(ValueError):
-        differential_transition(space, TargetMap(2, 2, [z1, z1]), [0, 0])
+        differential_transition(space, TargetMap([z1, z1]), [0, 0])
     # the basepoint must have one coordinate per component
-    psi = TargetMap(2, 2, [z1 + z2 ** 2, z2])
+    psi = TargetMap([z1 + z2 ** 2, z2])
     with pytest.raises(ValueError, match="basepoint needs 2 coordinates"):
         differential_transition(space, psi, [0])
 
 
 def test_splitting_check_validates_partition():
     space = weight3_space()
-    tm = differential_transition(space, TargetMap.identity(2, 2), [0, 0])
+    tm = differential_transition(space, TargetMap.identity(2), [0, 0])
     with pytest.raises(ValueError):
         splitting_check(tm, [(IrrepLabel((3, 0), 1), (0, 1, 2, 3))])
     with pytest.raises(ValueError):
@@ -167,7 +167,7 @@ def test_associated_matches_differential_for_linear_maps():
     for _ in range(25):
         g = random_invertible(rng, 2)
         fiberwise = associated_action(g, space)
-        genuine = differential_transition(space, TargetMap.linear(g, 2), [0, 0])
+        genuine = differential_transition(space, TargetMap.linear(g), [0, 0])
         assert fiberwise.entries == genuine.entries
         assert splitting_check(fiberwise, irrep_partition(space)).splits
 
@@ -191,7 +191,7 @@ def test_both_producers_store_fraction_entries():
     # it Fractions, also from integer input and at a nonzero basepoint.
     space = invariant_basis(JetSpec(2, 2), 4)
     z1, z2 = var(base_var(1)), var(base_var(2))
-    psi = TargetMap(2, 2, [z1 + z2 ** 2, z2 + 3 * z1 * z2])
+    psi = TargetMap([z1 + z2 ** 2, z2 + 3 * z1 * z2])
     for tm in (
         differential_transition(space, psi, [1, 2]),
         associated_action([[2, 1], [0, 3]], space),
@@ -208,9 +208,9 @@ def test_cocycle_identity_exact_maps():
     space = weight3_space()
     for _ in range(8):
         pt = [rational(rng, -2, 2, 1), rational(rng, -2, 2, 1)]
-        psi1 = random_target_map(rng, 2, 2, points=(pt,))
+        psi1 = random_target_map(rng, 2, points=(pt,))
         mid = psi1.evaluate(pt)
-        psi2 = random_target_map(rng, 2, 2, points=(mid,))
+        psi2 = random_target_map(rng, 2, points=(mid,))
         lhs = differential_transition(space, psi2.compose(psi1), pt)
         rhs = matmul(
             as_matrix(differential_transition(space, psi1, pt)),
@@ -222,7 +222,7 @@ def test_cocycle_identity_exact_maps():
 def test_cocycle_identity_truncated_at_origin():
     space = weight3_space()
     z1, z2 = var(base_var(1)), var(base_var(2))
-    psi1 = TargetMap(2, 2, [z1 + z2 ** 2, z2 - z1 ** 2])
+    psi1 = TargetMap([z1 + z2 ** 2, z2 - z1 ** 2])
     psi2 = shear_map()
     lhs = differential_transition(space, psi2.compose(psi1), [0, 0])
     rhs = matmul(
@@ -244,7 +244,7 @@ def test_pure_first_order_block_is_closed():
     assert verdict.violations == ()
     for _ in range(5):
         pt = [rational(rng, -2, 2, 1), rational(rng, -2, 2, 1)]
-        psi = random_target_map(rng, 2, 2, points=(pt,))
+        psi = random_target_map(rng, 2, points=(pt,))
         assert s_block_closure(differential_transition(space, psi, pt)).closed
 
 
@@ -258,7 +258,7 @@ def test_v1_frame_shear_witness():
 
 
 def test_v1_frame_identity():
-    entries, flag = v1_frame_transition(TargetMap.identity(2, 2), [0, 0], Fraction(0))
+    entries, flag = v1_frame_transition(TargetMap.identity(2), [0, 0], Fraction(0))
     assert entries == ((1, 0), (0, 1))
     assert not flag
 
@@ -273,7 +273,7 @@ def test_v1_frame_linear_never_flags():
         # nonzero leading coefficient.
         if g[0][0] + slope * g[0][1] == 0:
             continue
-        entries, flag = v1_frame_transition(TargetMap.linear(g, 2), [0, 0], slope)
+        entries, flag = v1_frame_transition(TargetMap.linear(g), [0, 0], slope)
         assert not flag
         assert entries[1][0] == 0
         assert entries[0][0] * entries[1][1] != 0
@@ -281,17 +281,17 @@ def test_v1_frame_linear_never_flags():
 
 
 def test_v1_frame_chart_breakdown():
-    swap = TargetMap.linear([[0, 1], [1, 0]], 2)
+    swap = TargetMap.linear([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         v1_frame_transition(swap, [0, 0], Fraction(0))
 
 
 def test_v1_frame_requires_rank_two():
     with pytest.raises(ValueError):
-        v1_frame_transition(TargetMap.identity(1, 2), [0], Fraction(0))
+        v1_frame_transition(TargetMap.identity(1), [0], Fraction(0))
     # a short or long point is rejected, not misread or cut to two coordinates
     z1, z2 = var(base_var(1)), var(base_var(2))
-    psi = TargetMap(2, 2, [z1 + z2 ** 2, z2])
+    psi = TargetMap([z1 + z2 ** 2, z2])
     for point in ([1], [0, 0, 5]):
         with pytest.raises(ValueError, match="basepoint needs 2 coordinates"):
             v1_frame_transition(psi, point, Fraction(0))
@@ -330,9 +330,9 @@ def test_v1_frame_matches_derivative_tensors():
     rng = random.Random(307)
     outcomes = set()
     for case in range(120):
-        psi = random_target_map(rng, 2, 2, degree=1 + case % 3, points=())
+        psi = random_target_map(rng, 2, degree=1 + case % 3, points=())
         if case % 8 == 7:
-            psi = TargetMap(2, 2, [psi.components[0], psi.components[0] * 2])
+            psi = TargetMap([psi.components[0], psi.components[0] * 2])
         point = [rational(rng, -2, 2, 2), rational(rng, -2, 2, 2)]
         slope = rational(rng, -3, 3, 2)
         jac = psi.jacobian(point)
