@@ -38,6 +38,7 @@ from .jets import JetSpec
 from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
 from .linalg import rank_modular_check  # noqa: F401  perfbench's tracer wraps this name
 from .parsing import ParseError, parse_map, parse_polynomial
+from .poly import terms_str
 from .transitions import (
     SplittingVerdict,
     associated_action,
@@ -121,12 +122,19 @@ def _decomposition_payload(space: InvariantSpace) -> List[Dict]:
     ]
 
 
+def _basis_payload(space: InvariantSpace) -> List[str]:
+    """The printed basis elements.  `InvariantSpace` builds each one in
+    increasing column order, which is canonical order, so the terms are
+    printed as they are stored, with no sort."""
+    return [terms_str(q.terms.items()) for q in space.basis]
+
+
 def _space_payload(space: InvariantSpace) -> Dict:
     return {
         "spec": {"rank": space.spec.rank, "order": space.spec.order},
         "weight": space.weight,
         "dimension": space.dimension,
-        "basis": [str(q) for q in space.basis],
+        "basis": _basis_payload(space),
         "torus_weights": [list(w) for w in space.torus_weights()],
         "decomposition": _decomposition_payload(space) if space.spec.rank == 2 else None,
     }
@@ -302,7 +310,7 @@ def _cmd_transition(args) -> int:
         "weight": space.weight,
         "psi": str(psi),
         "basepoint": [str(v) for v in point],
-        "basis": [str(q) for q in space.basis],
+        "basis": _basis_payload(space),
         "matrix": _matrix_payload(tm.entries),
         "splitting": _splitting_payload(verdict),
         "first_order_block_closed": closure.closed,
@@ -350,7 +358,7 @@ def _cmd_associated(args) -> int:
         "spec": {"rank": spec.rank, "order": spec.order},
         "weight": space.weight,
         "group_element": _matrix_payload(g),
-        "basis": [str(q) for q in space.basis],
+        "basis": _basis_payload(space),
         "matrix": _matrix_payload(tm.entries),
     }
     stem = f"associated_r{args.rank}_k{args.order}_m{args.weight}"

@@ -29,9 +29,11 @@ the fully formal action, including formal a1, before it is returned.
 
 `invariance_system` is the independent route: one constraint row per mixed
 monomial (parameters x jet variables) of the series-substitution residuals.
-`invariant_dimension` solves it one dominant block at a time, weighting
-each by its orbit size; the whole system is the reference that the tests
-check the derivation kernel and `invariant_dimension` against.
+Its entries are ints, read straight off the packed images of poly's
+substitution kernel (`_substitution_system`).  `invariant_dimension` solves
+it one dominant block at a time, weighting each by its orbit size, with one
+packing for all the blocks; the whole system is the reference that the
+tests check the derivation kernel and `invariant_dimension` against.
 
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
@@ -60,12 +62,14 @@ from .linalg import solve_in_span
 from .poly import (
     JET,
     Monomial,
+    PackedSubstitution,
     Scalar,
     SparsePolynomial,
     Variable,
     jet_var,
     mono_degree,
     mono_mul,
+    mono_str,
     param_var,
     substitute_all,
 )
@@ -169,15 +173,28 @@ def _formal_action(spec: JetSpec, unipotent: bool) -> Mapping[Variable, SparsePo
     return MappingProxyType(moved.bindings())
 
 
-def _substitution_system(spec: JetSpec, monomials: Sequence[Monomial]) -> RationalMatrix:
+def _substitution_system(
+    packing: PackedSubstitution, monomials: Sequence[Monomial]
+) -> RationalMatrix:
     """The series-substitution constraints on the given columns: one row
     per mixed monomial (parameters and jet variables together) of their
-    residuals, in order of first appearance."""
-    bindings = _formal_action(spec, True)
-    images = substitute_all([SparsePolynomial.monomial(m) for m in monomials], bindings)
-    for m, image in zip(monomials, images):
-        del image.terms[m]  # the a-free part of the image, m itself; the dict is fresh
-    return RationalMatrix.from_columns([image.terms for image in images])
+    residuals, in order of first appearance.
+
+    `packing` is a `PackedSubstitution` of the unipotent formal action,
+    sized for these monomials (or more); each column is a monomial's
+    packed image less its a-free part, the monomial itself, so rows are
+    keyed by packed keys and the entries are ints, never unpacked.  The
+    action has integer coefficients, so each image's common denominator
+    is 1; anything else raises RuntimeError.
+    """
+    columns = []
+    for m in monomials:
+        common, column = packing.image({m: 1})
+        if common != 1:
+            raise RuntimeError(f"unipotent image of {mono_str(m)} has denominator {common}")
+        del column[packing.pack(m)]
+        columns.append(column)
+    return RationalMatrix.from_columns(columns)
 
 
 def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
@@ -187,9 +204,12 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
     Column order is the canonical monomial order from enumerate_monomials;
     rows are indexed by the mixed monomials (parameters and jet variables
     together) appearing in any residual, in order of first appearance.
-    Order 1 has no unipotent part, so the matrix has zero rows there.
+    The entries are ints.  Order 1 has no unipotent part, so the matrix
+    has zero rows there.
     """
-    return _substitution_system(spec, enumerate_monomials(spec, weight))
+    monomials = enumerate_monomials(spec, weight)
+    packing = PackedSubstitution(_formal_action(spec, True), monomials)
+    return _substitution_system(packing, monomials)
 
 
 class InvariantDimension(NamedTuple):
@@ -215,14 +235,25 @@ def invariant_dimension(spec: JetSpec, weight: int) -> InvariantDimension:
     every vector exactly); its modular rank, at most that, must reach it,
     else RuntimeError names the first block that disagrees.  A permuted
     block has the same entries, so the whole system's modular rank is then
-    its exact rank.  One block's system is held at a time.
+    its exact rank.
+
+    All blocks share one packing, with fields sized from every dominant
+    monomial, and so one power table; the block systems have int entries,
+    which `nullspace` and `rank_modular_check` use as they are.  One
+    block's system is held at a time.
     """
     monomials = enumerate_monomials(spec, weight)
+    torus_blocks = _torus_blocks(_mono_torus_weight(m, spec.rank) for m in monomials)
+    blocks = {
+        torus: [monomials[col] for col in cols]
+        for torus, cols in torus_blocks.items()
+        if _is_dominant(torus)
+    }
+    dominant = (m for block in blocks.values() for m in block)
+    packing = PackedSubstitution(_formal_action(spec, True), dominant)
     rows = rank = 0
-    for torus, cols in _torus_blocks(_mono_torus_weight(m, spec.rank) for m in monomials).items():
-        if not _is_dominant(torus):
-            continue
-        system = _substitution_system(spec, [monomials[col] for col in cols])
+    for torus, block in blocks.items():
+        system = _substitution_system(packing, block)
         exact = system.ncols - len(nullspace(system))
         modular = rank_modular_check(system, stop_at=exact)
         if modular != exact:

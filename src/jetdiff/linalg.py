@@ -19,12 +19,15 @@ byte-identical across runs and across pivot rules.
 
 Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
 and `solve_in_span` eliminate over Fraction; `dim` uses none of them.
-`rank_modular_check` and `nullspace` clear each row to integers once and
-then reduce those integer rows modulo large primes, which is valid for
-every prime: the rank as a cross-check over 31-bit primes, and the kernel
-modulo 2**61 - 1 through rational reconstruction and an exact check
-against the same integer rows, with one Fraction elimination
-(`_nullspace_rational`) as the fallback and the test suite's reference.
+`rank_modular_check` and `nullspace` take the rows as integers and reduce
+them modulo large primes, which is valid for every prime: a row of ints
+is used as it is, with no copy, and any other row is cleared of its
+denominators once per call.  `dim`'s systems arrive with int entries, so
+neither call rebuilds them.  They give the rank as a cross-check over
+31-bit primes, and the kernel modulo 2**61 - 1 through rational
+reconstruction and an exact check against the same integer rows, with
+one Fraction elimination (`_nullspace_rational`) as the fallback and the
+test suite's reference.
 `dim` reads its exact rank off the size of that checked kernel and
 compares it with the modular rank.  The loop itself is checked against a
 plain column-scan elimination in both fields by the test suite.
@@ -226,16 +229,21 @@ def _rref_kernel(rows: List[Row], pivots: List[int], ncols: int, prime: int = 0)
 
 def _integer_rows(rows: Sequence[Row]) -> List[Dict[int, int]]:
     """The nonzero rows as ints, each times the lcm of its denominators (a
-    row scale keeps rank and kernel)."""
+    row scale keeps rank and kernel).  A row of ints is returned itself,
+    not copied."""
     out: List[Dict[int, int]] = []
     for row in rows:
+        if not row:
+            continue
+        if all(type(v) is int for v in row.values()):
+            out.append(row)
+            continue
         den = 1
         for v in row.values():
             d = v.denominator
             if d != 1:
                 den = den * d // gcd(den, d)
-        if row:
-            out.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+        out.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
     return out
 
 
@@ -317,16 +325,17 @@ def nullspace(matrix: RationalMatrix) -> List[Row]:
     1 and a positive leading (first) entry.  The result is fully
     deterministic.
 
-    The rows are cleared to integers once, reduced and eliminated modulo
-    p = 2**61 - 1, and each kernel entry is rebuilt by rational
-    reconstruction; every vector must then satisfy A.v = 0 exactly over
-    the same integer rows, which makes it the Fraction one.  Write F for
-    the free columns over Q and F' for those modulo p.  Rank can only drop
-    modulo p, so |F'| >= |F|.  A checked vector is a kernel vector over Q
-    whose last nonzero entry is at its free column f', so f' depends on
-    the columns before it and lies in F: F' is F.  A kernel vector is fixed by its entries on F, so each
-    checked vector is the Fraction one up to the canonical scale, and
-    there are exactly ncols - rank(A) of them.
+    The rows are taken as integers (`_integer_rows`), reduced and
+    eliminated modulo p = 2**61 - 1, and each kernel entry is rebuilt by
+    rational reconstruction; every vector must then satisfy A.v = 0
+    exactly over the same integer rows, which makes it the Fraction one.
+    Write F for the free columns over Q and F' for those modulo p.  Rank
+    can only drop modulo p, so |F'| >= |F|.  A checked vector is a kernel
+    vector over Q whose last nonzero entry is at its free column f', so f'
+    depends on the columns before it and lies in F: F' is F.  A kernel
+    vector is fixed by its entries on F, so each checked vector is the
+    Fraction one up to the canonical scale, and there are exactly
+    ncols - rank(A) of them.
     The check indexes the integer rows by column and sums each vector over
     its own columns only.
     There is one modular attempt.  An entry with no reconstruction (too
@@ -350,11 +359,12 @@ def nullspace(matrix: RationalMatrix) -> List[Row]:
 def rank_modular_check(matrix: RationalMatrix, stop_at: int) -> int:
     """Rank computed modulo large primes, a cross-check of the exact rank.
 
-    The rows are cleared to integers once and reduced modulo each prime of
-    `_DEFAULT_PRIMES` in turn.  The rank of an integer matrix modulo any
-    prime is at most its rank over Q, and falls short only when the prime
-    divides every minor of that size, so the maximum over the primes is
-    returned, and the loop stops at the first rank >= `stop_at`.  With
+    The rows are taken as integers (`_integer_rows`) and reduced modulo
+    each prime of `_DEFAULT_PRIMES` in turn.  The rank of an integer
+    matrix modulo any prime is at most its rank over Q, and falls short
+    only when the prime divides every minor of that size, so the maximum
+    over the primes is returned, and the loop stops at the first rank >=
+    `stop_at`.  With
     `stop_at` the rank over Q, the result, and whether it differs from
     `stop_at`, is that of the full loop.
     """

@@ -26,12 +26,13 @@ pairs sorted by variable, every exponent positive; the empty tuple is the
 constant monomial.  Coefficients are `fractions.Fraction`, so all results
 are exact and already in lowest terms.
 
-Substitution has one implementation, `substitute_all`, which pushes a
-batch of polynomials through one binding map; `SparsePolynomial.substitute`
-is its one-element call.  The jet actions compose through it as well:
-jets.py writes each jet component as its Taylor polynomial in a private
-series variable, substitutes the reparametrization or the target map and
-truncates after the jet order.  The kernel works on packed integers:
+Substitution has one kernel, `PackedSubstitution`, and one polynomial
+front end on it, `substitute_all`, which pushes a batch of polynomials
+through one binding map; `SparsePolynomial.substitute` is its one-element
+call.  The jet actions compose through it as well: jets.py writes each jet
+component as its Taylor polynomial in a private series variable,
+substitutes the reparametrization or the target map and truncates after
+the jet order.  The kernel works on packed integers:
 
     packed keys        the variables that can occur in a result (bound
                        images plus pass-through variables) are numbered in
@@ -48,12 +49,15 @@ truncates after the jet order.  The kernel works on packed integers:
                        (coefficients).  One (variable, exponent) -> power
                        table serves the whole batch.
 
-Each result is accumulated in one dict from key to integer and unpacked at
-the end into canonical monomial tuples with Fraction(num, common_den)
-coefficients, dropping the integers that cancelled to zero.  The output is
-therefore the same canonical polynomial exact arithmetic defines, whatever
-the packing; since every printer sorts terms canonically, serialized
-output stays byte-stable.
+Each result is accumulated in one dict from key to integer; the kernel
+returns it as (common denominator, {packed key: nonzero int}).
+`substitute_all` unpacks it into canonical monomial tuples with
+Fraction(num, common_den) coefficients.  The output is therefore the same
+canonical polynomial exact arithmetic defines, whatever the packing; since
+every printer sorts terms canonically, serialized output stays byte-stable.
+`dim` reads the packed images directly: invariants.py builds its
+substitution system from them, with one packing per shape, and never
+unpacks a key.
 """
 
 from __future__ import annotations
@@ -182,6 +186,27 @@ def _factor_str(factor: Tuple[Variable, int]) -> str:
 
 def mono_str(m: Monomial) -> str:
     return "*".join(map(_factor_str, m)) if m else "1"
+
+
+def terms_str(terms: Iterable[Tuple[Monomial, Fraction]]) -> str:
+    """The printed sum of (monomial, nonzero coefficient) terms, in the
+    order given; "0" when there are none.  `str` of a polynomial passes
+    its terms in canonical order."""
+    chunks = []
+    for mono, coeff in terms:
+        num, den = coeff.numerator, coeff.denominator
+        chunks.append(" - " if num < 0 else " + ")
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if not mono:
+            chunks.append(mag)
+        elif mag == "1":
+            chunks.append(mono_str(mono))
+        else:
+            chunks.append(f"{mag}*{mono_str(mono)}")
+    if not chunks:
+        return "0"
+    chunks[0] = "-" if chunks[0] == " - " else ""  # the first separator is a sign
+    return "".join(chunks)
 
 
 Scalar = Union[int, Fraction]
@@ -409,21 +434,7 @@ class SparsePolynomial:
     # ---- display ----
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mono, coeff in self.sorted_terms():
-            num, den = coeff.numerator, coeff.denominator
-            chunks.append(" - " if num < 0 else " + ")
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if not mono:
-                chunks.append(mag)
-            elif mag == "1":
-                chunks.append(mono_str(mono))
-            else:
-                chunks.append(f"{mag}*{mono_str(mono)}")
-        chunks[0] = "-" if chunks[0] == " - " else ""  # the first separator is a sign
-        return "".join(chunks)
+        return terms_str(self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
@@ -451,113 +462,135 @@ def _mul_into(
     return acc
 
 
-def substitute_all(
-    polys: Sequence[SparsePolynomial],
-    bindings: Mapping[Variable, PolyLike],
-    truncate: Tuple[Variable, int] | None = None,
-) -> List[SparsePolynomial]:
-    """Substitute one binding map into every polynomial of a batch.
+class PackedSubstitution:
+    """The substitution kernel of the module docstring for one binding map.
 
-    Same semantics as `SparsePolynomial.substitute` (simultaneous,
-    unbound variables pass through), returning one result per input in
-    order.  The batch shares one power table and one packing of the
-    variable universe; see the module docstring for the kernel.
+    It is sized once, from the monomials it is to meet: the bit fields,
+    the images with their denominators cleared and the power table then
+    serve every `image` call.  `image` must only be given polynomials
+    whose monomials were among those it was sized from; another monomial
+    can overflow a field.
 
     truncate=(v, n) drops the terms of v-degree above n after every
     product; products only raise degrees, so the kept terms are exact and
     the work is bounded by n, not by the degrees of the inputs.
     """
-    if not bindings:
-        return list(polys)
-    images: Dict[Variable, SparsePolynomial] = {}
-    for v, value in bindings.items():
-        image = SparsePolynomial._coerce(value)
-        if image is None:
-            raise TypeError(f"cannot bind {v.name} to {value!r}")
-        images[v] = image
 
-    # Largest exponent each variable can reach in any product: pass-through
-    # exponents plus e times the image's degree in it, per input monomial.
-    degrees: Dict[Variable, List[Tuple[Variable, int]]] = {}
-    top: Dict[Variable, int] = {}
-    for mono in {mono for p in polys for mono in p.terms}:
-        need: Dict[Variable, int] = {}
-        for v, e in mono:
-            image = images.get(v)
+    __slots__ = ("_shift", "_fields", "_kept", "_trim", "_cleared", "_powers", "_unpacked")
+
+    def __init__(
+        self,
+        bindings: Mapping[Variable, PolyLike],
+        monomials: Iterable[Monomial],
+        truncate: Tuple[Variable, int] | None = None,
+    ):
+        images: Dict[Variable, SparsePolynomial] = {}
+        for v, value in bindings.items():
+            image = SparsePolynomial._coerce(value)
             if image is None:
-                need[v] = need.get(v, 0) + e
-                continue
-            degs = degrees.get(v)
-            if degs is None:
-                most: Dict[Variable, int] = {}
-                for m in image.terms:
-                    for w, d in m:
-                        if d > most.get(w, 0):
-                            most[w] = d
-                degs = degrees[v] = list(most.items())
-            for w, d in degs:
-                need[w] = need.get(w, 0) + e * d
-        for w, n in need.items():
-            if n > top.get(w, 0):
-                top[w] = n
+                raise TypeError(f"cannot bind {v.name} to {value!r}")
+            images[v] = image
 
-    # One bit field per variable, in global variable order, wide enough
-    # for its largest exponent: exponent sums never carry into a neighbour.
-    shift: Dict[Variable, int] = {}
-    fields: List[Tuple[Variable, int, int]] = []
-    offset = 0
-    for w in sorted(top):
-        width = top[w].bit_length()
-        shift[w] = offset
-        fields.append((w, offset, (1 << width) - 1))
-        offset += width
+        # Largest exponent each variable can reach in any product: pass-through
+        # exponents plus e times the image's degree in it, per input monomial.
+        degrees: Dict[Variable, List[Tuple[Variable, int]]] = {}
+        top: Dict[Variable, int] = {}
+        for mono in set(monomials):
+            need: Dict[Variable, int] = {}
+            for v, e in mono:
+                image = images.get(v)
+                if image is None:
+                    need[v] = need.get(v, 0) + e
+                    continue
+                degs = degrees.get(v)
+                if degs is None:
+                    most: Dict[Variable, int] = {}
+                    for m in image.terms:
+                        for w, d in m:
+                            if d > most.get(w, 0):
+                                most[w] = d
+                    degs = degrees[v] = list(most.items())
+                for w, d in degs:
+                    need[w] = need.get(w, 0) + e * d
+            for w, n in need.items():
+                if n > top.get(w, 0):
+                    top[w] = n
 
-    # The nonzero terms of a product within the truncation (mask 0 keeps all).
-    cut, limit = truncate if truncate is not None else (None, 0)
-    cut_off, cut_mask = next(((off, mask) for w, off, mask in fields if w == cut), (0, 0))
+        # One bit field per variable, in global variable order, wide enough
+        # for its largest exponent: exponent sums never carry into a neighbour.
+        shift: Dict[Variable, int] = {}
+        fields: List[Tuple[Variable, int, int]] = []
+        offset = 0
+        for w in sorted(top):
+            width = top[w].bit_length()
+            shift[w] = offset
+            fields.append((w, offset, (1 << width) - 1))
+            offset += width
+        self._shift = shift
+        self._fields = fields
 
-    def kept(product: Dict[int, int]) -> List[Tuple[int, int]]:
-        return [(k, c) for k, c in product.items() if c and (k >> cut_off) & cut_mask <= limit]
+        # The nonzero terms of a product within the truncation (mask 0 keeps
+        # all), as a list for further products; `trim` drops the others from
+        # a finished result in place, as they are usually few.
+        cut, limit = truncate if truncate is not None else (None, 0)
+        cut_off, cut_mask = next(((off, mask) for w, off, mask in fields if w == cut), (0, 0))
 
-    # Each used image as (common denominator, [(packed key, integer coeff)]).
-    cleared: Dict[Variable, Tuple[int, List[Tuple[int, int]]]] = {}
-    for v in degrees:
-        terms = images[v].terms
-        den = 1
-        for c in terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        packed = []
-        for m, c in terms.items():
-            key = 0
-            for w, d in m:
-                key += d << shift[w]
-            packed.append((key, c.numerator * (den // c.denominator)))
-        cleared[v] = (den, packed)
+        def kept(product: Dict[int, int]) -> List[Tuple[int, int]]:
+            return [(k, c) for k, c in product.items() if c and (k >> cut_off) & cut_mask <= limit]
 
-    powers: Dict[Tuple[Variable, int], List[Tuple[int, int]]] = {}
+        def trim(product: Dict[int, int]) -> Dict[int, int]:
+            for k in [k for k, c in product.items() if not c or (k >> cut_off) & cut_mask > limit]:
+                del product[k]
+            return product
 
-    def power(v: Variable, e: int) -> List[Tuple[int, int]]:
+        self._kept = kept
+        self._trim = trim
+
+        # Each used image as (common denominator, [(packed key, integer coeff)]).
+        cleared: Dict[Variable, Tuple[int, List[Tuple[int, int]]]] = {}
+        for v in degrees:
+            terms = images[v].terms
+            den = 1
+            for c in terms.values():
+                den = den * c.denominator // gcd(den, c.denominator)
+            packed = []
+            for m, c in terms.items():
+                packed.append((self.pack(m), c.numerator * (den // c.denominator)))
+            cleared[v] = (den, packed)
+        self._cleared = cleared
+        self._powers: Dict[Tuple[Variable, int], List[Tuple[int, int]]] = {}  # (v, e) -> image^e
+        self._unpacked: Dict[int, Monomial] = {}
+
+    def pack(self, mono: Monomial) -> int:
+        """The packed key of a monomial in the result variables."""
+        shift = self._shift
+        key = 0
+        for v, e in mono:
+            key += e << shift[v]
+        return key
+
+    def _power(self, v: Variable, e: int) -> List[Tuple[int, int]]:
+        powers = self._powers
         found = powers.get((v, e))
         if found is None:
-            base = cleared[v][1]
+            base = self._cleared[v][1]
             n = e - 1
             while n and (v, n) not in powers:
                 n -= 1
             found = powers[(v, n)] if n else [(0, 1)]
             for n in range(n + 1, e + 1):
-                found = powers[(v, n)] = kept(_mul_into({}, found, base))
+                found = powers[(v, n)] = self._kept(_mul_into({}, found, base))
         return found
 
-    unpacked: Dict[int, Monomial] = {}
-    out: List[SparsePolynomial] = []
-    for p in polys:
-        if not p.terms:
-            out.append(p)
-            continue
-        # Clear the denominators of this polynomial's terms, images included.
+    def image(self, terms: Mapping[Monomial, Scalar]) -> Tuple[int, Dict[int, int]]:
+        """The image of the polynomial with these terms (int or Fraction
+        coefficients) as (common, {packed key: nonzero int n}), meaning the
+        sum of n / common times the monomial of each key."""
+        shift, cleared, power, kept = self._shift, self._cleared, self._power, self._kept
+        # Clear the denominators of the terms, images included.
         prepared = []
         common = 1
-        for mono, coeff in p.terms.items():
+        for mono, coeff in terms.items():
             key = 0
             num, den = coeff.numerator, coeff.denominator
             factors = []
@@ -579,8 +612,14 @@ def substitute_all(
             for factor in factors[:-1]:
                 partial = kept(_mul_into({}, partial, factor))
             _mul_into(acc, partial, factors[-1] if factors else [(0, 1)])
+        return common, self._trim(acc)
+
+    def unpack(self, common: int, packed: Mapping[int, int]) -> Dict[Monomial, Fraction]:
+        """The terms of an `image` result as canonical monomial tuples with
+        Fraction(n, common) coefficients."""
+        unpacked, fields = self._unpacked, self._fields
         terms: Dict[Monomial, Fraction] = {}
-        for k, n in kept(acc):
+        for k, n in packed.items():
             mono = unpacked.get(k)
             if mono is None:
                 pairs = []
@@ -590,5 +629,24 @@ def substitute_all(
                         pairs.append((w, e))
                 mono = unpacked[k] = tuple(pairs)
             terms[mono] = Fraction(n, common)
-        out.append(SparsePolynomial(terms))
-    return out
+        return terms
+
+
+def substitute_all(
+    polys: Sequence[SparsePolynomial],
+    bindings: Mapping[Variable, PolyLike],
+    truncate: Tuple[Variable, int] | None = None,
+) -> List[SparsePolynomial]:
+    """Substitute one binding map into every polynomial of a batch.
+
+    Same semantics as `SparsePolynomial.substitute` (simultaneous,
+    unbound variables pass through), returning one result per input in
+    order.  The batch shares one `PackedSubstitution`, sized from all its
+    monomials, and each image is unpacked; `truncate` is as there.
+    """
+    if not bindings:
+        return list(polys)
+    packing = PackedSubstitution(bindings, (m for p in polys for m in p.terms), truncate)
+    return [
+        SparsePolynomial(packing.unpack(*packing.image(p.terms))) if p.terms else p for p in polys
+    ]

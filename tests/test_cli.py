@@ -85,10 +85,28 @@ def test_dim_rank_matches_fraction_rank(capsys):
     for r, k, m in itertools.product(range(1, 5), range(1, 5), range(7)):
         payload = run_json(capsys, ["dim", "--rank", str(r), "--order", str(k), "--weight", str(m)])
         system = invariance_system(JetSpec(r, k), m)
+        assert all(type(v) is int for row in system.rows for v in row.values()), (r, k, m)
         exact = linalg.rank(system)
         assert payload["system_rank"] == payload["system_rank_modular"] == exact, (r, k, m)
         assert payload["system_shape"] == [system.nrows, system.ncols], (r, k, m)
         assert payload["dimension"] == payload["num_monomials"] - exact
+
+
+def test_dim_at_ladder_shapes(capsys):
+    # The benchmark's ladder shapes, pinned from the output of dim before
+    # its system was built on packed integers, so these counts do not rest
+    # on invariance_system, which shares dim's system builder.
+    pinned = {
+        (2, 4, 12): (685, [3093, 685], 608, 77),
+        (3, 4, 9): (1221, [2507, 1221], 907, 314),
+        (4, 3, 7): (1004, [1110, 1004], 585, 419),
+    }
+    for (r, k, m), (monomials, shape, rank, dimension) in pinned.items():
+        payload = run_json(capsys, ["dim", "--rank", str(r), "--order", str(k), "--weight", str(m)])
+        assert payload["num_monomials"] == monomials, (r, k, m)
+        assert payload["system_shape"] == shape, (r, k, m)
+        assert payload["system_rank"] == payload["system_rank_modular"] == rank, (r, k, m)
+        assert payload["dimension"] == dimension, (r, k, m)
 
 
 def dominant_weights(spec, m):
@@ -128,19 +146,31 @@ def test_orbit_route_solves_dominant_blocks_only(capsys, monkeypatch):
 def test_dim_eliminates_once_per_route(capsys, monkeypatch):
     # Per dominant block, one kernel modulo 2**61 - 1, then one 31-bit rank
     # that already reaches the exact rank: no Fraction elimination, no
-    # second prime.
+    # second prime.  The block systems are built with int entries, so
+    # neither route clears or copies a row: each block's rows are cleared
+    # to integers at most once, where they are built.
     primes = []
+    calls = []
     eliminate = linalg._eliminate
+    integer_rows = linalg._integer_rows
 
     def spy(rows, prime=0):
         primes.append(prime)
         return eliminate(rows, prime)
 
+    def rows_spy(rows):
+        out = integer_rows(rows)
+        given = {id(row) for row in rows}
+        calls.append(all(id(row) in given for row in out))
+        return out
+
     monkeypatch.setattr(linalg, "_eliminate", spy)
+    monkeypatch.setattr(linalg, "_integer_rows", rows_spy)
     run_json(capsys, ["dim", "--rank", "2", "--order", "4", "--weight", "12"])
     blocks = len(dominant_weights(JetSpec(2, 4), 12))
     assert blocks == 45
     assert primes == [2**61 - 1, linalg._DEFAULT_PRIMES[0]] * blocks
+    assert calls == [True, True] * blocks
 
 
 def test_dim_exits_three_when_ranks_disagree(capsys, monkeypatch):

@@ -26,9 +26,10 @@ from jetdiff.invariants import (
     verify_invariance,
 )
 from jetdiff.jets import JetPoint, JetSpec, ReparamJet, act_reparam
-from jetdiff.linalg import nullspace, rank, rank_modular_check
+from jetdiff.linalg import RationalMatrix, nullspace, rank, rank_modular_check
 from jetdiff.poly import (
     JET,
+    PackedSubstitution,
     SparsePolynomial,
     base_var,
     jet_var,
@@ -37,7 +38,7 @@ from jetdiff.poly import (
     param_var,
 )
 
-from helpers import random_poly, reference_raising
+from helpers import random_poly, reference_raising, reference_substitute
 
 
 def var(v):
@@ -117,6 +118,71 @@ def test_invariance_system_first_order_is_empty():
     system = invariance_system(JetSpec(2, 1), 4)
     assert system.nrows == 0
     assert system.ncols == 5
+
+
+def test_substitution_system_matches_reference_substitution():
+    # The packed system against one built term by term in Fraction
+    # arithmetic: per monomial, its image less the monomial itself.  Rows
+    # are keyed differently (packed keys there, monomials here), so they
+    # are compared as a multiset, with equal counts.
+    for r, k in itertools.product(range(1, 5), range(2, 5)):
+        top = {1: 8, 2: 7, 3: 5, 4: 4}[r]
+        spec = JetSpec(r, k)
+        bindings = invariants._formal_action(spec, True)
+        for m in range(top + 1):
+            system = invariance_system(spec, m)
+            columns = []
+            for mono in enumerate_monomials(spec, m):
+                image = reference_substitute(SparsePolynomial.monomial(mono), bindings).terms
+                del image[mono]
+                columns.append(image)
+            expected = RationalMatrix.from_columns(columns)
+            assert system.nrows == expected.nrows, (r, k, m)
+            assert sorted(map(sorted, (row.items() for row in system.rows))) == sorted(
+                map(sorted, (row.items() for row in expected.rows))
+            ), (r, k, m)
+
+
+def test_shared_packing_matches_block_packing(monkeypatch):
+    # dim sizes one packing from every dominant monomial and builds each
+    # block on it.  A field too narrow for the shared widths would merge
+    # rows, which the exact kernel check cannot see, so each block's
+    # system must equal the one built on a packing of that block alone.
+    built = []
+    original = invariants._substitution_system
+
+    def spy(packing, monomials):
+        system = original(packing, monomials)
+        built.append((packing, list(monomials), system))
+        return system
+
+    monkeypatch.setattr(invariants, "_substitution_system", spy)
+    for spec, m in ((JetSpec(2, 4), 12), (JetSpec(3, 4), 9)):
+        built.clear()
+        invariant_dimension(spec, m)
+        assert len({id(packing) for packing, _, _ in built}) == 1
+        bindings = invariants._formal_action(spec, True)
+        for _, block, system in built:
+            alone = original(PackedSubstitution(bindings, block), block)
+            assert system == alone, (spec, m, block[0])
+            assert all(type(v) is int for row in system.rows for v in row.values())
+
+
+def test_substitution_system_refuses_fractional_images():
+    # The unipotent action has integer coefficients; a system built from
+    # images with a denominator is refused, not taken over Fractions.
+    v = jet_var(1, 1)
+    mono = ((v, 2),)
+    packing = PackedSubstitution({v: SparsePolynomial.variable(v) * Fraction(1, 2)}, [mono])
+    with pytest.raises(RuntimeError, match="f1'\\^2 has denominator 4"):
+        invariants._substitution_system(packing, [mono])
+
+
+def test_basis_elements_are_stored_in_canonical_order():
+    # The CLI prints basis elements in stored term order, without a sort.
+    for spec, m in ((JetSpec(2, 4), 12), (JetSpec(3, 4), 9), (JetSpec(4, 3), 7)):
+        for q in invariant_basis(spec, m).basis:
+            assert list(q.terms.items()) == q.sorted_terms(), (spec, m, str(q))
 
 
 def test_invariant_basis_rank_one():
