@@ -37,14 +37,15 @@ tests check the derivation kernel and `invariant_dimension` against.
 
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
-component counts, the raising operator is the derivation with
-f_from^(i) -> f_to^(i) (`_derive` applies it and the lowering one; the
-packed blocks above do not use it), and for two components the
-decomposition into irreducibles is computed from per-weight kernels of
-raising.  Lowering after raising acts on each weight space of an isotypic
-component by a scalar that tells the components apart, so
-`irrep_partition` reads the component of every basis element off that
-scalar, with no second basis and no second solve.
+component counts, raising and lowering are the root derivations
+f2^(i) -> f1^(i) and f1^(i) -> f2^(i), applied as packed moves like D1
+and D2 (`_root_move`), and for two components the decomposition into
+irreducibles is computed from per-weight kernels of raising.  Lowering
+after raising acts on each weight space of an isotypic component by a
+scalar that tells the components apart, so `irrep_partition` reads the
+component of every basis element off that scalar, with no second basis
+and no second solve.  `raising_action`, built from partial derivatives,
+is the independent check of the packed moves.
 """
 
 from __future__ import annotations
@@ -63,18 +64,14 @@ from .poly import (
     JET,
     Monomial,
     PackedSubstitution,
-    Scalar,
     SparsePolynomial,
     Variable,
     jet_var,
     mono_degree,
-    mono_mul,
     mono_str,
     param_var,
     substitute_all,
 )
-
-_ZERO = Fraction(0)
 
 
 def mono_weight(m: Monomial) -> int:
@@ -124,26 +121,6 @@ def enumerate_monomials(spec: JetSpec, weight: int) -> List[Monomial]:
     extend(0, weight, [])
     results.sort(key=mono_degree, reverse=True)  # stable, even reversed
     return results
-
-
-def _derive(
-    terms: Mapping[Monomial, Scalar], rule: Mapping[Variable, Tuple[Variable, int]]
-) -> Dict[Monomial, Scalar]:
-    """The derivation sending each variable v in `rule`, with rule[v] =
-    (image, factor), to factor * image and every other variable to 0,
-    applied to the polynomial with these terms; zero terms dropped.
-    Integer coefficients give integer results."""
-    out: Dict[Monomial, Scalar] = {}
-    for mono, coeff in terms.items():
-        for idx, (v, e) in enumerate(mono):
-            hit = rule.get(v)
-            if hit is None:
-                continue
-            target, factor = hit
-            rest = mono[:idx] + (((v, e - 1),) if e > 1 else ()) + mono[idx + 1:]
-            image = mono_mul(rest, ((target, 1),))
-            out[image] = out.get(image, 0) + e * factor * coeff
-    return {m: c for m, c in out.items() if c}
 
 
 def _reparam_rule(spec: JetSpec, s: int) -> Dict[Variable, Tuple[Variable, int]]:
@@ -347,14 +324,13 @@ class InvariantSpace:
     fully formal action before returning.
 
     The constructor takes each basis vector as {column: nonzero value} in
-    increasing column order, and the torus weight of each; the
-    weights are the torus blocks the vectors were found in, solved there
-    or carried there from the dominant block of their Weyl orbit, so they
-    are stored rather than read back off the polynomials.  `coefficients`
-    holds the vectors densely, built on first access.
+    increasing column order, kept as `vectors`, and the torus weight of
+    each; the weights are the torus blocks the vectors were found in,
+    solved there or carried there from the dominant block of their Weyl
+    orbit, so they are stored rather than read back off the polynomials.
     """
 
-    __slots__ = ("spec", "weight", "monomials", "basis", "_torus_weights", "_coefficients")
+    __slots__ = ("spec", "weight", "monomials", "vectors", "basis", "_torus_weights")
 
     def __init__(
         self,
@@ -367,26 +343,23 @@ class InvariantSpace:
         self.spec = spec
         self.weight = weight
         self.monomials = tuple(monomials)
+        self.vectors = tuple(vectors)
         self.basis = tuple(
             SparsePolynomial({self.monomials[col]: value for col, value in vec.items()})
-            for vec in vectors
+            for vec in self.vectors
         )
         self._torus_weights = tuple(torus_weights)
-        self._coefficients = None
 
     @property
     def coefficients(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """The basis vectors densely, one entry per monomial column."""
-        if self._coefficients is None:
-            column = {m: i for i, m in enumerate(self.monomials)}
-            dense_rows = []
-            for q in self.basis:
-                dense = [_ZERO] * len(self.monomials)
-                for m, value in q.terms.items():
-                    dense[column[m]] = value
-                dense_rows.append(tuple(dense))
-            self._coefficients = tuple(dense_rows)
-        return self._coefficients
+        dense_rows = []
+        for vec in self.vectors:
+            dense = [Fraction(0)] * len(self.monomials)
+            for col, value in vec.items():
+                dense[col] = value
+            dense_rows.append(tuple(dense))
+        return tuple(dense_rows)
 
     @property
     def dimension(self) -> int:
@@ -430,7 +403,8 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     construction, not in the input, hence RuntimeError.
     """
     monomials = enumerate_monomials(spec, weight)
-    shift, moves = _packed_moves(spec, weight)
+    rules = [_reparam_rule(spec, s) for s in (1, 2) if s < spec.order]
+    shift, moves = _packed_moves(spec, weight, rules)
     blocks = _torus_blocks(_mono_torus_weight(mono, spec.rank) for mono in monomials)
     kernels = {
         torus: _kernel({col: _packed_derivations(monomials[col], shift, moves) for col in cols})
@@ -447,13 +421,8 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
             kernel = _permuted_kernel(kernels[dominant], torus, variables, monomials, column)
         keyed.extend((vec, torus) for vec in kernel)
     keyed.sort(key=lambda item: next(reversed(item[0])))
-    space = InvariantSpace(
-        spec,
-        weight,
-        monomials,
-        [vec for vec, _ in keyed],
-        [torus for _, torus in keyed],
-    )
+    vectors, tori = [vec for vec, _ in keyed], [torus for _, torus in keyed]
+    space = InvariantSpace(spec, weight, monomials, vectors, tori)
     for q, verdict in zip(space.basis, _verify_all(space.basis, spec)):
         if not verdict.invariant:
             raise RuntimeError(
@@ -464,16 +433,17 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
 
 
 def _packed_moves(
-    spec: JetSpec, weight: int
+    spec: JetSpec, weight: int, rules: Iterable[Mapping[Variable, Tuple[Variable, int]]]
 ) -> Tuple[Dict[Variable, int], List[Dict[Variable, Tuple[int, int]]]]:
     """(shift, moves) for `_packed_derivations` at this shape and weight:
     the jet variables in global order, each with a bit field as wide as
-    the weight, and the rules of D1 (and D2) as key changes."""
+    the weight, and each derivation rule {v: (image, factor)}, sending v
+    to factor * image, as key changes.  A rule must keep the weight."""
     width = weight.bit_length()
     shift = {v: i * width for i, v in enumerate(spec.jet_variables())}
     moves = [
         {v: ((1 << shift[image]) - (1 << shift[v]), factor) for v, (image, factor) in rule.items()}
-        for rule in (_reparam_rule(spec, s) for s in (1, 2) if s < spec.order)
+        for rule in rules
     ]
     return shift, moves
 
@@ -483,15 +453,15 @@ def _packed_derivations(
     shift: Mapping[Variable, int],
     moves: Sequence[Mapping[Variable, Tuple[int, int]]],
 ) -> Dict[Tuple[int, int], int]:
-    """The images of one monomial under D1 (and D2), as one sparse integer
-    column with rows (s, packed image).
+    """The images of one monomial under each move (D1 and D2, or a root
+    operator), as one sparse integer column with rows (s, packed image).
 
     A packed monomial has one bit field per jet variable, starting at
     shift[v] and wide enough for any exponent at this weight.  moves[s]
-    maps each variable v that D_s moves to (key change, factor): taking
+    maps each variable v that move s moves to (key change, factor): taking
     one v into its image changes the key by (1 << shift[image]) -
     (1 << shift[v]), and the term's coefficient is e * factor for v^e.
-    Distinct variables have distinct images under one D_s, so no two
+    Distinct variables have distinct images under one move, so no two
     terms of the column share a row.
     """
     key = 0
@@ -573,7 +543,8 @@ def _orbit_size(torus: Tuple[int, ...]) -> int:
 def raising_action(
     q: SparsePolynomial, from_comp: int, to_comp: int
 ) -> SparsePolynomial:
-    """The derivation sum_i f_to^(i) * dQ/df_from^(i).
+    """The derivation sum_i f_to^(i) * dQ/df_from^(i), built from partial
+    derivatives, so it shares no code with the packed `_root_move`.
 
     Moving weight toward the lower component index is the raising
     direction: with from=2, to=1 the kernel consists of highest-weight
@@ -581,12 +552,40 @@ def raising_action(
     """
     if from_comp == to_comp:
         raise ValueError("raising between identical components is the degree derivation")
-    rule = {
-        v: (jet_var(to_comp, v.order), 1)
-        for v in q.variables()
-        if v.kind == JET and v.comp == from_comp
-    }
-    return SparsePolynomial(_derive(q.terms, rule))
+    out = SparsePolynomial.zero()
+    for v in q.variables():
+        if v.kind == JET and v.comp == from_comp:
+            out = out + SparsePolynomial.variable(jet_var(to_comp, v.order)) * q.derivative(v)
+    return out
+
+
+def _root_move(
+    space: InvariantSpace, vectors: Iterable[Mapping[int, Fraction]], from_comp: int, to_comp: int
+) -> List[Dict[int, Fraction]]:
+    """Each {column: value} vector of the space moved by the root operator
+    f_from^(i) -> f_to^(i), column by column; zero entries dropped.
+
+    A column's image is its monomial's packed move (`_packed_derivations`)
+    as {image column: nonzero int}, computed once.  The operator keeps
+    the weight, so every image is a column of the space.
+    """
+    spec, monomials = space.spec, space.monomials
+    rule = {jet_var(from_comp, i): (jet_var(to_comp, i), 1) for i in range(1, spec.order + 1)}
+    shift, moves = _packed_moves(spec, space.weight, [rule])
+    column = {sum(e << shift[v] for v, e in mono): col for col, mono in enumerate(monomials)}
+    images: Dict[int, Dict[int, int]] = {}
+    out = []
+    for vec in vectors:
+        moved: Dict[int, Fraction] = {}
+        for col, value in vec.items():
+            image = images.get(col)
+            if image is None:
+                packed = _packed_derivations(monomials[col], shift, moves)
+                image = images[col] = {column[key]: n for (_, key), n in packed.items()}
+            for target, n in image.items():
+                moved[target] = moved.get(target, 0) + n * value
+        out.append({col: value for col, value in moved.items() if value})
+    return out
 
 
 def decompose(space: InvariantSpace) -> List[IrrepLabel]:
@@ -603,23 +602,23 @@ def decompose(space: InvariantSpace) -> List[IrrepLabel]:
 
 def _highest_weight_vectors(
     space: InvariantSpace,
-) -> Tuple[List[IrrepLabel], List[SparsePolynomial]]:
+) -> Tuple[List[IrrepLabel], List[Dict[int, Fraction]]]:
     """The irreducible labels, highest weight first, and the raised basis
-    elements E b_i they were counted from.
+    vectors E b_i they were counted from, as {column: value}.
 
-    Every basis element is raised once and the results are expanded with
-    one solve; each torus weight block then gives one `_kernel` of the
-    coordinates of its raised elements, whose size is the number of
-    highest-weight vectors there.
+    Every basis vector is raised once, column by column, and the results
+    are expanded with one solve; each torus weight block then gives one
+    `_kernel` of the coordinates of its raised elements, whose size is the
+    number of highest-weight vectors there.
     """
     if space.spec.rank != 2:
         raise ValueError(
             "irreducible labels are only certified for two components; dimensions "
             "are available at any rank"
         )
-    raised = [raising_action(q, from_comp=2, to_comp=1) for q in space.basis]
+    raised = _root_move(space, space.vectors, 2, 1)
     try:
-        coords = space.expand_many(raised)
+        coords = solve_in_span(space.vectors, raised)
     except ValueError as exc:
         raise RuntimeError(f"raising operator left the invariant span: {exc}") from exc
     labels: List[IrrepLabel] = []
@@ -655,14 +654,17 @@ def irrep_partition(
     raises rather than fabricating a partition.
     """
     labels, raised = _highest_weight_vectors(space)
+    lowered = _root_move(space, raised, 1, 2)
     members: List[List[int]] = [[] for _ in labels]
     missing = []
-    for idx, (q, (w1, w2), up) in enumerate(zip(space.basis, space.torus_weights(), raised)):
-        lowered = raising_action(up, from_comp=1, to_comp=2)
+    rows = zip(space.vectors, space.torus_weights(), lowered)
+    for idx, (vec, (w1, w2), down) in enumerate(rows):
         for which, ((a, b), _) in enumerate(labels):
-            if a + b == w1 + w2 and b <= w1 <= a and lowered == q * ((a - w1) * (w1 - b + 1)):
-                members[which].append(idx)
-                break
+            if a + b == w1 + w2 and b <= w1 <= a:
+                kappa = (a - w1) * (w1 - b + 1)
+                if down == ({col: kappa * value for col, value in vec.items()} if kappa else {}):
+                    members[which].append(idx)
+                    break
         else:
             missing.append(idx)
     if missing:

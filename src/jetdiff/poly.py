@@ -302,10 +302,6 @@ class SparsePolynomial:
             return NotImplemented
         return self.terms == o.terms
 
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __add__(self, other: PolyLike) -> "SparsePolynomial":
         o = self._coerce(other)
         if o is None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from jetdiff.jets import JetPoint, JetSpec, ReparamJet, TargetMap
 from jetdiff.linalg import RationalMatrix, dense_rank
-from jetdiff.poly import JET, SparsePolynomial, base_var, jet_var
+from jetdiff.poly import SparsePolynomial, base_var
 
 
 def rational(rng, lo=-5, hi=5, max_den=3):
@@ -156,21 +156,6 @@ def reference_substitute(p, bindings):
             term = term * factor
         total = total + term
     return total
-
-
-def reference_raising(q, from_comp, to_comp):
-    """Reference for `jetdiff.invariants.raising_action`: the derivation
-    sum_i f_to^(i) * dQ/df_from^(i), built from polynomial derivatives
-    and products.  It shares no code with the monomial rule of
-    `invariants._derive`, so it is the oracle for that rule.
-    """
-    orders = sorted({v.order for v in q.variables() if v.kind == JET})
-    out = SparsePolynomial.zero()
-    for i in orders:
-        out = out + SparsePolynomial.variable(jet_var(to_comp, i)) * q.derivative(
-            jet_var(from_comp, i)
-        )
-    return out
 
 
 def random_reparam(rng, order):

@@ -4,17 +4,18 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import comb
+from collections import Counter
+from math import comb, factorial
 
 import pytest
 
 from jetdiff import invariants, linalg
 from jetdiff.invariants import (
     IrrepLabel,
-    _derive,
     _packed_derivations,
     _packed_moves,
     _reparam_rule,
+    _root_move,
     decompose,
     enumerate_monomials,
     invariance_system,
@@ -38,7 +39,7 @@ from jetdiff.poly import (
     param_var,
 )
 
-from helpers import random_poly, reference_raising, reference_substitute
+from helpers import random_poly, reference_substitute
 
 
 def var(v):
@@ -262,8 +263,14 @@ def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
 
 
 def derivation(q, spec, s):
-    """D_s applied through the derivation rule under test."""
-    return SparsePolynomial(_derive(q.terms, _reparam_rule(spec, s)))
+    """D_s as a derivative formula: the sum over f_j^(i) with i > s of
+    i!/(i-s-1)! * f_j^(i-s) * dQ/df_j^(i)."""
+    out = SparsePolynomial.zero()
+    for v in spec.jet_variables():
+        if v.order > s:
+            factor = factorial(v.order) // factorial(v.order - s - 1)
+            out = out + factor * var(jet_var(v.comp, v.order - s)) * q.derivative(v)
+    return out
 
 
 def test_derivation_is_first_order_term_of_reparametrization():
@@ -293,13 +300,14 @@ def test_derivation_is_first_order_term_of_reparametrization():
                 assert derivation(q, spec, s) == first
 
 
-def test_packed_derivations_match_derive():
+def test_packed_derivations_match_derivative_formula():
     # The packed block columns of invariant_basis are D1 and D2 of one
     # monomial: unpacking each row, one field as wide as the weight per
-    # variable, gives the images of the checked rule above.
+    # variable, gives the images of the checked formula above.
     for r, k, m in [(1, 4, 7), (1, 3, 8), (2, 4, 8), (3, 3, 6), (4, 2, 5)]:
         spec = JetSpec(r, k)
-        shift, moves = _packed_moves(spec, m)
+        rules = [_reparam_rule(spec, s) for s in (1, 2) if s < k]
+        shift, moves = _packed_moves(spec, m, rules)
         mask = (1 << m.bit_length()) - 1
         for mono in enumerate_monomials(spec, m):
             expected = {}
@@ -477,19 +485,16 @@ def test_raising_action_examples():
     assert raising_action(f1p ** 3, 1, 2) == 3 * f2p * f1p ** 2
 
 
-def test_raising_action_matches_derivative_reference():
-    # The monomial rule of _derive against derivatives and products, in
-    # every direction; base coordinates and parameters are constants.
-    # Then the sl2 relation E(F q) - F(E q) = (d1 - d2) q, with E raising
-    # 2 -> 1, F lowering 1 -> 2 and d_j the f_j-degree of each term.
+def test_raising_action_sl2_commutator():
+    # The sl2 relation E(F q) - F(E q) = (d1 - d2) q, with E raising
+    # 2 -> 1, F lowering 1 -> 2 and d_j the f_j-degree of each term; base
+    # coordinates, parameters and a third component are constants.
     rng = random.Random(43)
     for rank in (2, 3):
         spec = JetSpec(rank, 3)
         variables = [*spec.jet_variables(), base_var(1), param_var(2)]
         for _ in range(40):
             q = random_poly(rng, variables, terms=6)
-            for a, b in itertools.permutations(range(1, rank + 1), 2):
-                assert raising_action(q, a, b) == reference_raising(q, a, b)
             commutator = (
                 raising_action(raising_action(q, 1, 2), 2, 1)
                 - raising_action(raising_action(q, 2, 1), 1, 2)
@@ -499,6 +504,27 @@ def test_raising_action_matches_derivative_reference():
                 d = [sum(e for v, e in mono if v.kind == JET and v.comp == j) for j in (1, 2)]
                 expected = expected + SparsePolynomial.monomial(mono) * (coeff * (d[0] - d[1]))
             assert commutator == expected
+
+
+def test_packed_root_moves_match_raising_action():
+    # The packed E (2 -> 1) and F (1 -> 2) that decompose and
+    # irrep_partition apply column by column, against raising_action on
+    # every basis vector; then E(F b) - F(E b) = (d1 - d2) b column by
+    # column, d_j the f_j-degree of the column's monomial.
+    shapes = [(k, m) for k in (1, 2, 3) for m in range(10)] + [(4, m) for m in range(9)]
+    for k, m in shapes:
+        space = invariant_basis(JetSpec(2, k), m)
+        for a, b in ((2, 1), (1, 2)):
+            for q, moved in zip(space.basis, _root_move(space, space.vectors, a, b)):
+                poly = SparsePolynomial({space.monomials[c]: v for c, v in moved.items()})
+                assert poly == raising_action(q, a, b)
+        efs = _root_move(space, _root_move(space, space.vectors, 1, 2), 2, 1)
+        fes = _root_move(space, _root_move(space, space.vectors, 2, 1), 1, 2)
+        for vec, ef, fe in zip(space.vectors, efs, fes):
+            commutator = {c: ef.get(c, 0) - fe.get(c, 0) for c in ef.keys() | fe.keys()}
+            d = {c: sum(e if v.comp == 1 else -e for v, e in space.monomials[c]) for c in vec}
+            expected = {c: d[c] * value for c, value in vec.items() if d[c]}
+            assert {c: x for c, x in commutator.items() if x} == expected
 
 
 def test_raising_preserves_invariance():
@@ -526,6 +552,27 @@ def test_decompose_r2_k2_m6():
     assert sum(l.dimension() * l.multiplicity for l in labels) == 12
 
 
+def test_decompose_matches_closed_forms():
+    # Rank-2 decompositions in closed form, sharing no code with the
+    # raising route: at order 2 the sum over 0 <= j <= m/3 of
+    # Gamma^(m-2j, j), at order 3 the sum over alpha + 3 beta + 5 gamma = m
+    # of Gamma^(alpha+beta+2gamma, beta+gamma).
+    def labels(weights):
+        counts = Counter(weights)
+        return [IrrepLabel(w, n) for w, n in sorted(counts.items(), reverse=True)]
+
+    for m in range(13):
+        expected = labels((m - 2 * j, j) for j in range(m // 3 + 1))
+        assert decompose(invariant_basis(JetSpec(2, 2), m)) == expected
+    for m in range(17):
+        expected = labels(
+            (alpha + beta + 2 * gamma, beta + gamma)
+            for alpha, beta, gamma in itertools.product(range(m + 1), repeat=3)
+            if alpha + 3 * beta + 5 * gamma == m
+        )
+        assert decompose(invariant_basis(JetSpec(2, 3), m)) == expected
+
+
 def test_decompose_first_order_is_symmetric_power():
     for m in (1, 2, 3, 4):
         labels = decompose(invariant_basis(JetSpec(2, 1), m))
@@ -548,7 +595,8 @@ def test_irrep_partition_r2_k2_m3():
 
 def test_irrep_partition_covers_basis():
     # every shape here has a basis adapted to the decomposition
-    shapes = [(2, m) for m in range(3, 13)] + [(k, m) for k in (1, 3, 4) for m in range(1, 6)]
+    shapes = [(2, m) for m in (*range(3, 13), 16, 20)]
+    shapes += [(k, m) for k in (1, 3, 4) for m in range(1, 6)]
     for order, weight in shapes:
         space = invariant_basis(JetSpec(2, order), weight)
         partition = irrep_partition(space)
