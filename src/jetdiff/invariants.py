@@ -64,6 +64,7 @@ from .poly import (
     JET,
     Monomial,
     PackedSubstitution,
+    Scalar,
     SparsePolynomial,
     Variable,
     jet_var,
@@ -132,11 +133,12 @@ def _reparam_rule(spec: JetSpec, s: int) -> Dict[Variable, Tuple[Variable, int]]
     }
 
 
-def _kernel(columns: Mapping[int, Mapping[Hashable, int]]) -> List[Dict[int, Fraction]]:
+def _kernel(columns: Mapping[int, Mapping[Hashable, Scalar]]) -> List[Dict[int, int]]:
     """`nullspace` of one block: `columns` maps each column index, in
-    increasing order, to its sparse integer column (rows keyed by any
-    hashable), as `_packed_derivations` computes it.
-    The kernel vectors are keyed by those column indices."""
+    increasing order, to its sparse column (rows keyed by any hashable):
+    ints as `_packed_derivations` computes them, or the coordinates
+    `_highest_weight_vectors` solves for.
+    The kernel vectors are int vectors keyed by those column indices."""
     labels = list(columns)
     kernel = nullspace(RationalMatrix.from_columns(columns.values()))
     return [{labels[j]: value for j, value in vec.items()} for vec in kernel]
@@ -323,11 +325,12 @@ class InvariantSpace:
     basis element.  Construction verifies every basis element against the
     fully formal action before returning.
 
-    The constructor takes each basis vector as {column: nonzero value} in
+    The constructor takes each basis vector as {column: nonzero int} in
     increasing column order, kept as `vectors`, and the torus weight of
     each; the weights are the torus blocks the vectors were found in,
     solved there or carried there from the dominant block of their Weyl
     orbit, so they are stored rather than read back off the polynomials.
+    `basis` and the dense `coefficients` hold the same ints as `vectors`.
     """
 
     __slots__ = ("spec", "weight", "monomials", "vectors", "basis", "_torus_weights")
@@ -337,7 +340,7 @@ class InvariantSpace:
         spec: JetSpec,
         weight: int,
         monomials: Sequence[Monomial],
-        vectors: Sequence[Mapping[int, Fraction]],
+        vectors: Sequence[Mapping[int, int]],
         torus_weights: Sequence[Tuple[int, ...]],
     ):
         self.spec = spec
@@ -351,11 +354,11 @@ class InvariantSpace:
         self._torus_weights = tuple(torus_weights)
 
     @property
-    def coefficients(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The basis vectors densely, one entry per monomial column."""
+    def coefficients(self) -> Tuple[Tuple[int, ...], ...]:
+        """The basis vectors densely, one int per monomial column."""
         dense_rows = []
         for vec in self.vectors:
-            dense = [Fraction(0)] * len(self.monomials)
+            dense = [0] * len(self.monomials)
             for col, value in vec.items():
                 dense[col] = value
             dense_rows.append(tuple(dense))
@@ -413,7 +416,7 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     }
     column = {mono: col for col, mono in enumerate(monomials)}
     variables = spec.jet_variables()
-    keyed: List[Tuple[Dict[int, Fraction], Tuple[int, ...]]] = []
+    keyed: List[Tuple[Dict[int, int], Tuple[int, ...]]] = []
     for torus in blocks:
         kernel = kernels.get(torus)
         if kernel is None:
@@ -477,12 +480,12 @@ def _packed_derivations(
 
 
 def _permuted_kernel(
-    kernel: Sequence[Mapping[int, Fraction]],
+    kernel: Sequence[Mapping[int, int]],
     torus: Tuple[int, ...],
     variables: Sequence[Variable],
     monomials: Sequence[Monomial],
     column: Mapping[Monomial, int],
-) -> List[Dict[int, Fraction]]:
+) -> List[Dict[int, int]]:
     """The canonical kernel of the block of weight `torus`, given that of
     the dominant block in its orbit.
 
@@ -560,9 +563,9 @@ def raising_action(
 
 
 def _root_move(
-    space: InvariantSpace, vectors: Iterable[Mapping[int, Fraction]], from_comp: int, to_comp: int
-) -> List[Dict[int, Fraction]]:
-    """Each {column: value} vector of the space moved by the root operator
+    space: InvariantSpace, vectors: Iterable[Mapping[int, int]], from_comp: int, to_comp: int
+) -> List[Dict[int, int]]:
+    """Each {column: int} vector of the space moved by the root operator
     f_from^(i) -> f_to^(i), column by column; zero entries dropped.
 
     A column's image is its monomial's packed move (`_packed_derivations`)
@@ -576,7 +579,7 @@ def _root_move(
     images: Dict[int, Dict[int, int]] = {}
     out = []
     for vec in vectors:
-        moved: Dict[int, Fraction] = {}
+        moved: Dict[int, int] = {}
         for col, value in vec.items():
             image = images.get(col)
             if image is None:
@@ -602,9 +605,9 @@ def decompose(space: InvariantSpace) -> List[IrrepLabel]:
 
 def _highest_weight_vectors(
     space: InvariantSpace,
-) -> Tuple[List[IrrepLabel], List[Dict[int, Fraction]]]:
+) -> Tuple[List[IrrepLabel], List[Dict[int, int]]]:
     """The irreducible labels, highest weight first, and the raised basis
-    vectors E b_i they were counted from, as {column: value}.
+    vectors E b_i they were counted from, as {column: int}.
 
     Every basis vector is raised once, column by column, and the results
     are expanded with one solve; each torus weight block then gives one

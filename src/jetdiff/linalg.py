@@ -4,8 +4,9 @@ Matrices are stored as sparse rows (dict column -> nonzero Fraction), one
 representation for every size; constraint systems arriving from the
 invariance machinery are naturally sparse and the small dense cases lose
 nothing.  Vectors are sparse the same way: `solve_in_span` takes and
-returns mappings from coordinate to value, and `nullspace` returns
-{column: value} dicts scaled to their canonical integer form.
+returns mappings from coordinate to value, and `nullspace` returns each
+kernel vector in its canonical integer form (content 1) as a
+{column: nonzero int} dict.
 
 The elimination loop keeps an index from each column to the rows with
 a nonzero there, updated on every fill-in and cancellation, so a pivot
@@ -203,13 +204,13 @@ def rank(matrix: RationalMatrix) -> int:
     return len(pivots)
 
 
-def _canonical_vector(vec: Row) -> Row:
-    """Scale to integer entries with content 1 and positive leading entry."""
+def _canonical_vector(vec: Row) -> Dict[int, int]:
+    """Scale to int entries with content 1 and positive leading entry."""
     (ints,) = _integer_rows([vec])
     g = gcd(*ints.values())
     if next(iter(ints.values())) < 0:
         g = -g
-    return {c: Fraction(n // g) for c, n in ints.items()}
+    return {c: n // g for c, n in ints.items()}
 
 
 def _rref_kernel(rows: List[Row], pivots: List[int], ncols: int, prime: int = 0) -> List[Row]:
@@ -258,7 +259,7 @@ def _log_retry(message: str, *args) -> None:
     logging.getLogger(__name__).info(message, *args)
 
 
-def _nullspace_rational(matrix: RationalMatrix) -> List[Row]:
+def _nullspace_rational(matrix: RationalMatrix) -> List[Dict[int, int]]:
     """`nullspace` by Fraction elimination: its fallback and reference."""
     rows, pivots = _eliminate([dict(r) for r in matrix.rows])
     return [_canonical_vector(vec) for vec in _rref_kernel(rows, pivots, matrix.ncols)]
@@ -316,25 +317,24 @@ def _in_kernel(vec: Dict[int, int], by_column: Dict[int, List[Tuple[int, int]]])
     return not any(sums.values())
 
 
-def nullspace(matrix: RationalMatrix) -> List[Row]:
+def nullspace(matrix: RationalMatrix) -> List[Dict[int, int]]:
     """Canonical basis of the right kernel.
 
     One vector per free column, in increasing column order.  Each is a
-    {column: nonzero Fraction} dict in increasing column order, so its free
-    column is the last key; it is scaled to integer entries with content
-    1 and a positive leading (first) entry.  The result is fully
-    deterministic.
+    {column: nonzero int} dict in increasing column order, so its free
+    column is the last key; its entries have content 1 and a positive
+    leading (first) entry.  The result is fully deterministic.
 
     The rows are taken as integers (`_integer_rows`), reduced and
     eliminated modulo p = 2**61 - 1, and each kernel entry is rebuilt by
     rational reconstruction; every vector must then satisfy A.v = 0
-    exactly over the same integer rows, which makes it the Fraction one.
+    exactly over the same integer rows, which makes it the rational one.
     Write F for the free columns over Q and F' for those modulo p.  Rank
     can only drop modulo p, so |F'| >= |F|.  A checked vector is a kernel
     vector over Q whose last nonzero entry is at its free column f', so f'
     depends on the columns before it and lies in F: F' is F.  A kernel
     vector is fixed by its entries on F, so each checked vector is the
-    Fraction one up to the canonical scale, and there are exactly
+    rational one up to the canonical scale, and there are exactly
     ncols - rank(A) of them.
     The check indexes the integer rows by column and sums each vector over
     its own columns only.
@@ -351,7 +351,7 @@ def nullspace(matrix: RationalMatrix) -> List[Row]:
             for c, a in row.items():
                 by_column.setdefault(c, []).append((i, a))
         if all(_in_kernel(vec, by_column) for vec in basis):
-            return [{c: Fraction(n) for c, n in vec.items()} for vec in basis]
+            return basis
     _log_retry("nullspace: no checked kernel mod %d, retrying over Q", p)
     return _nullspace_rational(matrix)
 

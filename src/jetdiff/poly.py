@@ -21,10 +21,12 @@ comparison; every printed term sequence, matrix column order and golden
 file uses it, which is what makes serialized output byte-stable.
 
 Representation: a polynomial holds a dict mapping monomials to nonzero
-Fraction coefficients.  A monomial is a tuple of (variable, exponent)
-pairs sorted by variable, every exponent positive; the empty tuple is the
-constant monomial.  Coefficients are `fractions.Fraction`, so all results
-are exact and already in lowest terms.
+exact rationals, `fractions.Fraction` or int.  A monomial is a tuple of
+(variable, exponent) pairs sorted by variable, every exponent positive;
+the empty tuple is the constant monomial.  All results are exact and in
+lowest terms.  Arithmetic makes Fractions; the integral invariant basis
+is stored as ints, and printing, equality and hashing treat an int and
+the Fraction equal to it alike.
 
 Substitution has one kernel, `PackedSubstitution`, and one polynomial
 front end on it, `substitute_all`, which pushes a batch of polynomials
@@ -149,12 +151,6 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out)
 
 
-def mono_pow(m: Monomial, n: int) -> Monomial:
-    if n == 0:
-        return MONO_ONE
-    return tuple((v, e * n) for v, e in m)
-
-
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -214,7 +210,7 @@ PolyLike = Union["SparsePolynomial", int, Fraction]
 
 
 class SparsePolynomial:
-    """A sparse polynomial with Fraction coefficients.
+    """A sparse polynomial with exact (Fraction or int) coefficients.
 
     The term dict is treated as immutable after construction; arithmetic
     always returns fresh objects.  The constructor trusts its input to be

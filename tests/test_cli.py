@@ -1,5 +1,6 @@
 """Tests for the command line interface: schema, determinism, exit codes."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -344,6 +345,49 @@ def test_golden_files(capsys, name, argv):
     golden = (GOLDEN_DIR / name).read_text()
     assert main(argv + ["--json"]) == 0
     assert capsys.readouterr().out == golden
+
+
+# Larger ladder shapes, pinned by the sha256 of their --json stdout, so a
+# change of representation that moves one byte fails here, not only in
+# the benchmark.
+LADDER_DIGESTS = [
+    (
+        ["basis", "--rank", "2", "--order", "4", "--weight", "12"],
+        "fe363c0c8d846dd3d0cdbd31b53288cc1763cffcb451a803fc3c9694036d566c",
+    ),
+    (
+        ["basis", "--rank", "4", "--order", "3", "--weight", "7"],
+        "67eb8838683bb86693f2af97b43bc3928214542367a4c9e731aaf5df89f5a164",
+    ),
+    (
+        ["basis", "--rank", "3", "--order", "4", "--weight", "9"],
+        "e3913cb8b857a68ddf830e4046c3681112a8064cc7e21c244e19508c2bd81c42",
+    ),
+    (
+        ["decompose", "--rank", "2", "--order", "4", "--weight", "12"],
+        "14e0f5e6eeb32885ae41b3bd867c19264321b72b31c8fe5897c81dbdd65626bf",
+    ),
+    (
+        [
+            "transition",
+            "--rank", "2",
+            "--order", "2",
+            "--weight", "20",
+            "--map", "w1 = z1 + z2^2; w2 = z2 - z1^2",
+            "--point=1,-1",
+        ],
+        "9e5e72f892a37681595782bdb3f415426ed58febfd7267059a6a92837cce29eb",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", LADDER_DIGESTS, ids=["_".join(c[0][:7:2]) for c in LADDER_DIGESTS]
+)
+def test_ladder_json_digests(capsys, argv, digest):
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_golden_flag_writes_file(capsys, tmp_path):

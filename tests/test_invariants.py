@@ -186,6 +186,24 @@ def test_basis_elements_are_stored_in_canonical_order():
             assert list(q.terms.items()) == q.sorted_terms(), (spec, m, str(q))
 
 
+def test_canonical_basis_is_held_as_ints():
+    # The canonical basis is integral (content 1) and stays int-valued
+    # from the nullspace through the stored space to the root moves.
+    def all_ints(values):
+        return all(type(v) is int for v in values)
+
+    for spec, m in ((JetSpec(2, 4), 12), (JetSpec(4, 3), 7), (JetSpec(3, 4), 9)):
+        space = invariant_basis(spec, m)
+        assert all(all_ints(vec.values()) for vec in space.vectors), (spec, m)
+        assert all(all_ints(q.terms.values()) for q in space.basis), (spec, m)
+        assert all(all_ints(row) for row in space.coefficients), (spec, m)
+        if spec.rank == 2:
+            raised = _root_move(space, space.vectors, 2, 1)
+            lowered = _root_move(space, raised, 1, 2)
+            assert any(raised) and any(lowered)
+            assert all(all_ints(vec.values()) for vec in raised + lowered)
+
+
 def test_invariant_basis_rank_one():
     space = invariant_basis(JetSpec(1, 2), 3)
     assert [str(q) for q in space.basis] == ["f1'^3"]

@@ -169,14 +169,15 @@ def test_nullspace_fallbacks_match_rational(caplog, monkeypatch):
 
 def test_nullspace_rational_takes_ints():
     # Block columns arrive as ints; either route must read them as the
-    # Fractions they equal.
+    # Fractions they equal, and both return the kernel as int vectors.
     mixed = RationalMatrix(2, 4, [{0: 2, 1: Fraction(1, 3), 3: -1}, {1: 6, 2: Fraction(-1, 2)}])
     as_fractions = dense(mixed.to_rows())
     expected = [{0: 1, 1: -6, 2: -72}, {0: 1, 3: 2}]
     assert linalg._nullspace_rational(mixed) == expected
     assert linalg._nullspace_rational(as_fractions) == expected
     assert nullspace(mixed) == expected
-    assert all(type(v) is Fraction for vec in nullspace(mixed) for v in vec.values())
+    for kernel in (nullspace(mixed), linalg._nullspace_rational(mixed)):
+        assert all(type(v) is int for vec in kernel for v in vec.values())
 
 
 def test_modular_rank_agrees_with_exact():

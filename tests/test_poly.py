@@ -12,7 +12,6 @@ from jetdiff.poly import (
     mono_degree,
     mono_from_pairs,
     mono_mul,
-    mono_pow,
     mono_sort_key,
     param_var,
     poly_sum,
@@ -271,7 +270,6 @@ def test_monomial_helpers():
     m1 = mono_from_pairs([(X, 1), (Y, 2)])
     m2 = mono_from_pairs([(Y, 1)])
     assert mono_mul(m1, m2) == mono_from_pairs([(X, 1), (Y, 3)])
-    assert mono_pow(m2, 4) == mono_from_pairs([(Y, 4)])
     assert mono_degree(m1) == 3
     assert mono_degree(()) == 0
 
