@@ -237,6 +237,8 @@ def _cmd_dim(args) -> int:
         "num_monomials": counts.num_monomials,
         "system_shape": [counts.rows, counts.num_monomials],
         "system_rank": counts.rank,
+        # the rank modulo 2**61 - 1 that the kernel check certifies; the key
+        # keeps the output bytes
         "system_rank_modular": counts.rank,
         "dimension": counts.dimension,
     }

@@ -57,7 +57,7 @@ from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
-from .linalg import RationalMatrix, _canonical_vector, _eliminate, nullspace, rank_modular_check
+from .linalg import RationalMatrix, _canonical_vector, _eliminate, nullspace
 from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
 from .linalg import solve_in_span
 from .poly import (
@@ -210,16 +210,15 @@ def invariant_dimension(spec: JetSpec, weight: int) -> InvariantDimension:
     permuted weight.  So each block is a copy of the dominant block of its
     orbit, rows, rank and kernel size included, and the whole system's
     counts are the dominant blocks' weighted by orbit size.  A block's
-    exact rank is its columns minus its kernel size (`nullspace` checks
-    every vector exactly); its modular rank, at most that, must reach it,
-    else RuntimeError names the first block that disagrees.  A permuted
-    block has the same entries, so the whole system's modular rank is then
-    its exact rank.
+    rank is its columns minus its kernel size, from its one elimination:
+    `nullspace` eliminates modulo 2**61 - 1 and checks every vector
+    exactly, so the kernel it returns is the rational one, of size
+    ncols - rank over Q (its Fraction fallback is exact on its own).
 
     All blocks share one packing, with fields sized from every dominant
     monomial, and so one power table; the block systems have int entries,
-    which `nullspace` and `rank_modular_check` use as they are.  One
-    block's system is held at a time.
+    which `nullspace` uses as they are.  One block's system is held at a
+    time.
     """
     monomials = enumerate_monomials(spec, weight)
     torus_blocks = _torus_blocks(_mono_torus_weight(m, spec.rank) for m in monomials)
@@ -233,16 +232,9 @@ def invariant_dimension(spec: JetSpec, weight: int) -> InvariantDimension:
     rows = rank = 0
     for torus, block in blocks.items():
         system = _substitution_system(packing, block)
-        exact = system.ncols - len(nullspace(system))
-        modular = rank_modular_check(system, stop_at=exact)
-        if modular != exact:
-            raise RuntimeError(
-                f"modular rank {modular} disagrees with exact rank {exact} "
-                f"in torus block {torus}"
-            )
         orbit = _orbit_size(torus)
         rows += orbit * system.nrows
-        rank += orbit * exact
+        rank += orbit * (system.ncols - len(nullspace(system)))
     return InvariantDimension(len(monomials), rows, rank, len(monomials) - rank)
 
 

@@ -20,18 +20,18 @@ byte-identical across runs and across pivot rules.
 
 Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
 and `solve_in_span` eliminate over Fraction; `dim` uses none of them.
-`rank_modular_check` and `nullspace` take the rows as integers and reduce
-them modulo large primes, which is valid for every prime: a row of ints
-is used as it is, with no copy, and any other row is cleared of its
-denominators once per call.  `dim`'s systems arrive with int entries, so
-neither call rebuilds them.  They give the rank as a cross-check over
-31-bit primes, and the kernel modulo 2**61 - 1 through rational
-reconstruction and an exact check against the same integer rows, with
-one Fraction elimination (`_nullspace_rational`) as the fallback and the
-test suite's reference.
-`dim` reads its exact rank off the size of that checked kernel and
-compares it with the modular rank.  The loop itself is checked against a
-plain column-scan elimination in both fields by the test suite.
+`nullspace` takes the rows as integers and reduces them modulo
+2**61 - 1, which is valid for every prime: a row of ints is used as it
+is, with no copy, and any other row is cleared of its denominators once
+per call.  `dim`'s systems arrive with int entries, so it does not
+rebuild them.  The kernel comes back through rational reconstruction and
+an exact check against the same integer rows, with one Fraction
+elimination (`_nullspace_rational`) as the fallback and the test suite's
+reference.  `dim` reads its exact rank off the size of that checked
+kernel, with no second elimination.  `rank_modular_check`, the rank over
+31-bit primes, is a reference for the test suite.  The loop itself is
+checked against a plain column-scan elimination in both fields by the
+test suite.
 """
 
 from __future__ import annotations
@@ -357,7 +357,10 @@ def nullspace(matrix: RationalMatrix) -> List[Dict[int, int]]:
 
 
 def rank_modular_check(matrix: RationalMatrix, stop_at: int) -> int:
-    """Rank computed modulo large primes, a cross-check of the exact rank.
+    """Rank computed modulo large primes, a reference for the exact rank.
+
+    No production code calls it: the test suite compares it with exact
+    ranks, and `jetdiff.cli` keeps the name for perfbench's tracer.
 
     The rows are taken as integers (`_integer_rows`) and reduced modulo
     each prime of `_DEFAULT_PRIMES` in turn.  The rank of an integer

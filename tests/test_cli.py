@@ -144,12 +144,12 @@ def test_orbit_route_solves_dominant_blocks_only(capsys, monkeypatch):
     assert sum(seen) == 123
 
 
-def test_dim_eliminates_once_per_route(capsys, monkeypatch):
-    # Per dominant block, one kernel modulo 2**61 - 1, then one 31-bit rank
-    # that already reaches the exact rank: no Fraction elimination, no
-    # second prime.  The block systems are built with int entries, so
-    # neither route clears or copies a row: each block's rows are cleared
-    # to integers at most once, where they are built.
+def test_dim_eliminates_once_per_block(capsys, monkeypatch):
+    # Per dominant block, one kernel modulo 2**61 - 1 and nothing else: no
+    # Fraction elimination, no 31-bit prime.  The block systems are built
+    # with int entries, so the kernel neither clears nor copies a row:
+    # each block's rows are cleared to integers at most once, where they
+    # are built.
     primes = []
     calls = []
     eliminate = linalg._eliminate
@@ -170,25 +170,28 @@ def test_dim_eliminates_once_per_route(capsys, monkeypatch):
     run_json(capsys, ["dim", "--rank", "2", "--order", "4", "--weight", "12"])
     blocks = len(dominant_weights(JetSpec(2, 4), 12))
     assert blocks == 45
-    assert primes == [2**61 - 1, linalg._DEFAULT_PRIMES[0]] * blocks
-    assert calls == [True, True] * blocks
+    assert primes == [2**61 - 1] * blocks
+    assert calls == [True] * blocks
 
 
-def test_dim_exits_three_when_ranks_disagree(capsys, monkeypatch):
-    # The ranks compared are those of one dominant block at a time.  At
-    # r2k2m3 the blocks of degree 3 have rank 0, so with a modular rank
-    # one short of every nonzero exact rank, the first to disagree is
-    # (2, 0), of exact rank 1 (the whole system's is 3).
-    def short(system, stop_at):
-        return max(stop_at - 1, 0)
+@pytest.mark.parametrize("prime", [3, 101])
+def test_dim_is_exact_at_small_kernel_primes(capsys, monkeypatch, caplog, prime):
+    # `dim` takes each block's rank from the checked kernel alone.  Modulo
+    # 3 the rank drops in 32 of r2k4m12's 45 dominant blocks; modulo 101
+    # entries outgrow the reconstruction bound.  Either way those blocks
+    # get no checked kernel and fall back to Fraction elimination, and the
+    # counts must still be exact.
+    shapes = [("2", "2", "6"), ("2", "4", "8"), ("3", "3", "6"), ("2", "4", "12")]
 
-    monkeypatch.setattr(invariants, "rank_modular_check", short)
-    assert main(["dim", "--rank", "2", "--order", "2", "--weight", "3", "--json"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "jetdiff: modular rank 0 disagrees with exact rank 1 in torus block (2, 0)\n"
-    )
+    def dim(shape):
+        r, k, m = shape
+        return run_json(capsys, ["dim", "--rank", r, "--order", k, "--weight", m])
+
+    expected = [dim(shape) for shape in shapes]
+    monkeypatch.setattr(linalg, "_KERNEL_PRIME", prime)
+    with caplog.at_level("INFO", logger="jetdiff.linalg"):
+        assert [dim(shape) for shape in shapes] == expected
+    assert any("retrying" in record.getMessage() for record in caplog.records)
 
 
 def test_decompose_json(capsys):
