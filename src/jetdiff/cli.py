@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "dim",
         parents=[shape, weight, output],
-        help="dimension via a kernel checked exactly, cross-checked modulo large primes",
+        help="dimension via series substitution, each block's kernel checked exactly",
     )
     p.set_defaults(func=_cmd_dim)
 

@@ -39,13 +39,14 @@ Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
 component counts, raising and lowering are the root derivations
 f2^(i) -> f1^(i) and f1^(i) -> f2^(i), applied as packed moves like D1
-and D2 (`_root_move`), and for two components the decomposition into
-irreducibles is computed from per-weight kernels of raising.  Lowering
-after raising acts on each weight space of an isotypic component by a
-scalar that tells the components apart, so `irrep_partition` reads the
-component of every basis element off that scalar, with no second basis
-and no second solve.  `raising_action`, built from partial derivatives,
-is the independent check of the packed moves.
+and D2 (`_root_move`).  For two components, one integer kernel per torus
+block, of its raised basis vectors beside the basis block they land in,
+counts the highest-weight vectors and checks that raising keeps the
+span.  Lowering after raising is a scalar on each weight space of an
+isotypic component that tells the components apart, so `irrep_partition`
+reads each basis element's component off it, with no second basis and
+no solve.  `raising_action`, built from partial derivatives, is the
+independent check of the packed moves.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .poly import (
     JET,
     Monomial,
     PackedSubstitution,
-    Scalar,
     SparsePolynomial,
     Variable,
     jet_var,
@@ -133,12 +133,10 @@ def _reparam_rule(spec: JetSpec, s: int) -> Dict[Variable, Tuple[Variable, int]]
     }
 
 
-def _kernel(columns: Mapping[int, Mapping[Hashable, Scalar]]) -> List[Dict[int, int]]:
+def _kernel(columns: Mapping[int, Mapping[Hashable, int]]) -> List[Dict[int, int]]:
     """`nullspace` of one block: `columns` maps each column index, in
-    increasing order, to its sparse column (rows keyed by any hashable):
-    ints as `_packed_derivations` computes them, or the coordinates
-    `_highest_weight_vectors` solves for.
-    The kernel vectors are int vectors keyed by those column indices."""
+    increasing order, to its sparse int column as `_packed_derivations`
+    computes it.  The kernel vectors are keyed by those column indices."""
     labels = list(columns)
     kernel = nullspace(RationalMatrix.from_columns(columns.values()))
     return [{labels[j]: value for j, value in vec.items()} for vec in kernel]
@@ -601,10 +599,11 @@ def _highest_weight_vectors(
     """The irreducible labels, highest weight first, and the raised basis
     vectors E b_i they were counted from, as {column: int}.
 
-    Every basis vector is raised once, column by column, and the results
-    are expanded with one solve; each torus weight block then gives one
-    `_kernel` of the coordinates of its raised elements, whose size is the
-    number of highest-weight vectors there.
+    Every basis vector is raised once.  Torus block w gives one `nullspace`
+    of the int columns E b_i (i in w), then the independent b_j of block
+    w + (1, -1): it has |w| vectors exactly when every E b_i is in their
+    span, and those whose free column (last key) is raised number
+    |w| - rank(E on w), the highest-weight vectors there.
     """
     if space.spec.rank != 2:
         raise ValueError(
@@ -612,20 +611,21 @@ def _highest_weight_vectors(
             "are available at any rank"
         )
     raised = _root_move(space, space.vectors, 2, 1)
-    try:
-        coords = solve_in_span(space.vectors, raised)
-    except ValueError as exc:
-        raise RuntimeError(f"raising operator left the invariant span: {exc}") from exc
+    blocks = _torus_blocks(space.torus_weights())
     labels: List[IrrepLabel] = []
-    for wt, idxs in sorted(_torus_blocks(space.torus_weights()).items(), reverse=True):
-        kernel = _kernel({idx: coords[idx] for idx in idxs})
-        if not kernel:
+    for wt, idxs in sorted(blocks.items(), reverse=True):
+        above = [space.vectors[j] for j in blocks.get((wt[0] + 1, wt[1] - 1), ())]
+        kernel = nullspace(RationalMatrix.from_columns([raised[i] for i in idxs] + above))
+        if len(kernel) != len(idxs):
+            raise RuntimeError(f"raising operator left the invariant span at torus weight {wt}")
+        count = sum(next(reversed(vec)) < len(idxs) for vec in kernel)
+        if not count:
             continue
         if wt[0] < wt[1]:
             raise RuntimeError(
                 f"highest-weight vector found at non-dominant torus weight {wt}"
             )
-        labels.append(IrrepLabel(wt, len(kernel)))
+        labels.append(IrrepLabel(wt, count))
     total = sum(l.dimension() * l.multiplicity for l in labels)
     if total != space.dimension:
         raise RuntimeError(

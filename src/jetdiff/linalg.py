@@ -19,12 +19,12 @@ the nullspace basis and the coordinates read off it, so results are
 byte-identical across runs and across pivot rules.
 
 Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
-and `solve_in_span` eliminate over Fraction; `dim` uses none of them.
-`nullspace` takes the rows as integers and reduces them modulo
-2**61 - 1, which is valid for every prime: a row of ints is used as it
-is, with no copy, and any other row is cleared of its denominators once
-per call.  `dim`'s systems arrive with int entries, so it does not
-rebuild them.  The kernel comes back through rational reconstruction and
+and `solve_in_span` eliminate over Fraction; `dim` and `decompose` use
+none of them.  `nullspace` takes the rows as integers and reduces them
+modulo 2**61 - 1, which is valid for every prime: a row of ints is used
+as it is, with no copy, and any other row is cleared of its denominators
+once per call.  The systems of `dim` and `decompose` arrive with int
+entries, so they are not rebuilt.  The kernel comes back through rational reconstruction and
 an exact check against the same integer rows, with one Fraction
 elimination (`_nullspace_rational`) as the fallback and the test suite's
 reference.  `dim` reads its exact rank off the size of that checked

@@ -13,7 +13,7 @@ import pytest
 import jetdiff
 from jetdiff import invariants, linalg
 from jetdiff.cli import _digest, main
-from jetdiff.invariants import enumerate_monomials, invariance_system, invariant_basis
+from jetdiff.invariants import decompose, enumerate_monomials, invariance_system, invariant_basis
 from jetdiff.jets import JetSpec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -202,6 +202,57 @@ def test_decompose_json(capsys):
         (4, 1),
         (2, 2),
     ]
+
+
+def test_decompose_takes_one_kernel_per_torus_block(monkeypatch):
+    # `decompose` solves for no coordinates: each torus block gives one
+    # `nullspace` of its raised basis vectors beside the basis vectors of
+    # the block they are raised into, and nothing else.
+    space = invariant_basis(JetSpec(2, 4), 12)
+    calls = {"nullspace": 0, "solve_in_span": 0}
+    for name in calls:
+
+        def spy(*args, name=name, original=getattr(invariants, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(invariants, name, spy)
+    decompose(space)
+    blocks = len(set(space.torus_weights()))
+    assert blocks == 49
+    assert calls == {"nullspace": blocks, "solve_in_span": 0}
+
+
+def test_decompose_rejects_raising_out_of_span(capsys, monkeypatch):
+    # At r2k2m6 the one basis vector of torus weight (3, 2) is raised into
+    # the block (4, 1).  Its image gains a monomial of that block with a
+    # second derivative.  D1 sends such a monomial to a sum of distinct
+    # monomials with positive coefficients, so it is not invariant, and the
+    # image leaves the span of the basis.
+    root_move = invariants._root_move
+
+    def leaky(space, vectors, from_comp, to_comp):
+        out = root_move(space, vectors, from_comp, to_comp)
+        if (from_comp, to_comp) == (2, 1):
+            col = next(
+                c
+                for c, mono in enumerate(space.monomials)
+                if invariants._mono_torus_weight(mono, 2) == (4, 1)
+                and any(v.order == 2 for v, _ in mono)
+            )
+            idx = space.torus_weights().index((3, 2))
+            out[idx] = {**out[idx], col: out[idx].get(col, 0) + 1}
+        return out
+
+    monkeypatch.setattr(invariants, "_root_move", leaky)
+    with pytest.raises(RuntimeError, match=r"left the invariant span at torus weight \(3, 2\)"):
+        decompose(invariant_basis(JetSpec(2, 2), 6))
+    code = main(["decompose", "--rank", "2", "--order", "2", "--weight", "6"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("jetdiff: ") and captured.err.count("\n") == 1
+    assert "(3, 2)" in captured.err
 
 
 def test_verify_json_not_invariant(capsys):

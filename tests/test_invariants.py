@@ -591,6 +591,24 @@ def test_decompose_matches_closed_forms():
         assert decompose(invariant_basis(JetSpec(2, 3), m)) == expected
 
 
+def test_decompose_matches_torus_weight_peel():
+    # The multiplicity of highest weight (a, b) is n(a, b) - n(a + 1, b - 1),
+    # where n counts the basis elements of each torus weight: each
+    # irreducible has one vector at each weight (a - j, b + j).  The torus
+    # weights come from the derivation blocks, so this shares no code with
+    # raising, and it is the only route pinned at order 4.
+    shapes = [(k, m) for k in (1, 2, 3) for m in range(13)] + [(4, m) for m in range(15)]
+    for order, weight in shapes:
+        space = invariant_basis(JetSpec(2, order), weight)
+        counts = Counter(space.torus_weights())
+        expected = []
+        for (a, b), n in sorted(counts.items(), reverse=True):
+            multiplicity = n - counts.get((a + 1, b - 1), 0)
+            if a >= b and multiplicity:
+                expected.append(IrrepLabel((a, b), multiplicity))
+        assert decompose(space) == expected, (order, weight)
+
+
 def test_decompose_first_order_is_symmetric_power():
     for m in (1, 2, 3, 4):
         labels = decompose(invariant_basis(JetSpec(2, 1), m))
