@@ -65,13 +65,13 @@ from .poly import (
     JET,
     Monomial,
     PackedSubstitution,
+    PolyLike,
     SparsePolynomial,
     Variable,
     jet_var,
     mono_degree,
     mono_str,
     param_var,
-    substitute_all,
 )
 
 
@@ -257,19 +257,33 @@ def verify_invariance(q: SparsePolynomial, spec: JetSpec) -> InvarianceVerdict:
 
 
 def _verify_all(polys: Sequence[SparsePolynomial], spec: JetSpec) -> List[InvarianceVerdict]:
-    """`verify_invariance` for a batch, with one substitution call."""
+    """`verify_invariance` for a batch, on one `PackedSubstitution` of the
+    formal action sized from all its monomials.
+
+    Each image stays packed, (common, {packed key: int}), and is compared
+    with the checked keys (`PackedSubstitution.key`) of q * a1^m, each
+    coefficient times `common`.  A monomial with no checked key occurs in
+    no image, so it is a mismatch.  Only a mismatch is unpacked, to build
+    its residual, the same polynomial an unpacked comparison gives.
+    """
     weights = [_homogeneous_weight(q, spec) for q in polys]
-    images = substitute_all(polys, _formal_action(spec, False))
+    packing = PackedSubstitution(_formal_action(spec, False), (m for q in polys for m in q.terms))
     a1 = param_var(1)
     verdicts = []
-    for q, weight, image in zip(polys, weights, images):
-        # a1 sorts after every jet variable, so appending a1^m keeps each
-        # monomial canonical; the residual is only built on a mismatch.
-        scaled = {mono + ((a1, weight),): c for mono, c in q.terms.items()} if weight else q.terms
-        if image.terms == scaled:
+    for q, weight in zip(polys, weights):
+        common, image = packing.image(q.terms)
+        lift = packing.key(((a1, weight),)) if weight else 0
+        keys = [packing.key(mono) for mono in q.terms]
+        if lift is not None and None not in keys and image == {
+            key + lift: c * common for key, c in zip(keys, q.terms.values())
+        }:
             verdicts.append(InvarianceVerdict(True, weight, None))
-        else:
-            verdicts.append(InvarianceVerdict(False, weight, image - SparsePolynomial(scaled)))
+            continue
+        # a1 sorts after every jet variable, so appending a1^m keeps each
+        # monomial canonical.
+        scaled = {mono + ((a1, weight),): c for mono, c in q.terms.items()} if weight else q.terms
+        residual = SparsePolynomial(packing.unpack(common, image)) - SparsePolynomial(scaled)
+        verdicts.append(InvarianceVerdict(False, weight, residual))
     return verdicts
 
 
@@ -363,6 +377,31 @@ class InvariantSpace:
         nonzero coefficient}; raises ValueError when one of them leaves the
         span, a monomial outside the weight-m support included."""
         return solve_in_span([q.terms for q in self.basis], [p.terms for p in polys])
+
+    def expand_images(self, bindings: Mapping[Variable, PolyLike]) -> List[Dict[int, Fraction]]:
+        """The coordinates of each basis element with `bindings`
+        substituted, as `expand_many` gives them, read off one
+        `PackedSubstitution` with no image unpacked.
+
+        The basis vectors are keyed by the checked keys of their monomials
+        (`PackedSubstitution.key`); a monomial with none occurs in no
+        image, so it is its own key.  Both go to `solve_in_span` as int
+        columns, and each coordinate is divided by its image's common
+        denominator.  Raises ValueError when an image leaves the span.
+        """
+        packing = PackedSubstitution(bindings, (m for q in self.basis for m in q.terms))
+        images = [packing.image(q.terms) for q in self.basis]
+        keys: Dict[int, Hashable] = {}
+        for col in {col for vec in self.vectors for col in vec}:
+            mono = self.monomials[col]
+            key = packing.key(mono)
+            keys[col] = mono if key is None else key
+        columns = [{keys[col]: value for col, value in vec.items()} for vec in self.vectors]
+        coords = solve_in_span(columns, [packed for _, packed in images])
+        return [
+            {i: Fraction(value, common) for i, value in coord.items()}
+            for (common, _), coord in zip(images, coords)
+        ]
 
     def torus_weights(self) -> List[Tuple[int, ...]]:
         return list(self._torus_weights)

@@ -393,11 +393,14 @@ def solve_in_span(
 ) -> List[Row]:
     """Express each target vector in the span of `columns`.
 
-    Vectors are sparse: a mapping from coordinate (any hashable) to value,
-    where absent coordinates and zero values both mean zero.  The columns
-    are assumed linearly independent; each target is written as their
-    unique combination, returned as {column index: nonzero coefficient}.
-    Raises ValueError naming the first target that is outside the span.
+    Vectors are sparse: a mapping from coordinate (any hashable: monomial
+    tuples, packed int keys, or both) to value, Fraction or int, where
+    absent coordinates and zero values both mean zero.  The transitions
+    pass int columns keyed by packed monomials.  The columns are assumed
+    linearly independent; each target is written as their unique
+    combination, returned as {column index: nonzero coefficient}, an int
+    or a Fraction.  Raises ValueError naming the first target that is
+    outside the span.
     """
     width = len(columns)
     rows, pivots = _eliminate(RationalMatrix.from_columns([*columns, *targets]).rows)

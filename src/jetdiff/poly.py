@@ -49,7 +49,9 @@ the jet order.  The kernel works on packed integers:
                        and each polynomial's terms by the lcm of theirs, so
                        products are int adds (keys) and int multiplies
                        (coefficients).  One (variable, exponent) -> power
-                       table serves the whole batch.
+                       table serves the whole batch; a power next to a
+                       cached one takes one product, any other is squared
+                       up from half its exponent.
 
 Each result is accumulated in one dict from key to integer; the kernel
 returns it as (common denominator, {packed key: nonzero int}).
@@ -57,9 +59,17 @@ returns it as (common denominator, {packed key: nonzero int}).
 Fraction(num, common_den) coefficients.  The output is therefore the same
 canonical polynomial exact arithmetic defines, whatever the packing; since
 every printer sorts terms canonically, serialized output stays byte-stable.
-`dim` reads the packed images directly: invariants.py builds its
-substitution system from them, with one packing per shape, and never
-unpacks a key.
+
+`dim`, `verify` and the transitions read the packed images directly, with
+one packing per call.  invariants.py builds `dim`'s substitution system
+from them.  The formal re-check of `verify` and `invariant_basis`
+compares each image with the keys of q * a1^m, and unpacks only the image
+of a polynomial that is not invariant, to build its residual.  The
+transition solve keys the basis vectors by the same packed keys as the
+images and unpacks nothing.  The keys of monomials that are not images
+go through the checked `PackedSubstitution.key`, which refuses a
+monomial that does not fit the fields instead of letting it alias
+another.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 # variable kinds, in global sort order
 BASE = 0
@@ -461,14 +471,17 @@ class PackedSubstitution:
     the images with their denominators cleared and the power table then
     serve every `image` call.  `image` must only be given polynomials
     whose monomials were among those it was sized from; another monomial
-    can overflow a field.
+    can overflow a field.  Every key of an image fits the fields; `key`
+    packs any other monomial, or refuses it when it does not fit.
 
     truncate=(v, n) drops the terms of v-degree above n after every
     product; products only raise degrees, so the kept terms are exact and
     the work is bounded by n, not by the degrees of the inputs.
     """
 
-    __slots__ = ("_shift", "_fields", "_kept", "_trim", "_cleared", "_powers", "_unpacked")
+    __slots__ = (
+        "_shift", "_limit", "_fields", "_kept", "_trim", "_cleared", "_powers", "_unpacked"
+    )
 
     def __init__(
         self,
@@ -511,14 +524,17 @@ class PackedSubstitution:
         # One bit field per variable, in global variable order, wide enough
         # for its largest exponent: exponent sums never carry into a neighbour.
         shift: Dict[Variable, int] = {}
+        limit: Dict[Variable, int] = {}
         fields: List[Tuple[Variable, int, int]] = []
         offset = 0
         for w in sorted(top):
             width = top[w].bit_length()
             shift[w] = offset
-            fields.append((w, offset, (1 << width) - 1))
+            limit[w] = (1 << width) - 1
+            fields.append((w, offset, limit[w]))
             offset += width
         self._shift = shift
+        self._limit = limit
         self._fields = fields
 
         # The nonzero terms of a product within the truncation (mask 0 keeps
@@ -554,24 +570,49 @@ class PackedSubstitution:
         self._unpacked: Dict[int, Monomial] = {}
 
     def pack(self, mono: Monomial) -> int:
-        """The packed key of a monomial in the result variables."""
+        """The packed key of a monomial in the result variables, unchecked:
+        an exponent wider than its field carries into the next one."""
         shift = self._shift
         key = 0
         for v, e in mono:
             key += e << shift[v]
         return key
 
+    def key(self, mono: Monomial) -> Optional[int]:
+        """`pack`, checked: None when a variable of the monomial has no
+        field or an exponent wider than its field.  Every image key is a
+        checked key, so a monomial without one occurs in no image."""
+        shift, limit = self._shift, self._limit
+        key = 0
+        for v, e in mono:
+            if e > limit.get(v, 0):
+                return None
+            key += e << shift[v]
+        return key
+
     def _power(self, v: Variable, e: int) -> List[Tuple[int, int]]:
+        """The packed image of v, to the power e >= 1, from the table.
+
+        Next to a cached power, one product with the image; otherwise the
+        square of power e // 2, times the image when e is odd, so a power
+        far from any cached one takes O(log e) products, not e."""
         powers = self._powers
         found = powers.get((v, e))
         if found is None:
-            base = self._cleared[v][1]
-            n = e - 1
-            while n and (v, n) not in powers:
-                n -= 1
-            found = powers[(v, n)] if n else [(0, 1)]
-            for n in range(n + 1, e + 1):
-                found = powers[(v, n)] = self._kept(_mul_into({}, found, base))
+            kept, base = self._kept, self._cleared[v][1]
+            halved = []  # the exponents to square back up to, in reverse
+            while e > 1 and (v, e) not in powers and (v, e - 1) not in powers:
+                halved.append(e)
+                e //= 2
+            found = powers.get((v, e))
+            if found is None:
+                below = powers[(v, e - 1)] if e > 1 else [(0, 1)]
+                found = powers[(v, e)] = kept(_mul_into({}, below, base))
+            for e in reversed(halved):
+                found = kept(_mul_into({}, found, found))
+                if e & 1:
+                    found = kept(_mul_into({}, found, base))
+                powers[(v, e)] = found
         return found
 
     def image(self, terms: Mapping[Monomial, Scalar]) -> Tuple[int, Dict[int, int]]:

@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 from .invariants import InvariantSpace, IrrepLabel
 from .jets import JetPoint, JetSpec, TargetMap, act_target
 from .linalg import dense_rank
-from .poly import SparsePolynomial, Variable, jet_var, substitute_all
+from .poly import SparsePolynomial, Variable, jet_var
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,11 +112,12 @@ def _transition_matrix(
     space: InvariantSpace, bindings: Mapping[Variable, SparsePolynomial], failure: str
 ) -> TransitionMatrix:
     """The matrix of Q -> Q(bindings) on the space, densified last (every
-    entry is printed).  An image outside the span raises RuntimeError
-    with the message `failure: <reason>`."""
-    images = substitute_all(space.basis, bindings)
+    entry is printed).  The images are solved in the basis as they come
+    out of the substitution kernel, packed (`InvariantSpace.expand_images`).
+    An image outside the span raises RuntimeError with the message
+    `failure: <reason>`."""
     try:
-        columns = space.expand_many(images)
+        columns = space.expand_images(bindings)
     except ValueError as exc:
         raise RuntimeError(f"{failure}: {exc}") from exc
     n = space.dimension

@@ -37,6 +37,7 @@ from jetdiff.poly import (
     mono_from_pairs,
     mono_sort_key,
     param_var,
+    substitute_all,
 )
 
 from helpers import random_poly, reference_substitute
@@ -439,6 +440,43 @@ def test_verify_constant_is_invariant():
     verdict = verify_invariance(SparsePolynomial.constant(5), JetSpec(2, 2))
     assert verdict.invariant
     assert verdict.weight == 0
+
+
+def unpacked_verdicts(polys, spec):
+    """`_verify_all` with every image unpacked: `substitute_all`, then a
+    comparison of polynomials with q * a1^m."""
+    a1 = var(param_var(1))
+    images = substitute_all(polys, invariants._formal_action(spec, False))
+    verdicts = []
+    for q, image in zip(polys, images):
+        weight = mono_weight(next(iter(q.terms))) if q.terms else 0
+        residual = image - q * a1 ** weight
+        verdicts.append((not residual, weight, residual or None))
+    return verdicts
+
+
+def test_packed_verify_matches_unpacked_reference():
+    # Verdicts, weights and residuals of the packed comparison equal the
+    # unpacked ones: basis elements, their combinations with Fraction
+    # coefficients, those plus a monomial (mostly not invariant), and the
+    # weight-0 constant and zero, all in one batch per shape.
+    rng = random.Random(431)
+    outcomes = set()
+    for rank, order, weight in [(2, 2, 6), (1, 3, 7), (3, 2, 4), (2, 3, 5), (2, 4, 4)]:
+        spec = JetSpec(rank, order)
+        basis = list(invariant_basis(spec, weight).basis)
+        monomials = enumerate_monomials(spec, weight)
+        polys = [SparsePolynomial.constant(Fraction(5, 3)), SparsePolynomial.zero(), *basis]
+        for _ in range(4):
+            combo = SparsePolynomial.zero()
+            for q in rng.sample(basis, min(3, len(basis))):
+                combo = combo + q * Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            noise = SparsePolynomial.monomial(rng.choice(monomials), Fraction(rng.randint(1, 9), 7))
+            polys.extend([combo, combo + noise])
+        got = [tuple(verdict) for verdict in invariants._verify_all(polys, spec)]
+        assert got == unpacked_verdicts(polys, spec)
+        outcomes.update(invariant for invariant, _, _ in got)
+    assert outcomes == {True, False}
 
 
 def test_verify_mixed_weights_rejected():

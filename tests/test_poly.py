@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from jetdiff import poly
 from jetdiff.poly import (
+    PackedSubstitution,
     SparsePolynomial,
     base_var,
     jet_var,
@@ -202,6 +204,62 @@ def test_substitute_all_exponents_fill_their_bit_fields():
             assert_matches_reference([x ** e * y], {X: x + 2 * y})
             assert_matches_reference([f1 ** e + f2], {jet_var(1, 1): f2 - f1})
             assert_matches_reference([x ** e, y ** e * x], {X: y, Y: x})
+
+
+def test_checked_key_refuses_what_pack_would_alias():
+    # x is bound to y and z passes through, so y has a one-bit field right
+    # below z's: y^2 packs onto z's key, and x has no field at all.  The
+    # checked key refuses both and agrees with `pack` on every monomial
+    # that fits, image keys included.
+    Z = base_var(3)
+    packing = PackedSubstitution({X: var(Y)}, [((X, 1),), ((Z, 1),)])
+    assert packing.pack(((Y, 2),)) == packing.pack(((Z, 1),))
+    assert packing.key(((Y, 2),)) is None
+    assert packing.key(((X, 1),)) is None
+    for mono in [(), ((Y, 1),), ((Z, 1),), ((Y, 1), (Z, 1))]:
+        assert packing.key(mono) == packing.pack(mono)
+    assert packing.image({((X, 1), (Z, 1)): 3}) == (1, {packing.key(((Y, 1), (Z, 1))): 3})
+
+
+def test_power_table_squares_far_powers(monkeypatch):
+    # A power far from every cached one is reached by repeated squaring, in
+    # O(log e) products; next to a cached power it takes one product, so
+    # powers asked for in increasing order are built one step at a time.
+    calls = []
+    mul_into = poly._mul_into
+
+    def counted(acc, left, right):
+        calls.append(1)
+        return mul_into(acc, left, right)
+
+    monkeypatch.setattr(poly, "_mul_into", counted)
+    f1, a1 = jet_var(1, 1), param_var(1)
+    e = 10 ** 6
+    monomials = [((f1, n),) for n in (e, e + 1, *range(1, 9))]
+    packing = PackedSubstitution({f1: var(a1) * var(f1)}, monomials)
+    assert packing.image({((f1, e),): 1}) == (1, {packing.key(((f1, e), (a1, e))): 1})
+    assert len(calls) <= 2 * e.bit_length()  # one image product included
+    calls.clear()
+    packing.image({((f1, e + 1),): 1})
+    assert len(calls) == 2
+    calls.clear()
+    fresh = PackedSubstitution({f1: var(a1) * var(f1)}, monomials)
+    for n in range(1, 9):
+        fresh.image({((f1, n),): 1})
+    assert len(calls) == 2 * 8
+
+
+def test_power_table_orders_agree_with_reference():
+    # Squared and one-step powers, asked for out of order, with and without
+    # truncation, match the term-by-term reference.
+    x, y = var(X), var(Y)
+    polys = [x ** e * y for e in (13, 6, 7, 30, 2, 1, 15)]
+    bindings = {X: x + 2 * y - 1}
+    assert_matches_reference(polys, bindings)
+    got = substitute_all(polys, bindings, truncate=(X, 9))
+    for p, q in zip(got, polys):
+        full = reference_substitute(q, bindings)
+        assert p == SparsePolynomial({m: c for m, c in full.terms.items() if dict(m).get(X, 0) <= 9})
 
 
 def test_substitute_composition_law():

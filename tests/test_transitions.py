@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from jetdiff import invariants, jets, poly, transitions
 from jetdiff.invariants import IrrepLabel, invariant_basis, irrep_partition
-from jetdiff.jets import JetSpec, TargetMap
-from jetdiff.poly import SparsePolynomial, base_var
+from jetdiff.jets import JetPoint, JetSpec, TargetMap, act_target
+from jetdiff.poly import PackedSubstitution, SparsePolynomial, base_var, jet_var, substitute_all
 from jetdiff.transitions import (
     Witness,
     associated_action,
@@ -118,6 +119,110 @@ def test_transition_independent_of_basepoint_for_linear():
     at_zero = differential_transition(space, psi, [0, 0])
     at_pt = differential_transition(space, psi, [rational(rng), rational(rng)])
     assert at_zero.entries == at_pt.entries
+
+
+# ---- the packed transition tail against the unpacked one ----
+
+
+def unpacked_transition(space, bindings):
+    """The transition tail with every image unpacked: `substitute_all`,
+    then `expand_many`; a dense matrix, or the ValueError's message."""
+    try:
+        columns = space.expand_many(substitute_all(space.basis, bindings))
+    except ValueError as exc:
+        return str(exc)
+    n = space.dimension
+    return tuple(tuple(col.get(i, Fraction(0)) for col in columns) for i in range(n))
+
+
+def test_packed_transition_matches_unpacked_reference(monkeypatch):
+    # Every matrix `_transition_matrix` builds, for seeded nonlinear maps
+    # at orders 2 to 4 and for the fiberwise action, equals the unpacked
+    # reference Fraction for Fraction.
+    built = []
+    original = transitions._transition_matrix
+
+    def compare(space, bindings, failure):
+        tm = original(space, bindings, failure)
+        assert tm.entries == unpacked_transition(space, bindings)
+        assert all(type(v) is Fraction for row in tm.entries for v in row)
+        built.append((space.spec, space.weight))
+        return tm
+
+    monkeypatch.setattr(transitions, "_transition_matrix", compare)
+    rng = random.Random(2024)
+    for rank, order, weight in [(2, 2, 3), (2, 2, 7), (2, 3, 6), (2, 4, 6), (3, 2, 4)]:
+        space = invariant_basis(JetSpec(rank, order), weight)
+        for degree in (2, 3):
+            point = [rational(rng, -2, 2, 2) for _ in range(rank)]
+            psi = random_target_map(rng, rank, degree=degree, points=(point,))
+            differential_transition(space, psi, point)
+        associated_action(random_invertible(rng, rank), space)
+    assert len(built) == 15
+
+
+def test_transition_leaving_the_span_names_the_failure():
+    # Bindings that do not keep the space raise RuntimeError with the
+    # `failure: ...` prefix and the reference's reason.
+    space = weight3_space()
+    f1, f1_2 = var(jet_var(1, 1)), var(jet_var(1, 2))
+    for bindings in (
+        {jet_var(1, 2): f1_2 + f1 ** 3},  # the Wronskian gains f2'*f1'^3
+        {jet_var(1, 1): f1 + 1},  # images of lower weight
+    ):
+        reason = unpacked_transition(space, bindings)
+        assert reason.endswith("is outside the span")
+        with pytest.raises(RuntimeError) as info:
+            transitions._transition_matrix(space, bindings, "failure")
+        assert str(info.value) == f"failure: {reason}"
+
+
+def test_transition_never_trusts_an_aliased_key():
+    # With f2' -> 0 and f1'' -> f2' + f1'', f2' only reaches degree 1 in
+    # the images, so its field is one bit wide and the unchecked key of
+    # the basis monomial f2'^3 is that of f2'*f1''.  Keyed that way, the
+    # Wronskian's image f1'*f2'' would solve; it is outside the span.
+    space = weight3_space()
+    f2, f1_2 = jet_var(2, 1), jet_var(1, 2)
+    bindings = {f2: 0, f1_2: var(f2) + var(f1_2)}
+    packing = PackedSubstitution(bindings, (m for q in space.basis for m in q.terms))
+    assert packing.pack(((f2, 3),)) == packing.key(((f2, 1), (f1_2, 1)))
+    assert packing.key(((f2, 3),)) is None
+    assert unpacked_transition(space, bindings) == "target 4 is outside the span"
+    with pytest.raises(RuntimeError, match="^failure: target 4 is outside the span$"):
+        transitions._transition_matrix(space, bindings, "failure")
+
+
+def test_packed_routes_never_unpack(monkeypatch):
+    # The invariance check and the transition solve read the images as the
+    # kernel packs them: an all-invariant `invariant_basis`,
+    # `differential_transition` and `associated_action` unpack no image and
+    # call no `substitute_all`.  Moving a jet does substitute polynomials,
+    # so the formal action (cached per shape) and the moved jet are
+    # computed before the spies go in.
+    spec, point = JetSpec(2, 2), [1, -1]
+    psi = TargetMap([var(base_var(1)) + var(base_var(2)) ** 2, var(base_var(2))])
+    invariants._formal_action(spec, False)
+    moved = act_target(JetPoint.formal(spec), psi, point)
+    monkeypatch.setattr(transitions, "act_target", lambda *args: moved)
+    calls = {"unpack": 0, "substitute_all": 0}
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(PackedSubstitution, "unpack", spy("unpack", PackedSubstitution.unpack))
+    for module in (poly, jets):
+        monkeypatch.setattr(module, "substitute_all", spy("substitute_all", module.substitute_all))
+    space = invariant_basis(spec, 8)
+    differential_transition(space, psi, point)
+    associated_action([[1, 2], [0, 1]], space)
+    assert calls == {"unpack": 0, "substitute_all": 0}
+    poly.substitute_all(space.basis[:1], {jet_var(1, 1): 1})  # the spies are live
+    assert calls == {"unpack": 1, "substitute_all": 1}
 
 
 def test_singular_jacobian_rejected():
