@@ -58,7 +58,7 @@ from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
-from .linalg import RationalMatrix, _canonical_vector, _eliminate, nullspace
+from .linalg import RationalMatrix, _canonical_span, nullspace
 from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
 from .linalg import solve_in_span
 from .poly import (
@@ -92,36 +92,38 @@ def enumerate_monomials(spec: JetSpec, weight: int) -> List[Monomial]:
     weight alone exceeds the budget), so an order beyond the weight
     contributes nothing new.  weight 0 yields just the constant monomial.
 
-    The recursion takes the variables in global order, each exponent from
-    largest to smallest, so each monomial comes out already sorted by
-    variable and the monomials come out in decreasing lexicographic order
-    of their exponent vectors.  Within one total degree that is the
-    canonical order (`mono_sort_key`), so a stable sort on decreasing total
-    degree yields the canonical order without comparing monomials.
+    `suffixes(idx, w)` lists the monomials in the variables from `idx` on
+    (in global order) of weight w: for each exponent e of the first, from
+    largest to smallest, the list of (idx + 1, w - e * order) with (v, e)
+    prefixed when e > 0.  Each (idx, w) list is built once per call and shared by
+    every prefix that reaches it.  So each monomial comes out already
+    sorted by variable and the monomials come out in decreasing
+    lexicographic order of their exponent vectors.  Within one total degree
+    that is the canonical order (`mono_sort_key`), so a stable sort on
+    decreasing total degree yields the canonical order without comparing
+    monomials; the sort returns a new list, so no call shares its result.
     """
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
     variables = [v for v in spec.jet_variables() if v.order <= weight]
-    results: List[Monomial] = []
+    built: Dict[Tuple[int, int], List[Monomial]] = {}
 
-    def extend(idx: int, remaining: int, acc: List[Tuple[Variable, int]]):
+    def suffixes(idx: int, remaining: int) -> List[Monomial]:
         if remaining == 0:
-            results.append(tuple(acc))
-            return
-        if idx == len(variables):
-            return
-        v = variables[idx]
-        max_exp = remaining // v.order
-        for e in range(max_exp, -1, -1):
-            if e:
-                acc.append((v, e))
-                extend(idx + 1, remaining - e * v.order, acc)
-                acc.pop()
-            else:
-                extend(idx + 1, remaining, acc)
-    extend(0, weight, [])
-    results.sort(key=mono_degree, reverse=True)  # stable, even reversed
-    return results
+            return [()]
+        found = built.get((idx, remaining))
+        if found is None:
+            found = built[(idx, remaining)] = []
+            if idx < len(variables):
+                v = variables[idx]
+                for e in range(remaining // v.order, 0, -1):
+                    head = ((v, e),)
+                    tails = suffixes(idx + 1, remaining - e * v.order)
+                    found.extend([head + tail for tail in tails])
+                found.extend(suffixes(idx + 1, remaining))
+        return found
+
+    return sorted(suffixes(0, weight), key=mono_degree, reverse=True)  # stable, even reversed
 
 
 def _reparam_rule(spec: JetSpec, s: int) -> Dict[Variable, Tuple[Variable, int]]:
@@ -445,12 +447,19 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     }
     column = {mono: col for col, mono in enumerate(monomials)}
     variables = spec.jet_variables()
+    renamings: Dict[Tuple[int, ...], Dict[Variable, Variable]] = {}
     keyed: List[Tuple[Dict[int, int], Tuple[int, ...]]] = []
     for torus in blocks:
         kernel = kernels.get(torus)
         if kernel is None:
+            # one renaming per permutation, shared by every block it reaches
+            perm = tuple(sorted(range(spec.rank), key=lambda j: -torus[j]))
+            moved = renamings.get(perm)
+            if moved is None:
+                moved = {v: Variable(JET, v.order, perm[v.comp - 1] + 1) for v in variables}
+                renamings[perm] = moved
             dominant = tuple(sorted(torus, reverse=True))
-            kernel = _permuted_kernel(kernels[dominant], torus, variables, monomials, column)
+            kernel = _permuted_kernel(kernels[dominant], moved, monomials, column)
         keyed.extend((vec, torus) for vec in kernel)
     keyed.sort(key=lambda item: next(reversed(item[0])))
     vectors, tori = [vec for vec, _ in keyed], [torus for _, torus in keyed]
@@ -510,36 +519,27 @@ def _packed_derivations(
 
 def _permuted_kernel(
     kernel: Sequence[Mapping[int, int]],
-    torus: Tuple[int, ...],
-    variables: Sequence[Variable],
+    moved: Mapping[Variable, Variable],
     monomials: Sequence[Monomial],
     column: Mapping[Monomial, int],
 ) -> List[Dict[int, int]]:
-    """The canonical kernel of the block of weight `torus`, given that of
-    the dominant block in its orbit.
+    """The canonical kernel of a block, given that of the dominant block
+    in its orbit and the renaming `moved` of the jet variables that
+    carries the dominant block onto it: component j goes to the position
+    of the j-th largest entry of the block's torus weight (ties in index
+    order).
 
-    The permutation sending component j to the position of the j-th
-    largest entry of `torus` (ties in index order) carries the dominant
-    block onto this one; it is applied to each of `variables` once, and
-    `column` maps each permuted monomial back to its global column.  The
-    permuted vectors span the kernel here.  A one-vector kernel is the
-    permuted vector itself: its integer entries keep content 1, so only
-    the sign of its leading entry can be wrong, which `_canonical_vector`
-    fixes.  Otherwise, reducing the vectors with the pivot at each one's
-    last nonzero column (`_eliminate` on negated column labels) gives one
-    vector per free column, 1 there and 0 at the other free columns,
-    which `_canonical_vector` scales as `nullspace` does.
+    `column` maps each renamed monomial back to its global column.  The
+    permuted vectors, ints with content 1, span the kernel there;
+    `_canonical_span` reduces them over the integers to one vector per
+    free column, 1 there and 0 at the other free columns, scaled as
+    `nullspace` scales.  A one-vector kernel only has its sign fixed.
     """
-    target = [0] + [j + 1 for j in sorted(range(len(torus)), key=lambda j: -torus[j])]
-    moved = {v: jet_var(target[v.comp], v.order) for v in variables}
     image = {
         c: column[tuple(sorted((moved[v], e) for v, e in monomials[c]))]
         for c in {c for vec in kernel for c in vec}
     }
-    if len(kernel) == 1:
-        return [_canonical_vector(dict(sorted((image[c], value) for c, value in kernel[0].items())))]
-    rows, _ = _eliminate([{-image[c]: value for c, value in vec.items()} for vec in kernel])
-    return [_canonical_vector({-c: row[c] for c in sorted(row, reverse=True)}) for row in rows]
+    return _canonical_span([{image[c]: value for c, value in vec.items()} for vec in kernel])
 
 
 def _torus_blocks(weights: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:

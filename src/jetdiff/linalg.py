@@ -19,19 +19,26 @@ the nullspace basis and the coordinates read off it, so results are
 byte-identical across runs and across pivot rules.
 
 Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
-and `solve_in_span` eliminate over Fraction; `dim` and `decompose` use
-none of them.  `nullspace` takes the rows as integers and reduces them
-modulo 2**61 - 1, which is valid for every prime: a row of ints is used
-as it is, with no copy, and any other row is cleared of its denominators
-once per call.  The systems of `dim` and `decompose` arrive with int
-entries, so they are not rebuilt.  The kernel comes back through rational reconstruction and
-an exact check against the same integer rows, with one Fraction
+and `solve_in_span` eliminate over Fraction; `basis`, `dim` and
+`decompose` use none of them.  `nullspace` takes the rows as integers
+and reduces them modulo 2**61 - 1, which is valid for every prime: a row
+of ints is used as it is, with no copy, and any other row is cleared of
+its denominators once per call.  The systems of `basis`, `dim` and
+`decompose` arrive with int entries, so they are not rebuilt.  The
+kernel comes back through rational reconstruction and an exact check
+against the same integer rows, with one Fraction
 elimination (`_nullspace_rational`) as the fallback and the test suite's
 reference.  `dim` reads its exact rank off the size of that checked
 kernel, with no second elimination.  `rank_modular_check`, the rank over
 31-bit primes, is a reference for the test suite.  The loop itself is
 checked against a plain column-scan elimination in both fields by the
 test suite.
+
+One reduction runs outside that loop, over the integers: `_canonical_span`
+brings a few int vectors spanning a kernel (in `basis`, a dominant block's
+kernel permuted onto another block) to `nullspace`'s canonical form by
+fraction-free Gauss-Jordan, each row divided by its content after every
+update.  The test suite checks it against `_eliminate` over Fraction.
 """
 
 from __future__ import annotations
@@ -211,6 +218,47 @@ def _canonical_vector(vec: Row) -> Dict[int, int]:
     if next(iter(ints.values())) < 0:
         g = -g
     return {c: n // g for c, n in ints.items()}
+
+
+def _cross_eliminate(row: Dict[int, int], prow: Dict[int, int], col: int) -> Dict[int, int]:
+    """`row` with column `col` cleared against `prow`, over the integers:
+    row * prow[col] - prow * row[col], each multiplier divided by their
+    gcd, zeros dropped, the result divided by its content."""
+    g = gcd(row[col], prow[col])
+    a, b = prow[col] // g, row[col] // g
+    out = {c: a * n for c, n in row.items()}
+    for c, n in prow.items():
+        s = out.get(c, 0) - b * n
+        if s:
+            out[c] = s
+        else:
+            del out[c]
+    g = gcd(*out.values())
+    return {c: n // g for c, n in out.items()} if g > 1 else out
+
+
+def _canonical_span(rows: Sequence[Mapping[int, int]]) -> List[Dict[int, int]]:
+    """The rows, {column: nonzero int}, reduced to the canonical basis of
+    their span, in increasing pivot order: fraction-free Gauss-Jordan
+    with each row's pivot at its last (largest) column, every other row
+    cleared there, then `_canonical_vector`.  For kernel vectors spanning
+    a kernel this is `nullspace`'s basis: one vector per free column, 0
+    at the others.  Zero rows (dependent input) are dropped; no Fraction
+    is made.
+    """
+    reduced: Dict[int, Dict[int, int]] = {}  # pivot column -> row
+    for row in rows:  # each update makes a new dict; the input is not changed
+        for p, prow in reduced.items():
+            if p in row:
+                row = _cross_eliminate(row, prow, p)
+        if not row:
+            continue
+        col = max(row)
+        for p, prow in reduced.items():
+            if col in prow:
+                reduced[p] = _cross_eliminate(prow, row, col)
+        reduced[col] = row
+    return [_canonical_vector(dict(sorted(reduced[p].items()))) for p in sorted(reduced)]
 
 
 def _rref_kernel(rows: List[Row], pivots: List[int], ncols: int, prime: int = 0) -> List[Row]:

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 from collections import Counter
 from math import comb, factorial
@@ -103,6 +104,40 @@ def test_enumerate_monomials_against_brute_force():
         assert monos == sorted(monos, key=mono_sort_key)
         for m in monos:
             assert mono_weight(m) == weight
+
+
+def monomial_counts(rank_, order, top):
+    """The coefficients of t^0..t^top in prod_{i <= order} (1 - t^i)^(-rank_),
+    the Hilbert series of the jet monomials by weight."""
+    counts = [1] + [0] * top
+    for i in range(1, order + 1):
+        for _ in range(rank_):
+            for n in range(i, top + 1):
+                counts[n] += counts[n - i]
+    return counts
+
+
+def test_enumerate_monomials_counts_match_generating_function():
+    checked = 0
+    for rank_ in range(1, 5):
+        for order in range(1, 5):
+            for weight, count in enumerate(monomial_counts(rank_, order, 15)):
+                if count < 60_000:
+                    assert len(enumerate_monomials(JetSpec(rank_, order), weight)) == count
+                    checked += 1
+    assert checked > 200
+
+
+def test_enumerate_monomials_returns_a_fresh_list():
+    # the suffix lists are shared while one call builds; no call may hand
+    # out a list that a later call returns again
+    for spec, weight in [(JetSpec(2, 3), 0), (JetSpec(2, 3), 1), (JetSpec(3, 2), 5)]:
+        first = enumerate_monomials(spec, weight)
+        expected = list(first)
+        first.append(("not", "a monomial"))
+        first[0] = ()
+        second = enumerate_monomials(spec, weight)
+        assert second == expected and second is not first
 
 
 # ---- the constraint system and its nullspace ----
@@ -279,6 +314,60 @@ def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
             nullspace(invariance_system(JetSpec(r, k), m))
             invariant_dimension(JetSpec(r, k), m)
     assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
+
+
+def test_permuted_kernels_match_their_own_block_kernels(monkeypatch):
+    # Each kernel carried onto a non-dominant block by permutation must be
+    # the kernel solved on that block's own D1/D2 columns, vector for
+    # vector once sorted by free column.
+    permuted = []
+    carry = invariants._permuted_kernel
+
+    def spy(*args):
+        permuted.append(carry(*args))
+        return permuted[-1]
+
+    monkeypatch.setattr(invariants, "_permuted_kernel", spy)
+    for r, k, m in [(3, 3, 6), (3, 4, 7), (4, 3, 5), (4, 2, 8), (4, 4, 4)]:
+        spec = JetSpec(r, k)
+        permuted.clear()
+        space = invariant_basis(spec, m)
+        rules = [_reparam_rule(spec, s) for s in (1, 2) if s < spec.order]
+        shift, moves = _packed_moves(spec, m, rules)
+        blocks = invariants._torus_blocks(
+            invariants._mono_torus_weight(mono, r) for mono in space.monomials
+        )
+        others = [cols for torus, cols in blocks.items() if not invariants._is_dominant(torus)]
+        assert len(permuted) == len(others), (r, k, m)
+        multi = 0
+        for cols, kernel in zip(others, permuted):
+            own = invariants._kernel(
+                {col: _packed_derivations(space.monomials[col], shift, moves) for col in cols}
+            )
+            assert sorted(kernel, key=lambda vec: next(reversed(vec))) == own, (r, k, m, cols)
+            multi += len(own) > 1
+        assert multi, (r, k, m)
+
+
+def test_basis_eliminates_only_modulo_a_prime(monkeypatch):
+    # Fraction elimination must not creep back into `basis`: every
+    # elimination behind these bases, the permuted blocks included, is
+    # modular.  The spy replaces the pivot loop under every name a jetdiff
+    # module holds it by.
+    primes = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, prime=0):
+        primes.append(prime)
+        return eliminate(rows, prime)
+
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "jetdiff"]
+    for module in modules:
+        for name in [name for name, value in vars(module).items() if value is eliminate]:
+            monkeypatch.setattr(module, name, spy)
+    for r, k, m in [(3, 4, 9), (4, 3, 7)]:
+        invariant_basis(JetSpec(r, k), m)
+    assert primes and 0 not in primes
 
 
 def derivation(q, spec, s):

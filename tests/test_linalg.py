@@ -180,6 +180,49 @@ def test_nullspace_rational_takes_ints():
         assert all(type(v) is int for vec in kernel for v in vec.values())
 
 
+def last_pivot_reference(rows):
+    """The Fraction route to `_canonical_span`: `_eliminate` on negated
+    column labels (so each pivot is its row's last column), then
+    `_canonical_vector` on each nonzero row, in increasing pivot order."""
+    reduced, _ = linalg._eliminate([{-c: Fraction(v) for c, v in row.items()} for row in rows])
+    out = [
+        linalg._canonical_vector({-c: row[c] for c in sorted(row, reverse=True)})
+        for row in reduced
+        if row
+    ]
+    return sorted(out, key=lambda vec: next(reversed(vec)))
+
+
+def test_canonical_span_matches_fraction_reduction():
+    rng = random.Random(29)
+    big = 2**64 + 13
+    cases = [
+        [{3: -5}],  # a single row with a negative leading entry
+        [{0: 2, 4: 6, 7: -4}],  # a single row with content 2
+        [{0: 1, 2: 3, 5: 2}, {1: -2, 5: 7}, {0: 4, 3: 1, 5: -1}],  # one shared last column
+        [{0: big, 3: -big + 1}, {1: -big * big, 3: 5}, {2: 3, 4: big}],
+        [{0: -1, 1: 2}, {0: 2, 1: -4}],  # dependent: one row is left
+    ]
+    for _ in range(60):
+        ncols = rng.randint(1, 9)
+        nrows = rng.randint(1, ncols + 1)
+        top = rng.choice([9, big])
+        last = rng.randrange(ncols)
+        rows = []
+        for _ in range(nrows):
+            cols = rng.sample(range(ncols), rng.randint(1, ncols))
+            if rng.random() < 0.5:  # share one last column
+                cols = [c for c in cols if c < last] + [last]
+            row = {c: rng.randint(-top, top) or -1 for c in sorted(cols)}
+            rows.append(row)
+        cases.append(rows)
+    for rows in cases:
+        got = linalg._canonical_span(rows)
+        assert got == last_pivot_reference(rows), rows
+        assert all(type(v) is int for vec in got for v in vec.values())
+        assert all(list(vec) == sorted(vec) for vec in got)
+
+
 def test_modular_rank_agrees_with_exact():
     rng = random.Random(29)
     for _ in range(12):
