@@ -32,8 +32,10 @@ monomial (parameters x jet variables) of the series-substitution residuals.
 Its entries are ints, read straight off the packed images of poly's
 substitution kernel (`_substitution_system`).  `invariant_dimension` solves
 it one dominant block at a time, weighting each by its orbit size, with one
-packing for all the blocks; the whole system is the reference that the
-tests check the derivation kernel and `invariant_dimension` against.
+packing for all the blocks; it eliminates only a block's a-linear rows,
+which span its row space, and checks the kernel against every row.  The
+whole system is the reference that the tests check the derivation kernel
+and `invariant_dimension` against.
 
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
@@ -63,6 +65,7 @@ from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps 
 from .linalg import solve_in_span
 from .poly import (
     JET,
+    PARAM,
     Monomial,
     PackedSubstitution,
     PolyLike,
@@ -154,26 +157,45 @@ def _formal_action(spec: JetSpec, unipotent: bool) -> Mapping[Variable, SparsePo
 
 def _substitution_system(
     packing: PackedSubstitution, monomials: Sequence[Monomial]
-) -> RationalMatrix:
-    """The series-substitution constraints on the given columns: one row
-    per mixed monomial (parameters and jet variables together) of their
-    residuals, in order of first appearance.
+) -> Tuple[RationalMatrix, int]:
+    """The series-substitution constraints on the given columns, and how
+    many of its rows are a-linear.
+
+    One row per mixed monomial (parameters and jet variables together) of
+    their residuals: first the a-linear ones, of total degree 1 in the
+    parameters, then the rest, each group in order of first appearance.
+    The a-linear rows are the matrices of D_1, ..., D_(k-1) (the
+    coefficient of a_(s+1) alone is D_s applied), and a polynomial they
+    kill is invariant (module docstring), so every row lies in their row
+    space; `invariant_dimension` eliminates them alone.
 
     `packing` is a `PackedSubstitution` of the unipotent formal action,
     sized for these monomials (or more); each column is a monomial's
     packed image less its a-free part, the monomial itself, so rows are
-    keyed by packed keys and the entries are ints, never unpacked.  The
-    action has integer coefficients, so each image's common denominator
-    is 1; anything else raises RuntimeError.
+    keyed by packed keys, whose parameter fields give their degree, and
+    the entries are ints, never unpacked.  The action has integer
+    coefficients, so each image's common denominator is 1; anything else
+    raises RuntimeError.
     """
-    columns = []
-    for m in monomials:
+    by_key: Dict[int, Dict[int, int]] = {}
+    for j, m in enumerate(monomials):
         common, column = packing.image({m: 1})
         if common != 1:
             raise RuntimeError(f"unipotent image of {mono_str(m)} has denominator {common}")
         del column[packing.pack(m)]
-        columns.append(column)
-    return RationalMatrix.from_columns(columns)
+        for key, n in column.items():
+            row = by_key.get(key)
+            if row is None:
+                by_key[key] = {j: n}
+            else:
+                row[j] = n
+    params = packing.fields(PARAM)
+    part = sum(mask << off for off, mask in params)
+    single = {1 << off for off, _ in params}  # the parameter part of a_s alone
+    linear, rest = [], []
+    for key, row in by_key.items():
+        (linear if (key & part) in single else rest).append(row)
+    return RationalMatrix(len(by_key), len(monomials), linear + rest), len(linear)
 
 
 def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
@@ -182,13 +204,14 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
 
     Column order is the canonical monomial order from enumerate_monomials;
     rows are indexed by the mixed monomials (parameters and jet variables
-    together) appearing in any residual, in order of first appearance.
-    The entries are ints.  Order 1 has no unipotent part, so the matrix
-    has zero rows there.
+    together) appearing in any residual: first those of total degree 1 in
+    the parameters, then the others, each group in order of first
+    appearance (`_substitution_system`).  The entries are ints.  Order 1
+    has no unipotent part, so the matrix has zero rows there.
     """
     monomials = enumerate_monomials(spec, weight)
     packing = PackedSubstitution(_formal_action(spec, True), monomials)
-    return _substitution_system(packing, monomials)
+    return _substitution_system(packing, monomials)[0]
 
 
 class InvariantDimension(NamedTuple):
@@ -211,9 +234,12 @@ def invariant_dimension(spec: JetSpec, weight: int) -> InvariantDimension:
     orbit, rows, rank and kernel size included, and the whole system's
     counts are the dominant blocks' weighted by orbit size.  A block's
     rank is its columns minus its kernel size, from its one elimination:
-    `nullspace` eliminates modulo 2**61 - 1 and checks every vector
-    exactly, so the kernel it returns is the rational one, of size
-    ncols - rank over Q (its Fraction fallback is exact on its own).
+    `nullspace` eliminates only the block's a-linear rows modulo
+    2**61 - 1, which span its row space (`_substitution_system`), and
+    checks every vector exactly against all of its rows, so the kernel it
+    returns is the rational one, of size ncols - rank over Q (its
+    Fraction fallback, of all the rows, is exact on its own).  The row
+    count is that of all the rows.
 
     All blocks share one packing, with fields sized from every dominant
     monomial, and so one power table; the block systems have int entries,
@@ -231,10 +257,10 @@ def invariant_dimension(spec: JetSpec, weight: int) -> InvariantDimension:
     packing = PackedSubstitution(_formal_action(spec, True), dominant)
     rows = rank = 0
     for torus, block in blocks.items():
-        system = _substitution_system(packing, block)
+        system, linear = _substitution_system(packing, block)
         orbit = _orbit_size(torus)
         rows += orbit * system.nrows
-        rank += orbit * (system.ncols - len(nullspace(system)))
+        rank += orbit * (system.ncols - len(nullspace(system, eliminate=linear)))
     return InvariantDimension(len(monomials), rows, rank, len(monomials) - rank)
 
 

@@ -28,11 +28,13 @@ its denominators once per call.  The systems of `basis`, `dim` and
 kernel comes back through rational reconstruction and an exact check
 against the same integer rows, with one Fraction
 elimination (`_nullspace_rational`) as the fallback and the test suite's
-reference.  `dim` reads its exact rank off the size of that checked
-kernel, with no second elimination.  `rank_modular_check`, the rank over
-31-bit primes, is a reference for the test suite.  The loop itself is
-checked against a plain column-scan elimination in both fields by the
-test suite.
+reference.  `nullspace(matrix, eliminate=k)` eliminates only the first k
+rows and still checks against every row: `dim` passes the rows of each
+block that span its row space, and reads its exact rank off the size of
+that checked kernel, with no second elimination.  `rank_modular_check`,
+the rank over 31-bit primes, is a reference for the test suite.  The
+loop itself is checked against a plain column-scan elimination in both
+fields by the test suite.
 
 One reduction runs outside that loop, over the integers: `_canonical_span`
 brings a few int vectors spanning a kernel (in `basis`, a dominant block's
@@ -365,7 +367,7 @@ def _in_kernel(vec: Dict[int, int], by_column: Dict[int, List[Tuple[int, int]]])
     return not any(sums.values())
 
 
-def nullspace(matrix: RationalMatrix) -> List[Dict[int, int]]:
+def nullspace(matrix: RationalMatrix, eliminate: Optional[int] = None) -> List[Dict[int, int]]:
     """Canonical basis of the right kernel.
 
     One vector per free column, in increasing column order.  Each is a
@@ -373,26 +375,34 @@ def nullspace(matrix: RationalMatrix) -> List[Dict[int, int]]:
     column is the last key; its entries have content 1 and a positive
     leading (first) entry.  The result is fully deterministic.
 
-    The rows are taken as integers (`_integer_rows`), reduced and
-    eliminated modulo p = 2**61 - 1, and each kernel entry is rebuilt by
-    rational reconstruction; every vector must then satisfy A.v = 0
-    exactly over the same integer rows, which makes it the rational one.
-    Write F for the free columns over Q and F' for those modulo p.  Rank
-    can only drop modulo p, so |F'| >= |F|.  A checked vector is a kernel
-    vector over Q whose last nonzero entry is at its free column f', so f'
-    depends on the columns before it and lies in F: F' is F.  A kernel
-    vector is fixed by its entries on F, so each checked vector is the
-    rational one up to the canonical scale, and there are exactly
-    ncols - rank(A) of them.
+    The rows are taken as integers (`_integer_rows`); the first
+    `eliminate` of them (all by default) are reduced and eliminated
+    modulo p = 2**61 - 1, and each kernel entry is rebuilt by rational
+    reconstruction; every vector must then satisfy A.v = 0 exactly over
+    all of the integer rows, which makes it the rational one.  Write S
+    for the eliminated rows, F for the free columns of A over Q and F'
+    for those of A_S modulo p.  Rank can only drop modulo p and on a row
+    subset, so |F'| >= |F|.  A checked vector is a kernel vector of A over
+    Q whose last nonzero entry is at its free column f', so f' depends on
+    the columns before it and lies in F: F' is F.  A kernel vector is
+    fixed by its entries on F, so each checked vector is the rational one
+    up to the canonical scale, and there are exactly ncols - rank(A) of
+    them.  So a subset S whose rows span the row space of A gives the
+    canonical kernel of A; for any other S, ker(A_S) is larger than
+    ker(A) and some vector fails the check.
     The check indexes the integer rows by column and sums each vector over
     its own columns only.
     There is one modular attempt.  An entry with no reconstruction (too
-    large for the bound) or a failed check (p divides a pivotal minor)
-    logs one retry and falls back to Fraction elimination.
+    large for the bound) or a failed check (p divides a pivotal minor, or
+    S does not span the row space) logs one retry and falls back to
+    Fraction elimination of every row.
     """
     p = _KERNEL_PRIME
     ints = _integer_rows(matrix.rows)
-    basis = _reconstructed_kernel(*_eliminate(_modular_rows(ints, p), p), matrix.ncols, p)
+    pilot = ints
+    if eliminate is not None:  # `ints` drops zero rows
+        pilot = ints[: sum(1 for row in matrix.rows[:eliminate] if row)]
+    basis = _reconstructed_kernel(*_eliminate(_modular_rows(pilot, p), p), matrix.ncols, p)
     if basis is not None:
         by_column: Dict[int, List[Tuple[int, int]]] = {}
         for i, row in enumerate(ints):

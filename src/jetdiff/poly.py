@@ -590,6 +590,12 @@ class PackedSubstitution:
             key += e << shift[v]
         return key
 
+    def fields(self, kind: int) -> List[Tuple[int, int]]:
+        """(offset, mask) of the bit field of each variable of one kind
+        (BASE, JET or PARAM), in global order: (key >> offset) & mask is
+        that variable's exponent in the monomial of a packed key."""
+        return [(off, mask) for w, off, mask in self._fields if w.kind == kind]
+
     def _power(self, v: Variable, e: int) -> List[Tuple[int, int]]:
         """The packed image of v, to the power e >= 1, from the table.
 

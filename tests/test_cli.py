@@ -129,9 +129,9 @@ def test_orbit_route_solves_dominant_blocks_only(capsys, monkeypatch):
     seen = []
     nullspace = invariants.nullspace
 
-    def counted(matrix):
+    def counted(matrix, **kwargs):
         seen.append(matrix.ncols)
-        return nullspace(matrix)
+        return nullspace(matrix, **kwargs)
 
     monkeypatch.setattr(invariants, "nullspace", counted)
     payload = run_json(capsys, ["dim", "--rank", "4", "--order", "3", "--weight", "7"])

@@ -184,7 +184,8 @@ def test_shared_packing_matches_block_packing(monkeypatch):
     # dim sizes one packing from every dominant monomial and builds each
     # block on it.  A field too narrow for the shared widths would merge
     # rows, which the exact kernel check cannot see, so each block's
-    # system must equal the one built on a packing of that block alone.
+    # system, a-linear row count included, must equal the one built on a
+    # packing of that block alone.
     built = []
     original = invariants._substitution_system
 
@@ -202,7 +203,7 @@ def test_shared_packing_matches_block_packing(monkeypatch):
         for _, block, system in built:
             alone = original(PackedSubstitution(bindings, block), block)
             assert system == alone, (spec, m, block[0])
-            assert all(type(v) is int for row in system.rows for v in row.values())
+            assert all(type(v) is int for row in system[0].rows for v in row.values())
 
 
 def test_substitution_system_refuses_fractional_images():
@@ -314,6 +315,106 @@ def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
             nullspace(invariance_system(JetSpec(r, k), m))
             invariant_dimension(JetSpec(r, k), m)
     assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
+
+
+def dim_block_systems(monkeypatch, spec, m):
+    """(system, a-linear row count) of each dominant block that
+    `invariant_dimension` solves at this shape."""
+    built = []
+    original = invariants._substitution_system
+
+    def spy(packing, monomials):
+        built.append(original(packing, monomials))
+        return built[-1]
+
+    monkeypatch.setattr(invariants, "_substitution_system", spy)
+    invariant_dimension(spec, m)
+    monkeypatch.setattr(invariants, "_substitution_system", original)
+    return built
+
+
+def test_a_linear_rows_span_each_dominant_block(monkeypatch, caplog):
+    # `dim` eliminates only a block's rows of total a-degree 1, the
+    # matrices of D_1, ..., D_(k-1); the speed rests on their spanning
+    # the block's row space.  Every dominant block at r, k <= 4, m <= 12
+    # (shapes of at most 1,500 monomials) and at the tall order-3 shape
+    # r2k3m16 (3,354 rows, 836 a-linear): the a-linear rows have the rank
+    # of all the rows, and the kernel from them alone is the Fraction
+    # kernel of the whole block, taken on the modular route.
+    shapes = [
+        (r, k, m)
+        for r, k, m in itertools.product(range(1, 5), range(1, 5), range(13))
+        if len(enumerate_monomials(JetSpec(r, k), m)) <= 1500
+    ]
+    assert len(shapes) == 189
+    blocks = 0
+    with caplog.at_level("INFO", logger="jetdiff.linalg"):
+        for r, k, m in shapes + [(2, 3, 16)]:
+            for system, linear in dim_block_systems(monkeypatch, JetSpec(r, k), m):
+                blocks += 1
+                rows = system.rows[:linear]
+                assert rank(RationalMatrix(linear, system.ncols, rows)) == rank(system), (r, k, m)
+                assert nullspace(system, eliminate=linear) == linalg._nullspace_rational(system)
+    assert blocks == 2206 + 69
+    assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
+
+
+def test_dim_kernel_falls_back_when_the_pilot_misses_the_row_space(monkeypatch, caplog):
+    # One row cannot span a block of rank 2 or more, so the kernel of that
+    # row alone fails the exact check on the others: one retry is logged
+    # and the Fraction kernel of every row is returned.  With no pilot
+    # rows at all every block with rows falls back, and the counts of
+    # `invariant_dimension` do not change.
+    systems = dim_block_systems(monkeypatch, JetSpec(2, 4), 12)
+    system = max((s for s, _ in systems), key=rank)
+    assert rank(system) >= 2
+    checks = []
+    in_kernel = linalg._in_kernel
+
+    def spy(vec, by_column):
+        checks.append(in_kernel(vec, by_column))
+        return checks[-1]
+
+    monkeypatch.setattr(linalg, "_in_kernel", spy)
+    with caplog.at_level("INFO", logger="jetdiff.linalg"):
+        assert nullspace(system, eliminate=1) == linalg._nullspace_rational(system)
+    assert checks[-1] is False
+    retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
+    assert len(retries) == 1 and "retrying" in retries[0].getMessage()
+
+    shapes = [(JetSpec(2, 2), 6), (JetSpec(2, 4), 10), (JetSpec(3, 3), 6)]
+    expected = [invariant_dimension(spec, m) for spec, m in shapes]
+    original = invariants._substitution_system
+    monkeypatch.setattr(
+        invariants, "_substitution_system", lambda *args: (original(*args)[0], 0)
+    )
+    caplog.clear()
+    with caplog.at_level("INFO", logger="jetdiff.linalg"):
+        assert [invariant_dimension(spec, m) for spec, m in shapes] == expected
+    retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
+    monkeypatch.setattr(invariants, "_substitution_system", original)
+    with_rows = [s for spec, m in shapes for s, _ in dim_block_systems(monkeypatch, spec, m)]
+    assert len(retries) == sum(1 for s in with_rows if s.nrows) > 0
+
+
+def test_only_dim_eliminates_a_row_subset(monkeypatch):
+    # `basis` and `decompose` eliminate every row of their kernels; only
+    # `invariant_dimension` passes `eliminate`, and there fewer rows than
+    # its blocks hold.
+    calls = []
+    original = invariants.nullspace
+
+    def spy(matrix, **kwargs):
+        calls.append((matrix.nrows, kwargs))
+        return original(matrix, **kwargs)
+
+    monkeypatch.setattr(invariants, "nullspace", spy)
+    decompose(invariant_basis(JetSpec(2, 4), 10))
+    assert calls and all(kwargs == {} for _, kwargs in calls)
+    calls.clear()
+    invariant_dimension(JetSpec(2, 4), 10)
+    assert calls and all(set(kwargs) == {"eliminate"} for _, kwargs in calls)
+    assert sum(kwargs["eliminate"] for _, kwargs in calls) < sum(n for n, _ in calls)
 
 
 def test_permuted_kernels_match_their_own_block_kernels(monkeypatch):
