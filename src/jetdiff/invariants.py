@@ -24,8 +24,11 @@ block on packed monomials, one bit field per jet variable, so applying
 D_s to one variable is one integer add (`_packed_derivations`), takes its
 exact kernel (`_kernel`, the one block kernel here), carries it to the
 other blocks of its orbit (`_permuted_kernel`) and merges the kernels in
-the global column order; every basis element is then re-verified against
-the fully formal action, including formal a1, before it is returned.
+the global column order.  The elements of the dominant blocks are then
+re-verified against the fully formal action, including formal a1; each
+permuted block is certified by an exact span check against its dominant
+block (`_check_permuted`), which the Weyl symmetry of the action extends
+to invariance.
 
 `invariance_system` is the independent route: one constraint row per mixed
 monomial (parameters x jet variables) of the series-substitution residuals.
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -354,8 +357,9 @@ class InvariantSpace:
     Carries the canonical monomial column order, the canonical basis
     (integer coefficient vectors from the nullspace, content 1, positive
     leading entry, ordered by free column), and the torus weight of each
-    basis element.  Construction verifies every basis element against the
-    fully formal action before returning.
+    basis element.  Construction verifies the elements of the dominant
+    blocks against the fully formal action, and certifies the others by
+    their span over those (`invariant_basis`), before returning.
 
     The constructor takes each basis vector as {column: nonzero int} in
     increasing column order, kept as `vectors`, and the torus weight of
@@ -458,8 +462,12 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     canonical nullspace of the whole system: the reduced kernel basis is
     unique once the kernel and the column order are fixed.
 
-    Every returned element is checked to be invariant under the fully
-    formal action (formal a1 too); a failure there would be a bug in the
+    The elements of the dominant blocks are checked to be invariant under
+    the fully formal action (formal a1 too).  Each permuted block's
+    vectors are certified instead by an exact integer span check against
+    their dominant block (`_check_permuted`); since permuting components
+    commutes with the formal action, that certifies every returned
+    element.  A failure of either check would be a bug in the
     construction, not in the input, hence RuntimeError.
     """
     monomials = enumerate_monomials(spec, weight)
@@ -490,7 +498,8 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     keyed.sort(key=lambda item: next(reversed(item[0])))
     vectors, tori = [vec for vec, _ in keyed], [torus for _, torus in keyed]
     space = InvariantSpace(spec, weight, monomials, vectors, tori)
-    for q, verdict in zip(space.basis, _verify_all(space.basis, spec)):
+    solved = [q for q, torus in zip(space.basis, tori) if torus in kernels]
+    for q, verdict in zip(solved, _verify_all(solved, spec)):
         if not verdict.invariant:
             raise RuntimeError(
                 f"constructed element failed formal invariance: {q} "
@@ -560,12 +569,63 @@ def _permuted_kernel(
     `_canonical_span` reduces them over the integers to one vector per
     free column, 1 there and 0 at the other free columns, scaled as
     `nullspace` scales.  A one-vector kernel only has its sign fixed.
+    `_check_permuted` then certifies the result against `kernel`.
     """
     image = {
         c: column[tuple(sorted((moved[v], e) for v, e in monomials[c]))]
         for c in {c for vec in kernel for c in vec}
     }
-    return _canonical_span([{image[c]: value for c, value in vec.items()} for vec in kernel])
+    permuted = _canonical_span([{image[c]: value for c, value in vec.items()} for vec in kernel])
+    _check_permuted(kernel, permuted, {p: c for c, p in image.items()})
+    return permuted
+
+
+def _check_permuted(
+    kernel: Sequence[Mapping[int, int]],
+    permuted: Sequence[Mapping[int, int]],
+    back: Mapping[int, int],
+) -> None:
+    """Certify a permuted block's kernel against its dominant `kernel`,
+    whose elements `_verify_all` checks; raises RuntimeError on failure.
+
+    `permuted` must hold as many vectors as `kernel`, with distinct free
+    columns (last keys), so they are independent.  Each one, renamed back
+    column by column through `back` (the inverse of the renaming that
+    built it) and scaled by the lcm of the dominant entries b_f[f], must
+    equal the sum over the dominant free columns f of (v[f] / b_f[f]) * b_f
+    in ints.  The dominant vector b_f is 0 at every other free column, so
+    this is the one candidate combination.  A vector that passes is a
+    combination of verified invariants, and the renaming commutes with
+    the formal action, so every permuted vector is invariant, and
+    together they span the permuted kernel, whose dimension is the
+    dominant kernel's.
+    """
+    if len(permuted) != len(kernel):
+        raise RuntimeError(
+            f"permuted block kernel has {len(permuted)} vectors, its dominant block {len(kernel)}"
+        )
+    if len({next(reversed(vec)) for vec in permuted}) != len(permuted):
+        raise RuntimeError("permuted block kernel vectors share a free column")
+    lead = {next(reversed(b)): b for b in kernel}
+    scale = lcm(*(b[f] for f, b in lead.items()))
+    for vec in permuted:
+        if not back.keys() >= vec.keys():
+            raise RuntimeError("permuted block kernel vector leaves the renamed columns")
+        residual = {back[c]: scale * n for c, n in vec.items()}
+        for f, b in lead.items():
+            x = residual.get(f)
+            if x:
+                x //= b[f]
+                for c, n in b.items():
+                    left = residual.get(c, 0) - x * n
+                    if left:
+                        residual[c] = left
+                    else:
+                        del residual[c]
+        if residual:
+            raise RuntimeError(
+                "permuted block kernel vector is not in the span of its dominant block"
+            )
 
 
 def _torus_blocks(weights: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:

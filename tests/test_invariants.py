@@ -450,6 +450,97 @@ def test_permuted_kernels_match_their_own_block_kernels(monkeypatch):
         assert multi, (r, k, m)
 
 
+def test_every_basis_element_is_formally_invariant():
+    # `invariant_basis` verifies only its dominant-block elements and
+    # certifies the rest by symmetry; the full check on every element,
+    # the permuted ones included, keeps that symmetry pinned.
+    for r, k, m in [(2, 4, 12), (4, 3, 7), (3, 4, 9), (2, 4, 10), (4, 4, 4)]:
+        spec = JetSpec(r, k)
+        space = invariant_basis(spec, m)
+        tori = space.torus_weights()
+        assert not all(invariants._is_dominant(torus) for torus in tori), (r, k, m)
+        verdicts = invariants._verify_all(space.basis, spec)
+        assert all(verdict.invariant for verdict in verdicts), (r, k, m)
+
+
+def test_basis_verifies_exactly_the_dominant_blocks(monkeypatch):
+    # The formal re-check runs on the elements of the solved (dominant)
+    # blocks and on no other.
+    seen = []
+    verify_all = invariants._verify_all
+
+    def spy(polys, spec):
+        seen.append(list(polys))
+        return verify_all(polys, spec)
+
+    monkeypatch.setattr(invariants, "_verify_all", spy)
+    for r, k, m in [(2, 4, 12), (4, 3, 7), (3, 3, 6)]:
+        seen.clear()
+        space = invariant_basis(JetSpec(r, k), m)
+        dominant = [
+            q
+            for q, torus in zip(space.basis, space.torus_weights())
+            if invariants._is_dominant(torus)
+        ]
+        assert seen == [dominant], (r, k, m)
+        assert 0 < len(dominant) < space.dimension, (r, k, m)
+
+
+def perturbed(vec):
+    """`vec` with its first entry, not its free column, moved off by one
+    (by two where one would make it zero)."""
+    first = next(iter(vec))
+    out = dict(vec)
+    out[first] += 1 if out[first] != -1 else 2
+    return out
+
+
+def test_basis_rejects_a_perturbed_dominant_kernel(monkeypatch):
+    kernel = invariants._kernel
+    done = []
+
+    def spoiled(columns):
+        vectors = kernel(columns)
+        for i, vec in enumerate(vectors):
+            if not done and len(vec) > 1:
+                vectors[i] = perturbed(vec)
+                done.append(i)
+        return vectors
+
+    monkeypatch.setattr(invariants, "_kernel", spoiled)
+    with pytest.raises(RuntimeError, match="failed formal invariance"):
+        invariant_basis(JetSpec(2, 4), 12)
+    assert done
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda vectors: [perturbed(vectors[0]), *vectors[1:]], "not in the span"),
+        (lambda vectors: vectors[:-1], "vectors, its dominant block"),
+        (lambda vectors: [vectors[0], *vectors[:-1]], "share a free column"),
+    ],
+    ids=["perturbed", "dropped", "repeated"],
+)
+def test_basis_rejects_a_spoiled_permuted_kernel(monkeypatch, spoil, message):
+    # Each permuted block is certified by count, free columns and an
+    # exact span check against its verified dominant block.
+    span = invariants._canonical_span
+    done = []
+
+    def spoiled(rows):
+        vectors = span(rows)
+        if not done and len(vectors) > 1 and len(vectors[0]) > 1:
+            done.append(True)
+            return spoil(vectors)
+        return vectors
+
+    monkeypatch.setattr(invariants, "_canonical_span", spoiled)
+    with pytest.raises(RuntimeError, match=message):
+        invariant_basis(JetSpec(3, 4), 9)
+    assert done
+
+
 def test_basis_eliminates_only_modulo_a_prime(monkeypatch):
     # Fraction elimination must not creep back into `basis`: every
     # elimination behind these bases, the permuted blocks included, is
