@@ -44,14 +44,16 @@ Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
 component counts, raising and lowering are the root derivations
 f2^(i) -> f1^(i) and f1^(i) -> f2^(i), applied as packed moves like D1
-and D2 (`_root_move`).  For two components, one integer kernel per torus
-block, of its raised basis vectors beside the basis block they land in,
-counts the highest-weight vectors and checks that raising keeps the
-span.  Lowering after raising is a scalar on each weight space of an
-isotypic component that tells the components apart, so `irrep_partition`
-reads each basis element's component off it, with no second basis and
-no solve.  `raising_action`, built from partial derivatives, is the
-independent check of the packed moves.
+and D2 (`_root_move`).  For two components, each raised basis vector is
+checked to lie in the span of the basis block it lands in, by the same
+free-column span check as the permuted blocks (`_span_residual`); the
+span is then a GL(2)-module, so the multiplicity of each label is a
+difference of two torus-block sizes, with no elimination.  Lowering
+after raising is a scalar on each weight space of an isotypic component
+that tells the components apart, so `irrep_partition` reads each basis
+element's component off it, with no second basis and no solve.
+`raising_action`, built from partial derivatives, is the independent
+check of the packed moves.
 """
 
 from __future__ import annotations
@@ -367,9 +369,11 @@ class InvariantSpace:
     solved there or carried there from the dominant block of their Weyl
     orbit, so they are stored rather than read back off the polynomials.
     `basis` and the dense `coefficients` hold the same ints as `vectors`.
+    The packed column index of the root moves is built on first use and
+    kept (`_root_move`).
     """
 
-    __slots__ = ("spec", "weight", "monomials", "vectors", "basis", "_torus_weights")
+    __slots__ = ("spec", "weight", "monomials", "vectors", "basis", "_torus_weights", "_columns")
 
     def __init__(
         self,
@@ -388,6 +392,7 @@ class InvariantSpace:
             for vec in self.vectors
         )
         self._torus_weights = tuple(torus_weights)
+        self._columns: Optional[Dict[int, int]] = None
 
     @property
     def coefficients(self) -> Tuple[Tuple[int, ...], ...]:
@@ -457,10 +462,11 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     A permutation of the components commutes with D1 and D2, so it carries
     a dominant block's kernel onto the kernel of each block in its orbit;
     those permuted vectors are reduced to canonical form there
-    (`_permuted_kernel`).  The block kernels are embedded in the global
-    columns and sorted by free column (the last key), which reproduces the
-    canonical nullspace of the whole system: the reduced kernel basis is
-    unique once the kernel and the column order are fixed.
+    (`_permuted_kernel`) and checked against the dominant kernel, whose
+    free columns are found once per orbit.  The block kernels are embedded
+    in the global columns and sorted by free column (the last key), which
+    reproduces the canonical nullspace of the whole system: the reduced
+    kernel basis is unique once the kernel and the column order are fixed.
 
     The elements of the dominant blocks are checked to be invariant under
     the fully formal action (formal a1 too).  Each permuted block's
@@ -482,6 +488,7 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     column = {mono: col for col, mono in enumerate(monomials)}
     variables = spec.jet_variables()
     renamings: Dict[Tuple[int, ...], Dict[Variable, Variable]] = {}
+    spans: Dict[Tuple[int, ...], Tuple[Dict[int, Mapping[int, int]], int]] = {}
     keyed: List[Tuple[Dict[int, int], Tuple[int, ...]]] = []
     for torus in blocks:
         kernel = kernels.get(torus)
@@ -493,7 +500,10 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
                 moved = {v: Variable(JET, v.order, perm[v.comp - 1] + 1) for v in variables}
                 renamings[perm] = moved
             dominant = tuple(sorted(torus, reverse=True))
-            kernel = _permuted_kernel(kernels[dominant], moved, monomials, column)
+            span = spans.get(dominant)
+            if span is None:
+                span = spans[dominant] = _free_columns(kernels[dominant])
+            kernel = _permuted_kernel(span, moved, monomials, column)
         keyed.extend((vec, torus) for vec in kernel)
     keyed.sort(key=lambda item: next(reversed(item[0])))
     vectors, tori = [vec for vec, _ in keyed], [torus for _, torus in keyed]
@@ -553,79 +563,110 @@ def _packed_derivations(
 
 
 def _permuted_kernel(
-    kernel: Sequence[Mapping[int, int]],
+    span: Tuple[Mapping[int, Mapping[int, int]], int],
     moved: Mapping[Variable, Variable],
     monomials: Sequence[Monomial],
     column: Mapping[Monomial, int],
 ) -> List[Dict[int, int]]:
-    """The canonical kernel of a block, given that of the dominant block
-    in its orbit and the renaming `moved` of the jet variables that
-    carries the dominant block onto it: component j goes to the position
-    of the j-th largest entry of the block's torus weight (ties in index
-    order).
+    """The canonical kernel of a block, given the kernel of the dominant
+    block in its orbit, as `_free_columns` gives it (`span`), and the
+    renaming `moved` of the jet variables that carries the dominant block
+    onto it: component j goes to the position of the j-th largest entry
+    of the block's torus weight (ties in index order).
 
     `column` maps each renamed monomial back to its global column.  The
     permuted vectors, ints with content 1, span the kernel there;
     `_canonical_span` reduces them over the integers to one vector per
     free column, 1 there and 0 at the other free columns, scaled as
     `nullspace` scales.  A one-vector kernel only has its sign fixed.
-    `_check_permuted` then certifies the result against `kernel`.
+    `_check_permuted` then certifies the result against `span`.
     """
+    kernel = span[0].values()
     image = {
         c: column[tuple(sorted((moved[v], e) for v, e in monomials[c]))]
         for c in {c for vec in kernel for c in vec}
     }
     permuted = _canonical_span([{image[c]: value for c, value in vec.items()} for vec in kernel])
-    _check_permuted(kernel, permuted, {p: c for c, p in image.items()})
+    _check_permuted(span, permuted, {p: c for c, p in image.items()})
     return permuted
 
 
 def _check_permuted(
-    kernel: Sequence[Mapping[int, int]],
+    span: Tuple[Mapping[int, Mapping[int, int]], int],
     permuted: Sequence[Mapping[int, int]],
     back: Mapping[int, int],
 ) -> None:
-    """Certify a permuted block's kernel against its dominant `kernel`,
-    whose elements `_verify_all` checks; raises RuntimeError on failure.
+    """Certify a permuted block's kernel against its dominant kernel,
+    whose elements `_verify_all` checks, given as `_free_columns` gives
+    it (`span`); raises RuntimeError on failure.
 
-    `permuted` must hold as many vectors as `kernel`, with distinct free
-    columns (last keys), so they are independent.  Each one, renamed back
-    column by column through `back` (the inverse of the renaming that
-    built it) and scaled by the lcm of the dominant entries b_f[f], must
-    equal the sum over the dominant free columns f of (v[f] / b_f[f]) * b_f
-    in ints.  The dominant vector b_f is 0 at every other free column, so
-    this is the one candidate combination.  A vector that passes is a
-    combination of verified invariants, and the renaming commutes with
-    the formal action, so every permuted vector is invariant, and
-    together they span the permuted kernel, whose dimension is the
-    dominant kernel's.
+    `permuted` must hold as many vectors as the dominant kernel, with
+    distinct free columns (last keys), so they are independent.  Each
+    one, renamed back column by column through `back` (the inverse of the
+    renaming that built it), must lie in the span of the dominant kernel
+    (`_span_residual`).  A vector that passes is a combination of
+    verified invariants, and the renaming commutes with the formal
+    action, so every permuted vector is invariant, and together they span
+    the permuted kernel, whose dimension is the dominant kernel's.
     """
-    if len(permuted) != len(kernel):
+    lead, scale = span
+    if len(permuted) != len(lead):
         raise RuntimeError(
-            f"permuted block kernel has {len(permuted)} vectors, its dominant block {len(kernel)}"
+            f"permuted block kernel has {len(permuted)} vectors, its dominant block {len(lead)}"
         )
     if len({next(reversed(vec)) for vec in permuted}) != len(permuted):
         raise RuntimeError("permuted block kernel vectors share a free column")
-    lead = {next(reversed(b)): b for b in kernel}
-    scale = lcm(*(b[f] for f, b in lead.items()))
     for vec in permuted:
         if not back.keys() >= vec.keys():
             raise RuntimeError("permuted block kernel vector leaves the renamed columns")
-        residual = {back[c]: scale * n for c, n in vec.items()}
-        for f, b in lead.items():
-            x = residual.get(f)
-            if x:
-                x //= b[f]
-                for c, n in b.items():
-                    left = residual.get(c, 0) - x * n
-                    if left:
-                        residual[c] = left
-                    else:
-                        del residual[c]
-        if residual:
+        if _span_residual({back[c]: scale * n for c, n in vec.items()}, lead):
             raise RuntimeError(
                 "permuted block kernel vector is not in the span of its dominant block"
             )
+
+
+def _free_columns(
+    vectors: Sequence[Mapping[int, int]],
+) -> Tuple[Dict[int, Mapping[int, int]], int]:
+    """(lead, scale) of reduced int vectors for `_span_residual`: lead maps
+    each vector's free column (its last key, where the other vectors are
+    0) to the vector, and scale is the lcm of the vectors' entries there
+    (1 when there are none).  Two vectors with one free column would be a
+    bug in the basis, hence RuntimeError."""
+    lead = {next(reversed(b)): b for b in vectors}
+    if len(lead) != len(vectors):
+        raise RuntimeError("reduced basis vectors share a free column")
+    return lead, lcm(*(b[f] for f, b in lead.items()))
+
+
+def _span_residual(
+    residual: Dict[int, int], lead: Mapping[int, Mapping[int, int]]
+) -> Dict[int, int]:
+    """Reduce `residual`, an int vector v times the scale that
+    `_free_columns` returns with `lead`, in place by the one candidate
+    combination of the vectors b_f of `lead`, the sum over their free
+    columns f of (residual[f] / b_f[f]) * b_f, and return it as
+    {column: nonzero int}.
+
+    b_f is 0 at every other free column, so no other combination can
+    equal scale * v, and the residual is empty exactly when v lies in
+    their span.  b_f[f] divides the scale, so on the span every quotient
+    is an int; a remainder means v is off the span, and the residual is
+    returned as it stands, nonzero at f.
+    """
+    for f, b in lead.items():
+        x = residual.get(f)
+        if x:
+            x, remainder = divmod(x, b[f])
+            if remainder:
+                break
+            for c, n in b.items():
+                left = residual.get(c, 0) - x * n
+                if left:
+                    residual[c] = left
+                else:
+                    del residual[c]
+    return residual
 
 
 def _torus_blocks(weights: Iterable[Tuple[int, ...]]) -> Dict[Tuple[int, ...], List[int]]:
@@ -684,13 +725,17 @@ def _root_move(
     f_from^(i) -> f_to^(i), column by column; zero entries dropped.
 
     A column's image is its monomial's packed move (`_packed_derivations`)
-    as {image column: nonzero int}, computed once.  The operator keeps
-    the weight, so every image is a column of the space.
+    as {image column: nonzero int}, computed once per call.  The operator
+    keeps the weight, so every image is a column of the space, found in
+    the space's {packed key: column} index (`_column_index`), which is
+    built on the first move and kept, so raising and lowering share it.
     """
     spec, monomials = space.spec, space.monomials
     rule = {jet_var(from_comp, i): (jet_var(to_comp, i), 1) for i in range(1, spec.order + 1)}
     shift, moves = _packed_moves(spec, space.weight, [rule])
-    column = {sum(e << shift[v] for v, e in mono): col for col, mono in enumerate(monomials)}
+    column = space._columns
+    if column is None:
+        column = space._columns = _column_index(space)
     images: Dict[int, Dict[int, int]] = {}
     out = []
     for vec in vectors:
@@ -706,14 +751,23 @@ def _root_move(
     return out
 
 
-def decompose(space: InvariantSpace) -> List[IrrepLabel]:
-    """Multiplicities of irreducible constituents for two components.
+def _column_index(space: InvariantSpace) -> Dict[int, int]:
+    """{packed key: column} of the space's monomials, packed with the
+    bit fields of `_packed_moves` at the space's shape and weight."""
+    shift, _ = _packed_moves(space.spec, space.weight, ())
+    return {sum(e << shift[v] for v, e in mono): col for col, mono in enumerate(space.monomials)}
 
-    For each torus weight, the kernel of the raising operator restricted
-    to that weight block counts the highest-weight vectors there; a kernel
-    vector at a non-dominant weight cannot occur in a finite-dimensional
-    representation and raises.  The dimension identity
-    sum (l1 - l2 + 1) * multiplicity = dim is checked before returning.
+
+def decompose(space: InvariantSpace) -> List[IrrepLabel]:
+    """Multiplicities of irreducible constituents for two components,
+    highest weight first.
+
+    Every raised basis vector is checked to stay in the span; the
+    multiplicity of highest weight (a, b) is then the number of basis
+    vectors of torus weight (a, b) less that of (a + 1, b - 1), with no
+    elimination (`_highest_weight_vectors`).  A negative difference, and
+    labels whose dimensions do not sum to dim
+    (sum (l1 - l2 + 1) * multiplicity = dim), raise RuntimeError.
     """
     return _highest_weight_vectors(space)[0]
 
@@ -722,13 +776,31 @@ def _highest_weight_vectors(
     space: InvariantSpace,
 ) -> Tuple[List[IrrepLabel], List[Dict[int, int]]]:
     """The irreducible labels, highest weight first, and the raised basis
-    vectors E b_i they were counted from, as {column: int}.
+    vectors E b_i they were certified with, as {column: int}.
 
-    Every basis vector is raised once.  Torus block w gives one `nullspace`
-    of the int columns E b_i (i in w), then the independent b_j of block
-    w + (1, -1): it has |w| vectors exactly when every E b_i is in their
-    span, and those whose free column (last key) is raised number
-    |w| - rank(E on w), the highest-weight vectors there.
+    Every basis vector is raised once, and each E b_i, of torus weight
+    w + (1, -1) for b_i of weight w, must lie in the span of the basis
+    vectors of that weight: the canonical basis is reduced, so those are
+    0 at each other's free columns (last keys), and the coordinates of
+    E b_i are read off its entries there, with an exact int residual
+    (`_span_residual`).  Then the multiplicity of (a, b), a >= b, is
+    n(a, b) - n(a + 1, b - 1), n(w) the number of basis vectors of torus
+    weight w.
+
+    Why the counts are exact.  The span V is closed under E, as just
+    checked.  The swap s of the two components maps V onto itself: the
+    blocks of torus weight (w2, w1) are those of (w1, w2) carried by s
+    and certified against them (`invariant_basis`).  The lowering
+    operator is F = s E s, so V is closed under F too, and, with the
+    torus acting on each block by its weight, V is a finite-dimensional
+    gl2-module.  It is a direct sum of irreducibles, of highest weights
+    (a, b) with a >= b, each with one vector at each weight
+    (a - j, b + j), 0 <= j <= a - b.  The highest-weight vectors of
+    weight (a, b) span the kernel of E there, and E maps the weight (a, b)
+    space onto the (a + 1, b - 1) space when a >= b, so the kernel has
+    dimension n(a, b) - n(a + 1, b - 1): the count the per-block kernels
+    of E would give.  A negative difference, or a dimension sum other
+    than dim, means the span is not such a module, and raises.
     """
     if space.spec.rank != 2:
         raise ValueError(
@@ -737,20 +809,24 @@ def _highest_weight_vectors(
         )
     raised = _root_move(space, space.vectors, 2, 1)
     blocks = _torus_blocks(space.torus_weights())
-    labels: List[IrrepLabel] = []
-    for wt, idxs in sorted(blocks.items(), reverse=True):
-        above = [space.vectors[j] for j in blocks.get((wt[0] + 1, wt[1] - 1), ())]
-        kernel = nullspace(RationalMatrix.from_columns([raised[i] for i in idxs] + above))
-        if len(kernel) != len(idxs):
-            raise RuntimeError(f"raising operator left the invariant span at torus weight {wt}")
-        count = sum(next(reversed(vec)) < len(idxs) for vec in kernel)
-        if not count:
-            continue
-        if wt[0] < wt[1]:
+    for (w1, w2), idxs in sorted(blocks.items(), reverse=True):
+        lead, scale = _free_columns([space.vectors[j] for j in blocks.get((w1 + 1, w2 - 1), ())])
+        if any(_span_residual({c: scale * n for c, n in raised[i].items()}, lead) for i in idxs):
             raise RuntimeError(
-                f"highest-weight vector found at non-dominant torus weight {wt}"
+                f"raising operator left the invariant span at torus weight {(w1, w2)}"
             )
-        labels.append(IrrepLabel(wt, count))
+    labels: List[IrrepLabel] = []
+    for a, b in sorted(blocks.keys() | {(w1 - 1, w2 + 1) for w1, w2 in blocks}, reverse=True):
+        if a < b:
+            continue
+        here, above = len(blocks.get((a, b), ())), len(blocks.get((a + 1, b - 1), ()))
+        if here < above:
+            raise RuntimeError(
+                f"torus weight {(a, b)} holds {here} basis elements, fewer than the "
+                f"{above} of torus weight {(a + 1, b - 1)}"
+            )
+        if here > above:
+            labels.append(IrrepLabel((a, b), here - above))
     total = sum(l.dimension() * l.multiplicity for l in labels)
     if total != space.dimension:
         raise RuntimeError(
@@ -769,9 +845,12 @@ def irrep_partition(
     kappa = (a - w1) * (w1 - b + 1), and constituents sharing a weight have
     distinct kappa.  So basis element i lies in the isotypic span of a
     label with a + b = w1 + w2 and b <= w1 <= a exactly when lowering its
-    raised image gives kappa * b_i.  The canonical basis must be adapted
-    (each basis vector inside one isotypic span); when it is not, this
-    raises rather than fabricating a partition.
+    raised image gives kappa * b_i.  The labels and the raised vectors
+    are `decompose`'s (`_highest_weight_vectors`), and lowering reuses the
+    column index that raising built, so nothing is eliminated or solved.
+    The canonical basis must be adapted (each basis vector inside one
+    isotypic span); when it is not, this raises rather than fabricating a
+    partition.
     """
     labels, raised = _highest_weight_vectors(space)
     lowered = _root_move(space, raised, 1, 2)

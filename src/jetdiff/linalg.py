@@ -19,12 +19,12 @@ the nullspace basis and the coordinates read off it, so results are
 byte-identical across runs and across pivot rules.
 
 Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
-and `solve_in_span` eliminate over Fraction; `basis`, `dim` and
-`decompose` use none of them.  `nullspace` takes the rows as integers
-and reduces them modulo 2**61 - 1, which is valid for every prime: a row
-of ints is used as it is, with no copy, and any other row is cleared of
-its denominators once per call.  The systems of `basis`, `dim` and
-`decompose` arrive with int entries, so they are not rebuilt.  The
+and `solve_in_span` eliminate over Fraction; `basis` and `dim` use none
+of them, and `decompose` eliminates nothing.  `nullspace` takes the rows
+as integers and reduces them modulo 2**61 - 1, which is valid for every
+prime: a row of ints is used as it is, with no copy, and any other row is
+cleared of its denominators once per call.  The systems of `basis` and
+`dim` arrive with int entries, so they are not rebuilt.  The
 kernel comes back through rational reconstruction and an exact check
 against the same integer rows, with one Fraction
 elimination (`_nullspace_rational`) as the fallback and the test suite's

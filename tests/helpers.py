@@ -7,8 +7,9 @@ deterministic.
 
 from fractions import Fraction
 
+from jetdiff.invariants import IrrepLabel, _root_move, _torus_blocks
 from jetdiff.jets import JetPoint, JetSpec, ReparamJet, TargetMap
-from jetdiff.linalg import RationalMatrix, dense_rank
+from jetdiff.linalg import RationalMatrix, dense_rank, nullspace
 from jetdiff.poly import SparsePolynomial, base_var
 
 
@@ -203,3 +204,29 @@ def random_target_map(rng, rank, degree=2, points=((0, 0),)):
         psi = TargetMap(comps)
         if all(dense_rank(psi.jacobian(pt)) == rank for pt in points):
             return psi
+
+
+def raising_kernel_labels(space):
+    """Rank-2 irreducible labels of an `InvariantSpace`, highest weight
+    first, from one `nullspace` per torus block.
+
+    Block w gives the kernel of its raised basis vectors E b_i followed by
+    the basis vectors of weight w + (1, -1).  Those are independent, so the
+    kernel has one vector per E b_i exactly when every E b_i stays in their
+    span, and the kernel vectors whose free column is a raised vector
+    count the kernel of E on w: the highest-weight vectors there, which
+    must have a dominant weight.  This is the reference for the
+    block-size differences of `decompose`, with which it shares no count.
+    """
+    raised = _root_move(space, space.vectors, 2, 1)
+    blocks = _torus_blocks(space.torus_weights())
+    labels = []
+    for wt, idxs in sorted(blocks.items(), reverse=True):
+        above = [space.vectors[j] for j in blocks.get((wt[0] + 1, wt[1] - 1), ())]
+        kernel = nullspace(RationalMatrix.from_columns([raised[i] for i in idxs] + above))
+        assert len(kernel) == len(idxs), f"raising left the span at torus weight {wt}"
+        count = sum(next(reversed(vec)) < len(idxs) for vec in kernel)
+        if count:
+            assert wt[0] >= wt[1], f"highest-weight vector at non-dominant torus weight {wt}"
+            labels.append(IrrepLabel(wt, count))
+    return labels

@@ -204,31 +204,33 @@ def test_decompose_json(capsys):
     ]
 
 
-def test_decompose_takes_one_kernel_per_torus_block(monkeypatch):
-    # `decompose` solves for no coordinates: each torus block gives one
-    # `nullspace` of its raised basis vectors beside the basis vectors of
-    # the block they are raised into, and nothing else.
-    space = invariant_basis(JetSpec(2, 4), 12)
-    calls = {"nullspace": 0, "solve_in_span": 0}
+def test_decompose_and_partition_eliminate_nothing(monkeypatch):
+    # `decompose` and `irrep_partition` read the labels off torus-block
+    # sizes after a span check of the raised vectors, with no `nullspace`
+    # and no coordinate solve; raising and lowering share one packed
+    # column index, built on the first move.
+    space = invariant_basis(JetSpec(2, 2), 20)
+    calls = {"nullspace": 0, "solve_in_span": 0, "_column_index": 0}
     for name in calls:
 
-        def spy(*args, name=name, original=getattr(invariants, name)):
+        def spy(*args, name=name, original=getattr(invariants, name), **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(invariants, name, spy)
-    decompose(space)
-    blocks = len(set(space.torus_weights()))
-    assert blocks == 49
-    assert calls == {"nullspace": blocks, "solve_in_span": 0}
+    labels = decompose(space)
+    partition = invariants.irrep_partition(space)
+    assert [label for label, _ in partition] == labels and len(labels) == 7
+    assert calls == {"nullspace": 0, "solve_in_span": 0, "_column_index": 1}
 
 
-def test_decompose_rejects_raising_out_of_span(capsys, monkeypatch):
-    # At r2k2m6 the one basis vector of torus weight (3, 2) is raised into
-    # the block (4, 1).  Its image gains a monomial of that block with a
-    # second derivative.  D1 sends such a monomial to a sum of distinct
-    # monomials with positive coefficients, so it is not invariant, and the
-    # image leaves the span of the basis.
+def leak_raising(monkeypatch, source, target):
+    """Make raising add one monomial of torus weight `target` with a second
+    derivative to the image of the basis vector of torus weight `source`.
+
+    D1 sends such a monomial to a sum of distinct monomials with positive
+    coefficients, so it is not invariant, and the image leaves the span
+    of the basis."""
     root_move = invariants._root_move
 
     def leaky(space, vectors, from_comp, to_comp):
@@ -237,22 +239,41 @@ def test_decompose_rejects_raising_out_of_span(capsys, monkeypatch):
             col = next(
                 c
                 for c, mono in enumerate(space.monomials)
-                if invariants._mono_torus_weight(mono, 2) == (4, 1)
+                if invariants._mono_torus_weight(mono, 2) == target
                 and any(v.order == 2 for v, _ in mono)
             )
-            idx = space.torus_weights().index((3, 2))
+            idx = space.torus_weights().index(source)
             out[idx] = {**out[idx], col: out[idx].get(col, 0) + 1}
         return out
 
     monkeypatch.setattr(invariants, "_root_move", leaky)
+
+
+def test_decompose_rejects_raising_out_of_span(capsys, monkeypatch):
+    # At r2k2m6 the one basis vector of torus weight (3, 2) is raised into
+    # the block (4, 1), and its image gains a monomial of that block.  Both
+    # `decompose` and `transition` (through `irrep_partition`) exit 3,
+    # naming the weight.
+    leak_raising(monkeypatch, (3, 2), (4, 1))
     with pytest.raises(RuntimeError, match=r"left the invariant span at torus weight \(3, 2\)"):
         decompose(invariant_basis(JetSpec(2, 2), 6))
-    code = main(["decompose", "--rank", "2", "--order", "2", "--weight", "6"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("jetdiff: ") and captured.err.count("\n") == 1
-    assert "(3, 2)" in captured.err
+    shape = ["--rank", "2", "--order", "2", "--weight", "6"]
+    for argv in (["decompose", *shape], ["transition", *shape, "--map", SHEAR, "--point", "0,0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert captured.out == ""
+        assert captured.err.startswith("jetdiff: ") and captured.err.count("\n") == 1
+        assert "left the invariant span at torus weight (3, 2)" in captured.err
+
+
+def test_decompose_rejects_raising_into_an_empty_block(monkeypatch):
+    # The vector of torus weight (4, 1) is a highest-weight vector and
+    # raises to 0; no basis vector has weight (5, 0), so the leaked
+    # monomial there leaves the (empty) span.
+    leak_raising(monkeypatch, (4, 1), (5, 0))
+    with pytest.raises(RuntimeError, match=r"left the invariant span at torus weight \(4, 1\)"):
+        decompose(invariant_basis(JetSpec(2, 2), 6))
 
 
 def test_verify_json_not_invariant(capsys):

@@ -41,7 +41,7 @@ from jetdiff.poly import (
     substitute_all,
 )
 
-from helpers import random_poly, reference_substitute
+from helpers import raising_kernel_labels, random_poly, reference_substitute
 
 
 def var(v):
@@ -398,9 +398,9 @@ def test_dim_kernel_falls_back_when_the_pilot_misses_the_row_space(monkeypatch, 
 
 
 def test_only_dim_eliminates_a_row_subset(monkeypatch):
-    # `basis` and `decompose` eliminate every row of their kernels; only
-    # `invariant_dimension` passes `eliminate`, and there fewer rows than
-    # its blocks hold.
+    # `basis` eliminates every row of its kernels, and `decompose` none;
+    # only `invariant_dimension` passes `eliminate`, and there fewer rows
+    # than its blocks hold.
     calls = []
     original = invariants.nullspace
 
@@ -539,6 +539,20 @@ def test_basis_rejects_a_spoiled_permuted_kernel(monkeypatch, spoil, message):
     with pytest.raises(RuntimeError, match=message):
         invariant_basis(JetSpec(3, 4), 9)
     assert done
+
+
+def test_basis_rejects_a_repeated_dominant_vector(monkeypatch):
+    # A dominant kernel holding one vector twice would pass the formal
+    # re-check; its free columns, read once per orbit, give it away.
+    kernel = invariants._kernel
+
+    def repeated(columns):
+        vectors = kernel(columns)
+        return [*vectors[:-1], vectors[0]] if len(vectors) > 1 else vectors
+
+    monkeypatch.setattr(invariants, "_kernel", repeated)
+    with pytest.raises(RuntimeError, match="reduced basis vectors share a free column"):
+        invariant_basis(JetSpec(3, 4), 9)
 
 
 def test_basis_eliminates_only_modulo_a_prime(monkeypatch):
@@ -910,22 +924,28 @@ def test_decompose_matches_closed_forms():
         assert decompose(invariant_basis(JetSpec(2, 3), m)) == expected
 
 
-def test_decompose_matches_torus_weight_peel():
-    # The multiplicity of highest weight (a, b) is n(a, b) - n(a + 1, b - 1),
-    # where n counts the basis elements of each torus weight: each
-    # irreducible has one vector at each weight (a - j, b + j).  The torus
-    # weights come from the derivation blocks, so this shares no code with
-    # raising, and it is the only route pinned at order 4.
+def test_decompose_matches_raising_kernels():
+    # `decompose` reads each multiplicity off two torus-block sizes; the
+    # reference takes the kernel of raising on every block instead, one
+    # `nullspace` each (tests/helpers.py).  Orders 1 to 4, and two larger
+    # shapes; this is the only route pinned at order 4.
     shapes = [(k, m) for k in (1, 2, 3) for m in range(13)] + [(4, m) for m in range(15)]
-    for order, weight in shapes:
+    for order, weight in shapes + [(4, 22), (3, 20)]:
         space = invariant_basis(JetSpec(2, order), weight)
-        counts = Counter(space.torus_weights())
-        expected = []
-        for (a, b), n in sorted(counts.items(), reverse=True):
-            multiplicity = n - counts.get((a + 1, b - 1), 0)
-            if a >= b and multiplicity:
-                expected.append(IrrepLabel((a, b), multiplicity))
-        assert decompose(space) == expected, (order, weight)
+        assert decompose(space) == raising_kernel_labels(space), (order, weight)
+
+
+def test_decompose_rejects_a_negative_multiplicity():
+    # The span of f1'^2 alone is closed under raising but not under the
+    # component swap, so it is no GL(2)-module: torus weight (1, 1) holds
+    # no element against one at (2, 0).
+    spec = JetSpec(2, 1)
+    monomials = enumerate_monomials(spec, 2)
+    col = monomials.index(mono_from_pairs([(jet_var(1, 1), 2)]))
+    space = invariants.InvariantSpace(spec, 2, monomials, [{col: 1}], [(2, 0)])
+    message = re.escape("torus weight (1, 1) holds 0 basis elements, fewer than the 1")
+    with pytest.raises(RuntimeError, match=message):
+        decompose(space)
 
 
 def test_decompose_first_order_is_symmetric_power():
