@@ -237,8 +237,9 @@ def _cmd_dim(args) -> int:
         "num_monomials": counts.num_monomials,
         "system_shape": [counts.rows, counts.num_monomials],
         "system_rank": counts.rank,
-        # the rank modulo 2**61 - 1 of the a-linear rows, which span the row
-        # space, as the kernel check certifies; the key keeps the output bytes
+        # the rank of the a-linear rows, solved modulo 2**61 - 1 on their own;
+        # the check of that kernel against each block's whole columns makes
+        # it the system rank.  The key keeps the output bytes
         "system_rank_modular": counts.rank,
         "dimension": counts.dimension,
     }

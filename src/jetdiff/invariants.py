@@ -33,12 +33,13 @@ to invariance.
 `invariance_system` is the independent route: one constraint row per mixed
 monomial (parameters x jet variables) of the series-substitution residuals.
 Its entries are ints, read straight off the packed images of poly's
-substitution kernel (`_substitution_system`).  `invariant_dimension` solves
-it one dominant block at a time, weighting each by its orbit size, with one
-packing for all the blocks; it eliminates only a block's a-linear rows,
-which span its row space, and checks the kernel against every row.  The
-whole system is the reference that the tests check the derivation kernel
-and `invariant_dimension` against.
+substitution kernel (`_substitution_columns`).  `invariant_dimension`
+solves it one dominant block at a time, weighting each by its orbit size,
+with one packing for all the blocks: it takes the kernel of a block's
+a-linear rows alone, which span its row space, and checks that kernel
+against the block's whole columns.  The whole system is the reference
+that the tests check the derivation kernel and `invariant_dimension`
+against.
 
 Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
@@ -65,7 +66,7 @@ from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .jets import JetPoint, JetSpec, ReparamJet, act_reparam
-from .linalg import RationalMatrix, _canonical_span, nullspace
+from .linalg import RationalMatrix, _canonical_span, _in_kernel, nullspace
 from .linalg import rank as matrix_rank  # noqa: F401  perfbench's tracer wraps this name
 from .linalg import solve_in_span
 from .poly import (
@@ -160,47 +161,29 @@ def _formal_action(spec: JetSpec, unipotent: bool) -> Mapping[Variable, SparsePo
     return MappingProxyType(moved.bindings())
 
 
-def _substitution_system(
+def _substitution_columns(
     packing: PackedSubstitution, monomials: Sequence[Monomial]
-) -> Tuple[RationalMatrix, int]:
-    """The series-substitution constraints on the given columns, and how
-    many of its rows are a-linear.
-
-    One row per mixed monomial (parameters and jet variables together) of
-    their residuals: first the a-linear ones, of total degree 1 in the
-    parameters, then the rest, each group in order of first appearance.
-    The a-linear rows are the matrices of D_1, ..., D_(k-1) (the
-    coefficient of a_(s+1) alone is D_s applied), and a polynomial they
-    kill is invariant (module docstring), so every row lies in their row
-    space; `invariant_dimension` eliminates them alone.
+) -> List[Dict[int, int]]:
+    """The series-substitution constraints on the given monomials, one
+    sparse int column per monomial: its packed image less its a-free part,
+    the monomial itself.
 
     `packing` is a `PackedSubstitution` of the unipotent formal action,
-    sized for these monomials (or more); each column is a monomial's
-    packed image less its a-free part, the monomial itself, so rows are
-    keyed by packed keys, whose parameter fields give their degree, and
-    the entries are ints, never unpacked.  The action has integer
+    sized for these monomials (or more).  Each column is keyed by the
+    packed mixed monomials (parameters and jet variables together) of the
+    residual, whose parameter fields give their degree in the a_i; the
+    entries are ints, never unpacked.  The action has integer
     coefficients, so each image's common denominator is 1; anything else
     raises RuntimeError.
     """
-    by_key: Dict[int, Dict[int, int]] = {}
-    for j, m in enumerate(monomials):
+    columns: List[Dict[int, int]] = []
+    for m in monomials:
         common, column = packing.image({m: 1})
         if common != 1:
             raise RuntimeError(f"unipotent image of {mono_str(m)} has denominator {common}")
         del column[packing.pack(m)]
-        for key, n in column.items():
-            row = by_key.get(key)
-            if row is None:
-                by_key[key] = {j: n}
-            else:
-                row[j] = n
-    params = packing.fields(PARAM)
-    part = sum(mask << off for off, mask in params)
-    single = {1 << off for off, _ in params}  # the parameter part of a_s alone
-    linear, rest = [], []
-    for key, row in by_key.items():
-        (linear if (key & part) in single else rest).append(row)
-    return RationalMatrix(len(by_key), len(monomials), linear + rest), len(linear)
+        columns.append(column)
+    return columns
 
 
 def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
@@ -209,14 +192,13 @@ def invariance_system(spec: JetSpec, weight: int) -> RationalMatrix:
 
     Column order is the canonical monomial order from enumerate_monomials;
     rows are indexed by the mixed monomials (parameters and jet variables
-    together) appearing in any residual: first those of total degree 1 in
-    the parameters, then the others, each group in order of first
-    appearance (`_substitution_system`).  The entries are ints.  Order 1
-    has no unipotent part, so the matrix has zero rows there.
+    together) appearing in any residual, in order of first appearance
+    (`_substitution_columns`).  The entries are ints.  Order 1 has no
+    unipotent part, so the matrix has zero rows there.
     """
     monomials = enumerate_monomials(spec, weight)
     packing = PackedSubstitution(_formal_action(spec, True), monomials)
-    return _substitution_system(packing, monomials)[0]
+    return RationalMatrix.from_columns(_substitution_columns(packing, monomials))
 
 
 class InvariantDimension(NamedTuple):
@@ -237,19 +219,23 @@ def invariant_dimension(spec: JetSpec, weight: int) -> InvariantDimension:
     of the components carries the block of weight w onto that of the
     permuted weight.  So each block is a copy of the dominant block of its
     orbit, rows, rank and kernel size included, and the whole system's
-    counts are the dominant blocks' weighted by orbit size.  A block's
-    rank is its columns minus its kernel size, from its one elimination:
-    `nullspace` eliminates only the block's a-linear rows modulo
-    2**61 - 1, which span its row space (`_substitution_system`), and
-    checks every vector exactly against all of its rows, so the kernel it
-    returns is the rational one, of size ncols - rank over Q (its
-    Fraction fallback, of all the rows, is exact on its own).  The row
-    count is that of all the rows.
+    counts are the dominant blocks' weighted by orbit size.
+
+    A block's a-linear rows, those of total degree 1 in the parameters,
+    are the matrices of D_1, ..., D_(k-1) (the coefficient of a_(s+1)
+    alone is D_s applied), and a polynomial they kill is invariant
+    (module docstring), so they span the block's row space.  `nullspace`
+    takes the exact kernel of those rows alone, as their own matrix, and
+    each kernel vector is checked exactly against the block's whole
+    columns (`_in_kernel`).  The kernel of the a-linear rows contains the
+    block's, so when every vector passes the two are equal, and the
+    block's rank is its columns minus the kernel size; a vector that fails
+    raises RuntimeError naming the torus weight.  The row count is the
+    number of distinct keys over the columns.
 
     All blocks share one packing, with fields sized from every dominant
-    monomial, and so one power table; the block systems have int entries,
-    which `nullspace` uses as they are.  One block's system is held at a
-    time.
+    monomial, and so one power table; the columns have int entries, which
+    `nullspace` uses as they are.  One block's columns are held at a time.
     """
     monomials = enumerate_monomials(spec, weight)
     torus_blocks = _torus_blocks(_mono_torus_weight(m, spec.rank) for m in monomials)
@@ -260,12 +246,22 @@ def invariant_dimension(spec: JetSpec, weight: int) -> InvariantDimension:
     }
     dominant = (m for block in blocks.values() for m in block)
     packing = PackedSubstitution(_formal_action(spec, True), dominant)
+    params = packing.fields(PARAM)
+    part = sum(mask << off for off, mask in params)
+    single = {1 << off for off, _ in params}  # the parameter part of a_s alone
     rows = rank = 0
     for torus, block in blocks.items():
-        system, linear = _substitution_system(packing, block)
+        columns = _substitution_columns(packing, block)
+        linear = [{key: n for key, n in col.items() if (key & part) in single} for col in columns]
+        kernel = nullspace(RationalMatrix.from_columns(linear))
+        if not all(_in_kernel(vec, columns) for vec in kernel):
+            raise RuntimeError(
+                f"the a-linear rows miss the row space of the substitution system"
+                f" at torus weight {torus}"
+            )
         orbit = _orbit_size(torus)
-        rows += orbit * system.nrows
-        rank += orbit * (system.ncols - len(nullspace(system, eliminate=linear)))
+        rows += orbit * len(set().union(*columns))
+        rank += orbit * (len(block) - len(kernel))
     return InvariantDimension(len(monomials), rows, rank, len(monomials) - rank)
 
 

@@ -28,10 +28,9 @@ cleared of its denominators once per call.  The systems of `basis` and
 kernel comes back through rational reconstruction and an exact check
 against the same integer rows, with one Fraction
 elimination (`_nullspace_rational`) as the fallback and the test suite's
-reference.  `nullspace(matrix, eliminate=k)` eliminates only the first k
-rows and still checks against every row: `dim` passes the rows of each
-block that span its row space, and reads its exact rank off the size of
-that checked kernel, with no second elimination.  `rank_modular_check`,
+reference.  The check, `_in_kernel`, sums each vector over its own
+columns of a column index; `dim` uses it too, to check the kernel of a
+block's a-linear rows against the whole block.  `rank_modular_check`,
 the rank over 31-bit primes, is a reference for the test suite.  The
 loop itself is checked against a plain column-scan elimination in both
 fields by the test suite.
@@ -357,17 +356,17 @@ def _reconstructed_kernel(
     return basis
 
 
-def _in_kernel(vec: Dict[int, int], by_column: Dict[int, List[Tuple[int, int]]]) -> bool:
-    """A.v == 0, summing only over the columns of v: `by_column` maps a
-    column to its (row, entry) pairs."""
-    sums: Dict[int, int] = {}
+def _in_kernel(vec: Mapping[int, int], columns: Sequence[Mapping[Hashable, int]]) -> bool:
+    """A.v == 0, summing only over the columns of v: `columns[c]` is
+    column c of A as {row: entry}, rows keyed by any hashable."""
+    sums: Dict[Hashable, int] = {}
     for c, n in vec.items():
-        for i, a in by_column.get(c, ()):
+        for i, a in columns[c].items():
             sums[i] = sums.get(i, 0) + a * n
     return not any(sums.values())
 
 
-def nullspace(matrix: RationalMatrix, eliminate: Optional[int] = None) -> List[Dict[int, int]]:
+def nullspace(matrix: RationalMatrix) -> List[Dict[int, int]]:
     """Canonical basis of the right kernel.
 
     One vector per free column, in increasing column order.  Each is a
@@ -375,40 +374,30 @@ def nullspace(matrix: RationalMatrix, eliminate: Optional[int] = None) -> List[D
     column is the last key; its entries have content 1 and a positive
     leading (first) entry.  The result is fully deterministic.
 
-    The rows are taken as integers (`_integer_rows`); the first
-    `eliminate` of them (all by default) are reduced and eliminated
-    modulo p = 2**61 - 1, and each kernel entry is rebuilt by rational
-    reconstruction; every vector must then satisfy A.v = 0 exactly over
-    all of the integer rows, which makes it the rational one.  Write S
-    for the eliminated rows, F for the free columns of A over Q and F'
-    for those of A_S modulo p.  Rank can only drop modulo p and on a row
-    subset, so |F'| >= |F|.  A checked vector is a kernel vector of A over
-    Q whose last nonzero entry is at its free column f', so f' depends on
-    the columns before it and lies in F: F' is F.  A kernel vector is
-    fixed by its entries on F, so each checked vector is the rational one
-    up to the canonical scale, and there are exactly ncols - rank(A) of
-    them.  So a subset S whose rows span the row space of A gives the
-    canonical kernel of A; for any other S, ker(A_S) is larger than
-    ker(A) and some vector fails the check.
-    The check indexes the integer rows by column and sums each vector over
-    its own columns only.
+    The rows are taken as integers (`_integer_rows`), reduced and
+    eliminated modulo p = 2**61 - 1, and each kernel entry is rebuilt by
+    rational reconstruction; every vector must then satisfy A.v = 0
+    exactly over the integer rows (`_in_kernel`), which makes it the
+    rational one.  Write F for the free columns of A over Q and F' for
+    those modulo p.  Rank can only drop modulo p, so |F'| >= |F|.  A
+    checked vector is a kernel vector of A over Q whose last nonzero
+    entry is at its free column f', so f' depends on the columns before
+    it and lies in F: F' is F.  A kernel vector is fixed by its entries on
+    F, so each checked vector is the rational one up to the canonical
+    scale, and there are exactly ncols - rank(A) of them.
     There is one modular attempt.  An entry with no reconstruction (too
-    large for the bound) or a failed check (p divides a pivotal minor, or
-    S does not span the row space) logs one retry and falls back to
-    Fraction elimination of every row.
+    large for the bound) or a failed check (p divides a pivotal minor)
+    logs one retry and falls back to Fraction elimination.
     """
     p = _KERNEL_PRIME
     ints = _integer_rows(matrix.rows)
-    pilot = ints
-    if eliminate is not None:  # `ints` drops zero rows
-        pilot = ints[: sum(1 for row in matrix.rows[:eliminate] if row)]
-    basis = _reconstructed_kernel(*_eliminate(_modular_rows(pilot, p), p), matrix.ncols, p)
+    basis = _reconstructed_kernel(*_eliminate(_modular_rows(ints, p), p), matrix.ncols, p)
     if basis is not None:
-        by_column: Dict[int, List[Tuple[int, int]]] = {}
+        columns: List[Dict[int, int]] = [{} for _ in range(matrix.ncols)]
         for i, row in enumerate(ints):
             for c, a in row.items():
-                by_column.setdefault(c, []).append((i, a))
-        if all(_in_kernel(vec, by_column) for vec in basis):
+                columns[c][i] = a
+        if all(_in_kernel(vec, columns) for vec in basis):
             return basis
     _log_retry("nullspace: no checked kernel mod %d, retrying over Q", p)
     return _nullspace_rational(matrix)

@@ -11,6 +11,7 @@ from math import comb, factorial
 import pytest
 
 from jetdiff import invariants, linalg
+from jetdiff.cli import main
 from jetdiff.invariants import (
     IrrepLabel,
     _packed_derivations,
@@ -31,6 +32,7 @@ from jetdiff.jets import JetPoint, JetSpec, ReparamJet, act_reparam
 from jetdiff.linalg import RationalMatrix, nullspace, rank, rank_modular_check
 from jetdiff.poly import (
     JET,
+    PARAM,
     PackedSubstitution,
     SparsePolynomial,
     base_var,
@@ -180,30 +182,45 @@ def test_substitution_system_matches_reference_substitution():
             ), (r, k, m)
 
 
+def a_linear(packing, columns):
+    """The entries of each column whose key has total degree 1 in the
+    parameters, read off the packed parameter fields."""
+    params = packing.fields(PARAM)
+
+    def degree(key):
+        return sum((key >> off) & mask for off, mask in params)
+
+    return [{key: n for key, n in col.items() if degree(key) == 1} for col in columns]
+
+
 def test_shared_packing_matches_block_packing(monkeypatch):
     # dim sizes one packing from every dominant monomial and builds each
     # block on it.  A field too narrow for the shared widths would merge
     # rows, which the exact kernel check cannot see, so each block's
-    # system, a-linear row count included, must equal the one built on a
-    # packing of that block alone.
+    # system, and the matrix of its a-linear rows, must equal the ones
+    # built on a packing of that block alone.
     built = []
-    original = invariants._substitution_system
+    original = invariants._substitution_columns
 
     def spy(packing, monomials):
-        system = original(packing, monomials)
-        built.append((packing, list(monomials), system))
-        return system
+        columns = original(packing, monomials)
+        built.append((packing, list(monomials), columns))
+        return columns
 
-    monkeypatch.setattr(invariants, "_substitution_system", spy)
+    monkeypatch.setattr(invariants, "_substitution_columns", spy)
     for spec, m in ((JetSpec(2, 4), 12), (JetSpec(3, 4), 9)):
         built.clear()
         invariant_dimension(spec, m)
         assert len({id(packing) for packing, _, _ in built}) == 1
         bindings = invariants._formal_action(spec, True)
-        for _, block, system in built:
-            alone = original(PackedSubstitution(bindings, block), block)
-            assert system == alone, (spec, m, block[0])
-            assert all(type(v) is int for row in system[0].rows for v in row.values())
+        for packing, block, columns in built:
+            own = PackedSubstitution(bindings, block)
+            alone = original(own, block)
+            assert RationalMatrix.from_columns(columns) == RationalMatrix.from_columns(alone)
+            assert RationalMatrix.from_columns(
+                a_linear(packing, columns)
+            ) == RationalMatrix.from_columns(a_linear(own, alone)), (spec, m, block[0])
+            assert all(type(v) is int for col in columns for v in col.values())
 
 
 def test_substitution_system_refuses_fractional_images():
@@ -213,7 +230,7 @@ def test_substitution_system_refuses_fractional_images():
     mono = ((v, 2),)
     packing = PackedSubstitution({v: SparsePolynomial.variable(v) * Fraction(1, 2)}, [mono])
     with pytest.raises(RuntimeError, match="f1'\\^2 has denominator 4"):
-        invariants._substitution_system(packing, [mono])
+        invariants._substitution_columns(packing, [mono])
 
 
 def test_basis_elements_are_stored_in_canonical_order():
@@ -318,25 +335,32 @@ def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
 
 
 def dim_block_systems(monkeypatch, spec, m):
-    """(system, a-linear row count) of each dominant block that
-    `invariant_dimension` solves at this shape."""
-    built = []
-    original = invariants._substitution_system
+    """(whole block system, matrix handed to `nullspace`, kernel returned)
+    for each dominant block that `invariant_dimension` solves here."""
+    columns, calls = [], []
+    build, solve = invariants._substitution_columns, invariants.nullspace
 
-    def spy(packing, monomials):
-        built.append(original(packing, monomials))
-        return built[-1]
+    def build_spy(packing, monomials):
+        columns.append(build(packing, monomials))
+        return columns[-1]
 
-    monkeypatch.setattr(invariants, "_substitution_system", spy)
+    def solve_spy(matrix):
+        calls.append((matrix, solve(matrix)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(invariants, "_substitution_columns", build_spy)
+    monkeypatch.setattr(invariants, "nullspace", solve_spy)
     invariant_dimension(spec, m)
-    monkeypatch.setattr(invariants, "_substitution_system", original)
-    return built
+    monkeypatch.setattr(invariants, "_substitution_columns", build)
+    monkeypatch.setattr(invariants, "nullspace", solve)
+    assert len(columns) == len(calls)
+    return [(RationalMatrix.from_columns(cols), *call) for cols, call in zip(columns, calls)]
 
 
 def test_a_linear_rows_span_each_dominant_block(monkeypatch, caplog):
-    # `dim` eliminates only a block's rows of total a-degree 1, the
-    # matrices of D_1, ..., D_(k-1); the speed rests on their spanning
-    # the block's row space.  Every dominant block at r, k <= 4, m <= 12
+    # `dim` hands `nullspace` only a block's rows of total a-degree 1, the
+    # matrices of D_1, ..., D_(k-1); the count rests on their spanning the
+    # block's row space.  Every dominant block at r, k <= 4, m <= 12
     # (shapes of at most 1,500 monomials) and at the tall order-3 shape
     # r2k3m16 (3,354 rows, 836 a-linear): the a-linear rows have the rank
     # of all the rows, and the kernel from them alone is the Fraction
@@ -350,71 +374,69 @@ def test_a_linear_rows_span_each_dominant_block(monkeypatch, caplog):
     blocks = 0
     with caplog.at_level("INFO", logger="jetdiff.linalg"):
         for r, k, m in shapes + [(2, 3, 16)]:
-            for system, linear in dim_block_systems(monkeypatch, JetSpec(r, k), m):
+            for system, linear, kernel in dim_block_systems(monkeypatch, JetSpec(r, k), m):
                 blocks += 1
-                rows = system.rows[:linear]
-                assert rank(RationalMatrix(linear, system.ncols, rows)) == rank(system), (r, k, m)
-                assert nullspace(system, eliminate=linear) == linalg._nullspace_rational(system)
+                assert rank(linear) == rank(system), (r, k, m)
+                assert kernel == linalg._nullspace_rational(system), (r, k, m)
     assert blocks == 2206 + 69
     assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
 
 
-def test_dim_kernel_falls_back_when_the_pilot_misses_the_row_space(monkeypatch, caplog):
-    # One row cannot span a block of rank 2 or more, so the kernel of that
-    # row alone fails the exact check on the others: one retry is logged
-    # and the Fraction kernel of every row is returned.  With no pilot
-    # rows at all every block with rows falls back, and the counts of
-    # `invariant_dimension` do not change.
-    systems = dim_block_systems(monkeypatch, JetSpec(2, 4), 12)
-    system = max((s for s, _ in systems), key=rank)
-    assert rank(system) >= 2
-    checks = []
-    in_kernel = linalg._in_kernel
+def test_dim_exits_3_when_the_a_linear_rows_miss_the_row_space(capsys, monkeypatch):
+    # `dim` checks the kernel of a block's a-linear rows against the
+    # block's whole columns.  Dropping a row that the others do not span,
+    # in the first block of rank 2 or more, grows that kernel by a vector
+    # the check rejects: `dim` exits 3 with one line naming the block's
+    # torus weight, and prints nothing on stdout.
+    build, solve = invariants._substitution_columns, invariants.nullspace
+    blocks, dropped = [], []
 
-    def spy(vec, by_column):
-        checks.append(in_kernel(vec, by_column))
-        return checks[-1]
+    def build_spy(packing, monomials):
+        blocks.append(invariants._mono_torus_weight(monomials[0], 2))
+        return build(packing, monomials)
 
-    monkeypatch.setattr(linalg, "_in_kernel", spy)
-    with caplog.at_level("INFO", logger="jetdiff.linalg"):
-        assert nullspace(system, eliminate=1) == linalg._nullspace_rational(system)
-    assert checks[-1] is False
-    retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
-    assert len(retries) == 1 and "retrying" in retries[0].getMessage()
+    def solve_spy(matrix):
+        full = rank(matrix)
+        if not dropped and full >= 2:
+            for i in range(matrix.nrows):
+                rest = matrix.rows[:i] + matrix.rows[i + 1 :]
+                smaller = RationalMatrix(len(rest), matrix.ncols, rest)
+                if rank(smaller) < full:
+                    dropped.append(blocks[-1])
+                    return solve(smaller)
+        return solve(matrix)
 
-    shapes = [(JetSpec(2, 2), 6), (JetSpec(2, 4), 10), (JetSpec(3, 3), 6)]
-    expected = [invariant_dimension(spec, m) for spec, m in shapes]
-    original = invariants._substitution_system
-    monkeypatch.setattr(
-        invariants, "_substitution_system", lambda *args: (original(*args)[0], 0)
-    )
-    caplog.clear()
-    with caplog.at_level("INFO", logger="jetdiff.linalg"):
-        assert [invariant_dimension(spec, m) for spec, m in shapes] == expected
-    retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
-    monkeypatch.setattr(invariants, "_substitution_system", original)
-    with_rows = [s for spec, m in shapes for s, _ in dim_block_systems(monkeypatch, spec, m)]
-    assert len(retries) == sum(1 for s in with_rows if s.nrows) > 0
+    monkeypatch.setattr(invariants, "_substitution_columns", build_spy)
+    monkeypatch.setattr(invariants, "nullspace", solve_spy)
+    code = main(["dim", "--rank", "2", "--order", "4", "--weight", "12"])
+    captured = capsys.readouterr()
+    assert code == 3 and len(dropped) == 1
+    assert captured.out == ""
+    assert captured.err.startswith("jetdiff: ") and captured.err.count("\n") == 1
+    assert f"at torus weight {dropped[0]}" in captured.err
 
 
 def test_only_dim_eliminates_a_row_subset(monkeypatch):
-    # `basis` eliminates every row of its kernels, and `decompose` none;
-    # only `invariant_dimension` passes `eliminate`, and there fewer rows
-    # than its blocks hold.
+    # `basis` hands `nullspace` every row of its D1/D2 blocks, and
+    # `decompose` nothing; `invariant_dimension` hands it only the a-linear
+    # rows of its blocks: 562 of the 1,733 rows of r2k4m12's 45 dominant
+    # blocks.
     calls = []
     original = invariants.nullspace
 
-    def spy(matrix, **kwargs):
-        calls.append((matrix.nrows, kwargs))
-        return original(matrix, **kwargs)
+    def spy(matrix):
+        calls.append((matrix.nrows, matrix.ncols))
+        return original(matrix)
 
     monkeypatch.setattr(invariants, "nullspace", spy)
     decompose(invariant_basis(JetSpec(2, 4), 10))
-    assert calls and all(kwargs == {} for _, kwargs in calls)
-    calls.clear()
-    invariant_dimension(JetSpec(2, 4), 10)
-    assert calls and all(set(kwargs) == {"eliminate"} for _, kwargs in calls)
-    assert sum(kwargs["eliminate"] for _, kwargs in calls) < sum(n for n, _ in calls)
+    assert (len(calls), sum(n for n, _ in calls), sum(c for _, c in calls)) == (32, 207, 186)
+    monkeypatch.setattr(invariants, "nullspace", original)
+    systems = dim_block_systems(monkeypatch, JetSpec(2, 4), 12)
+    assert len(systems) == 45
+    assert sum(system.nrows for system, _, _ in systems) == 1733
+    assert sum(given.nrows for _, given, _ in systems) == 562
+    assert all(given.ncols == system.ncols for system, given, _ in systems)
 
 
 def test_permuted_kernels_match_their_own_block_kernels(monkeypatch):

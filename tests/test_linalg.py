@@ -167,54 +167,6 @@ def test_nullspace_fallbacks_match_rational(caplog, monkeypatch):
         assert expected == linalg._nullspace_rational(m)
 
 
-def test_nullspace_eliminates_only_the_given_rows(caplog, monkeypatch):
-    # With `eliminate=k` only the first k rows are eliminated, and every
-    # vector is checked against all of them.  Here the later rows are
-    # combinations of the first k, among which a zero row sits, so the
-    # first k span the row space: one modular elimination of their
-    # nonzero rows gives the Fraction kernel, with no retry.
-    rng = random.Random(23)
-    calls = []
-    eliminate = linalg._eliminate
-
-    def spy(rows, prime=0):
-        calls.append((prime, len(rows)))
-        return eliminate(rows, prime)
-
-    monkeypatch.setattr(linalg, "_eliminate", spy)
-    for _ in range(30):
-        ncols = rng.randint(1, 8)
-        head = random_matrix(rng, rng.randint(1, 5), ncols).rows
-        head.insert(rng.randint(0, len(head)), {})
-        tail = []
-        for _ in range(rng.randint(0, 6)):
-            row = {}
-            for src in head:
-                c = rng.randint(-3, 3)
-                for j, v in src.items():
-                    row[j] = row.get(j, 0) + c * v
-            tail.append({j: v for j, v in row.items() if v})
-        m = RationalMatrix(len(head) + len(tail), ncols, head + tail)
-        expected = linalg._nullspace_rational(m)
-        calls.clear()
-        with caplog.at_level("INFO", logger="jetdiff.linalg"):
-            assert nullspace(m, eliminate=len(head)) == expected
-        assert calls == [(2**61 - 1, sum(1 for row in head if row))]
-    assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
-
-
-def test_nullspace_checks_against_rows_it_did_not_eliminate(caplog, monkeypatch):
-    # The first row alone leaves columns 1 and 2 free; the second row
-    # rejects {1: 1}, so the Fraction elimination of both rows decides.
-    m = dense([[1, 0, 0], [0, 1, 0]])
-    primes = spy_eliminate(monkeypatch)
-    with caplog.at_level("INFO", logger="jetdiff.linalg"):
-        assert nullspace(m, eliminate=1) == [{2: 1}]
-    assert primes == [2**61 - 1, 0]
-    retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
-    assert len(retries) == 1 and "retrying" in retries[0].getMessage()
-
-
 def test_nullspace_rational_takes_ints():
     # Block columns arrive as ints; either route must read them as the
     # Fractions they equal, and both return the kernel as int vectors.
