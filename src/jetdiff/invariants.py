@@ -181,7 +181,7 @@ def _substitution_columns(
         common, column = packing.image({m: 1})
         if common != 1:
             raise RuntimeError(f"unipotent image of {mono_str(m)} has denominator {common}")
-        del column[packing.pack(m)]
+        del column[packing.key(m)]
         columns.append(column)
     return columns
 

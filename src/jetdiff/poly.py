@@ -31,7 +31,9 @@ the Fraction equal to it alike.
 Substitution has one kernel, `PackedSubstitution`, and one polynomial
 front end on it, `substitute_all`, which pushes a batch of polynomials
 through one binding map; `SparsePolynomial.substitute` is its one-element
-call.  The jet actions compose through it as well: jets.py writes each jet
+call.  A power is a substitution as well: p^n is the image of x^n under
+x -> p for a private variable x, so it is squared up in the kernel's power
+table.  The jet actions compose through it too: jets.py writes each jet
 component as its Taylor polynomial in a private series variable,
 substitutes the reparametrization or the target map and truncates after
 the jet order.  The kernel works on packed integers:
@@ -66,10 +68,9 @@ from them.  The formal re-check of `verify` and `invariant_basis`
 compares each image with the keys of q * a1^m, and unpacks only the image
 of a polynomial that is not invariant, to build its residual.  The
 transition solve keys the basis vectors by the same packed keys as the
-images and unpacks nothing.  The keys of monomials that are not images
-go through the checked `PackedSubstitution.key`, which refuses a
-monomial that does not fit the fields instead of letting it alias
-another.
+images and unpacks nothing.  `PackedSubstitution.key` is the one packer,
+of image terms and of every other monomial alike: it refuses a monomial
+that does not fit the fields instead of letting it alias another.
 """
 
 from __future__ import annotations
@@ -126,6 +127,11 @@ def param_var(index: int) -> Variable:
     if index < 1:
         raise ValueError(f"parameter index must be >= 1, got {index}")
     return Variable(PARAM, index, 0)
+
+
+# The variable `SparsePolynomial.__pow__` binds to its base; param_var
+# refuses index 0, so no polynomial a caller writes contains it.
+_POWER = Variable(PARAM, 0, 0)
 
 
 # A monomial: ((variable, exponent), ...) sorted by variable, exponents > 0.
@@ -255,9 +261,6 @@ class SparsePolynomial:
 
     # ---- predicates and views ----
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -281,12 +284,6 @@ class SparsePolynomial:
             for v, _ in m:
                 out.add(v)
         return frozenset(out)
-
-    def total_degree(self) -> int:
-        """Total degree; 0 for the zero polynomial by convention."""
-        if not self.terms:
-            return 0
-        return max(mono_degree(m) for m in self.terms)
 
     def sorted_terms(self):
         """Terms in canonical decreasing monomial order."""
@@ -369,17 +366,16 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "SparsePolynomial":
+        """self^n for an int n >= 0, and 1 for n = 0 (0^0 included).
+
+        It is the image of x^n under x -> self for a private variable x,
+        through the one substitution kernel and its power table.  The
+        substitution is simultaneous, so a base containing x is exact too.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"polynomial power must be a nonnegative integer, got {n!r}")
-        result = SparsePolynomial.constant(1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        power = SparsePolynomial({mono_from_pairs([(_POWER, n)]): _ONE})
+        return substitute_all([power], {_POWER: self})[0]
 
     # ---- structural operations ----
 
@@ -561,27 +557,17 @@ class PackedSubstitution:
             den = 1
             for c in terms.values():
                 den = den * c.denominator // gcd(den, c.denominator)
-            packed = []
-            for m, c in terms.items():
-                packed.append((self.pack(m), c.numerator * (den // c.denominator)))
+            packed = [(self.key(m), c.numerator * (den // c.denominator)) for m, c in terms.items()]
             cleared[v] = (den, packed)
         self._cleared = cleared
         self._powers: Dict[Tuple[Variable, int], List[Tuple[int, int]]] = {}  # (v, e) -> image^e
         self._unpacked: Dict[int, Monomial] = {}
 
-    def pack(self, mono: Monomial) -> int:
-        """The packed key of a monomial in the result variables, unchecked:
-        an exponent wider than its field carries into the next one."""
-        shift = self._shift
-        key = 0
-        for v, e in mono:
-            key += e << shift[v]
-        return key
-
     def key(self, mono: Monomial) -> Optional[int]:
-        """`pack`, checked: None when a variable of the monomial has no
-        field or an exponent wider than its field.  Every image key is a
-        checked key, so a monomial without one occurs in no image."""
+        """The packed key of a monomial in the result variables, or None
+        when a variable of the monomial has no field or an exponent wider
+        than its field, so no monomial takes another's key.  Every image
+        key is made here, so a monomial without one occurs in no image."""
         shift, limit = self._shift, self._limit
         key = 0
         for v, e in mono:

@@ -25,13 +25,19 @@ def nonzero_rational(rng, lo=-5, hi=5, max_den=3):
             return q
 
 
+def monomial(v, e):
+    """v^e with coefficient 1, built directly rather than by `**` (itself a
+    substitution), so that test data does not depend on the kernel."""
+    return SparsePolynomial.monomial(((v, e),))
+
+
 def random_poly(rng, variables, terms=4, max_exp=3, lo=-5, hi=5):
     """A random sparse polynomial in the given variables (possibly zero)."""
     p = SparsePolynomial.zero()
     for _ in range(terms):
         mono = SparsePolynomial.constant(1)
         for v in rng.sample(list(variables), k=rng.randint(1, min(2, len(variables)))):
-            mono = mono * SparsePolynomial.variable(v) ** rng.randint(1, max_exp)
+            mono = mono * monomial(v, rng.randint(1, max_exp))
         p = p + mono * rational(rng, lo, hi)
     return p
 
@@ -132,9 +138,10 @@ def reference_substitute(p, bindings):
     through.
 
     Term by term in Fraction arithmetic: each monomial's bound factors
-    are powered and multiplied as polynomials, with a per-call power
-    cache.  No packing and no common denominator, so it is the oracle for
-    the packed substitution kernel.
+    are powered by repeated polynomial products (image^e = image^(e-1) *
+    image, cached per call) and multiplied as polynomials.  No packing, no
+    common denominator and no `**` (which is itself a substitution), so it
+    is the oracle for the packed substitution kernel.
     """
     if not bindings or not p.terms:
         return p
@@ -146,9 +153,7 @@ def reference_substitute(p, bindings):
         factor = None
         for v, e in mono:
             if v in bound:
-                power = pow_cache.get((v, e))
-                if power is None:
-                    power = pow_cache[(v, e)] = bound[v] ** e
+                power = _reference_power(bound[v], v, e, pow_cache)
                 factor = power if factor is None else factor * power
             else:
                 passthrough.append((v, e))
@@ -157,6 +162,15 @@ def reference_substitute(p, bindings):
             term = term * factor
         total = total + term
     return total
+
+
+def _reference_power(base, v, e, cache):
+    """base^e by repeated products, cached under (v, e) for every e reached."""
+    power = cache.get((v, e))
+    if power is None:
+        power = base if e == 1 else _reference_power(base, v, e - 1, cache) * base
+        cache[(v, e)] = power
+    return power
 
 
 def random_reparam(rng, order):
@@ -199,7 +213,7 @@ def random_target_map(rng, rank, degree=2, points=((0, 0),)):
                         p = p + q * rational(rng, -2, 2, 1)
             if degree >= 3:
                 for z in zs:
-                    p = p + SparsePolynomial.variable(z) ** 3 * rational(rng, -2, 2, 1)
+                    p = p + monomial(z, 3) * rational(rng, -2, 2, 1)
             comps.append(p)
         psi = TargetMap(comps)
         if all(dense_rank(psi.jacobian(pt)) == rank for pt in points):

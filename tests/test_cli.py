@@ -496,6 +496,19 @@ def test_exit_code_zero_on_success(capsys):
     capsys.readouterr()
 
 
+def test_negative_values_are_attached_with_equals(capsys):
+    # A value that starts with "-" reads as an option when it follows its
+    # flag after a space; attached with "=" it is taken as the value.
+    shape = ["--rank", "2", "--order", "2", "--weight", "3"]
+    assert main(["transition", *shape, "--map", SHEAR, "--point=-1,1"]) == 0
+    assert main(["associated", *shape, "--matrix=-1,0;0,1"]) == 0
+    assert main(["v1", "--map", SHEAR, "--point", "0,0", "--slope=-1"]) == 0
+    assert main(["theta", "--d", "6", "--upper-bound=-1/3"]) == 0
+    capsys.readouterr()
+    assert main(["associated", *shape, "--matrix", "-1,0;0,1"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_exit_code_one_on_mathematical_errors(capsys):
     singular = [
         "transition",

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from jetdiff.jets import JetSpec, TargetMap
 from jetdiff.parsing import MAX_NESTING, ParseError, parse_map, parse_polynomial
-from jetdiff.poly import SparsePolynomial, base_var, jet_var, param_var
+from jetdiff.poly import SparsePolynomial, base_var, jet_var, mono_from_pairs, param_var
 
 from helpers import random_poly
 
@@ -48,6 +49,14 @@ def test_parse_precedence_and_signs():
     assert parse_polynomial("+f1'", spec) == f
     assert parse_polynomial("2*f1'^3", spec) == 2 * f ** 3
     assert parse_polynomial("(f1' + 1)^2", spec) == (f + 1) ** 2
+
+
+def test_parse_large_power_is_binomial():
+    p = parse_polynomial("(f1'+f2')^300", SPEC22)
+    f1, f2 = jet_var(1, 1), jet_var(2, 1)
+    assert len(p.terms) == 301
+    for k in range(301):
+        assert p.coefficient(mono_from_pairs([(f1, 300 - k), (f2, k)])) == comb(300, k)
 
 
 def test_parse_base_and_param_variables():
@@ -136,7 +145,7 @@ def test_printed_polynomials_reparse():
     for _ in range(25):
         p = random_poly(rng, pool, terms=5, max_exp=3)
         assert parse_polynomial(str(p), spec) == p
-    assert parse_polynomial(str(SparsePolynomial.zero()), spec).is_zero()
+    assert not parse_polynomial(str(SparsePolynomial.zero()), spec)
 
 
 def test_printed_maps_reparse():

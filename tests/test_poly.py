@@ -20,7 +20,7 @@ from jetdiff.poly import (
     substitute_all,
 )
 
-from helpers import random_poly, rational, reference_substitute
+from helpers import monomial, random_poly, rational, reference_substitute
 
 X = base_var(1)
 Y = base_var(2)
@@ -32,13 +32,12 @@ def var(v):
 
 def test_zero_and_constants():
     z = SparsePolynomial.zero()
-    assert z.is_zero()
     assert not z
     assert str(z) == "0"
     three = SparsePolynomial.constant(3)
     assert three.is_constant()
     assert three.constant_value() == 3
-    assert (var(X) - var(X)).is_zero()
+    assert not (var(X) - var(X))
     assert SparsePolynomial.constant(Fraction(2, 4)).constant_value() == Fraction(1, 2)
 
 
@@ -54,16 +53,56 @@ def test_binomial_coefficients():
     assert cube.coefficient(mono_from_pairs([(X, 2), (Y, 1)])) == 3
     assert cube.coefficient(mono_from_pairs([(X, 3)])) == 1
     assert cube.coefficient(mono_from_pairs([(X, 1), (Y, 1)])) == 0
-    assert cube.total_degree() == 3
 
 
 def test_pow_matches_repeated_multiplication():
+    # p ** n is a substitution into the private variable's x^n; it must be
+    # the product p * ... * p for every base: zero, constants, Fraction
+    # coefficients, every variable kind, and the private variable itself.
     rng = random.Random(101)
-    p = random_poly(rng, [X, Y], terms=3, max_exp=2)
-    q = SparsePolynomial.constant(1)
-    for n in range(5):
-        assert p ** n == q
-        q = q * p
+    private = poly._POWER
+    variables = [X, Y, jet_var(1, 1), jet_var(2, 2), param_var(1), private]
+    bases = [SparsePolynomial.zero(), SparsePolynomial.constant(1),
+             SparsePolynomial.constant(Fraction(-2, 3)), var(private), var(private) + var(X)]
+    for _ in range(30):
+        bases.append(random_poly(rng, rng.sample(variables, k=rng.randint(1, 3)),
+                                 terms=rng.randint(1, 4), max_exp=2) + rational(rng))
+    for p in bases:
+        q = SparsePolynomial.constant(1)
+        for n in range(9):
+            assert p ** n == q, (p, n)
+            q = q * p
+
+
+def test_pow_matches_repeated_multiplication_at_field_edges():
+    # Exponents at and around powers of two: the packed field of each
+    # variable must hold n times the base's degree without a carry.
+    x, y, f1, a1 = var(X), var(Y), var(jet_var(1, 1)), var(param_var(1))
+    bases = [x + 2 * y, Fraction(1, 2) * f1 * f1 - a1 + 1, var(poly._POWER) * x - 3,
+             SparsePolynomial.constant(Fraction(-2, 3))]
+    edges = {3, 4, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65}
+    for p in bases:
+        q = SparsePolynomial.constant(1)
+        for n in range(1, max(edges) + 1):
+            q = q * p
+            if n in edges:
+                assert p ** n == q, (p, n)
+
+
+def test_pow_makes_no_polynomial_product(monkeypatch):
+    # A power is squared up on packed ints in the substitution kernel's
+    # power table, not by multiplying polynomials.
+    x, y = var(X), var(Y)
+    p = Fraction(1, 2) * x + y - 3
+    want = p * p * p * p * p
+
+    def refuse(self, other):
+        raise AssertionError("** multiplied two polynomials")
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", refuse)
+    monkeypatch.setattr(SparsePolynomial, "__rmul__", refuse)
+    assert p ** 5 == want
+    assert p ** 0 == 1 and SparsePolynomial.zero() ** 0 == 1
 
 
 def test_pow_rejects_negative_exponent():
@@ -152,9 +191,9 @@ def test_substitute_all_edge_cases():
     assert_matches_reference([x ** 3 * y ** 2], {X: x + y})
     # cancellation to zero, within one term product and across terms
     got = assert_matches_reference([x - y, x ** 2 - y ** 2], {X: y, Y: y})
-    assert got[0].is_zero() and got[1].is_zero()
+    assert not got[0] and not got[1]
     got = assert_matches_reference([x * y + f1 ** 2 - 1], {X: 1 + f1, Y: 1 - f1})
-    assert got[0].is_zero()
+    assert not got[0]
     assert substitute_all([x * y - 2], {X: Fraction(2, 3), Y: 3}) == [zero]
     # constant and zero polynomials, scalar and Fraction bindings
     assert_matches_reference([zero, one, SparsePolynomial.constant(Fraction(-5, 7))], {X: y})
@@ -201,23 +240,22 @@ def test_substitute_all_exponents_fill_their_bit_fields():
     f1, f2 = var(jet_var(1, 1)), var(jet_var(2, 1))
     for n in range(1, 7):
         for e in (2 ** n - 1, 2 ** n):
-            assert_matches_reference([x ** e * y], {X: x + 2 * y})
-            assert_matches_reference([f1 ** e + f2], {jet_var(1, 1): f2 - f1})
-            assert_matches_reference([x ** e, y ** e * x], {X: y, Y: x})
+            assert_matches_reference([monomial(X, e) * y], {X: x + 2 * y})
+            assert_matches_reference([monomial(jet_var(1, 1), e) + f2], {jet_var(1, 1): f2 - f1})
+            assert_matches_reference([monomial(X, e), monomial(Y, e) * x], {X: y, Y: x})
 
 
-def test_checked_key_refuses_what_pack_would_alias():
+def test_key_refuses_a_monomial_that_does_not_fit():
     # x is bound to y and z passes through, so y has a one-bit field right
-    # below z's: y^2 packs onto z's key, and x has no field at all.  The
-    # checked key refuses both and agrees with `pack` on every monomial
-    # that fits, image keys included.
+    # below z's: an unchecked y^2 would carry onto z's key, and x has no
+    # field at all.  `key` refuses both and keys every monomial that fits,
+    # image keys included, at its own field offsets.
     Z = base_var(3)
     packing = PackedSubstitution({X: var(Y)}, [((X, 1),), ((Z, 1),)])
-    assert packing.pack(((Y, 2),)) == packing.pack(((Z, 1),))
     assert packing.key(((Y, 2),)) is None
     assert packing.key(((X, 1),)) is None
-    for mono in [(), ((Y, 1),), ((Z, 1),), ((Y, 1), (Z, 1))]:
-        assert packing.key(mono) == packing.pack(mono)
+    keys = [packing.key(mono) for mono in [(), ((Y, 1),), ((Z, 1),), ((Y, 1), (Z, 1))]]
+    assert keys == [0, 1, 2, 3]
     assert packing.image({((X, 1), (Z, 1)): 3}) == (1, {packing.key(((Y, 1), (Z, 1))): 3})
 
 
@@ -253,7 +291,7 @@ def test_power_table_orders_agree_with_reference():
     # Squared and one-step powers, asked for out of order, with and without
     # truncation, match the term-by-term reference.
     x, y = var(X), var(Y)
-    polys = [x ** e * y for e in (13, 6, 7, 30, 2, 1, 15)]
+    polys = [monomial(X, e) * y for e in (13, 6, 7, 30, 2, 1, 15)]
     bindings = {X: x + 2 * y - 1}
     assert_matches_reference(polys, bindings)
     got = substitute_all(polys, bindings, truncate=(X, 9))
@@ -310,8 +348,8 @@ def test_collect_reconstructs_polynomial():
 def test_derivative_power_rule():
     x = var(X)
     assert (x ** 5).derivative(X) == 5 * x ** 4
-    assert SparsePolynomial.constant(7).derivative(X).is_zero()
-    assert var(Y).derivative(X).is_zero()
+    assert not SparsePolynomial.constant(7).derivative(X)
+    assert not var(Y).derivative(X)
 
 
 def test_derivative_product_rule_randomized():
@@ -369,4 +407,4 @@ def test_poly_sum_matches_loop():
     for p in polys:
         total = total + p
     assert poly_sum(polys) == total
-    assert poly_sum([]).is_zero()
+    assert not poly_sum([])

@@ -179,14 +179,15 @@ def test_transition_leaving_the_span_names_the_failure():
 
 def test_transition_never_trusts_an_aliased_key():
     # With f2' -> 0 and f1'' -> f2' + f1'', f2' only reaches degree 1 in
-    # the images, so its field is one bit wide and the unchecked key of
-    # the basis monomial f2'^3 is that of f2'*f1''.  Keyed that way, the
-    # Wronskian's image f1'*f2'' would solve; it is outside the span.
+    # the images, so its field is one bit wide and an unchecked key of
+    # the basis monomial f2'^3 (3 in that field) would carry onto the key
+    # of f2'*f1''.  Keyed that way, the Wronskian's image f1'*f2'' would
+    # solve; it is outside the span.
     space = weight3_space()
     f2, f1_2 = jet_var(2, 1), jet_var(1, 2)
     bindings = {f2: 0, f1_2: var(f2) + var(f1_2)}
     packing = PackedSubstitution(bindings, (m for q in space.basis for m in q.terms))
-    assert packing.pack(((f2, 3),)) == packing.key(((f2, 1), (f1_2, 1)))
+    assert 3 * packing.key(((f2, 1),)) == packing.key(((f2, 1), (f1_2, 1)))
     assert packing.key(((f2, 3),)) is None
     assert unpacked_transition(space, bindings) == "target 4 is outside the span"
     with pytest.raises(RuntimeError, match="^failure: target 4 is outside the span$"):
