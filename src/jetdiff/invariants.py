@@ -19,12 +19,13 @@ torus weight), so the linear system splits into one small integer block
 per torus weight.  A permutation of the components (the Weyl group of
 GL(W)) commutes with the action, so it carries each block onto the block
 of the permuted weight; only the dominant blocks, whose torus weight is
-weakly decreasing, are solved.  `invariant_basis` builds each dominant
-block on packed monomials, one bit field per jet variable, so applying
-D_s to one variable is one integer add (`_packed_derivations`), takes its
-exact kernel (`_kernel`, the one block kernel here), carries it to the
-other blocks of its orbit (`_permuted_kernel`) and merges the kernels in
-the global column order.  The elements of the dominant blocks are then
+weakly decreasing, are solved.  `invariant_basis` packs the monomials,
+one bit field of one width per jet variable, into one {packed key:
+column} index, so applying D_s to one variable is one integer add
+(`_packed_derivations`); it takes each dominant block's exact kernel
+(`_kernel`), carries it to the other blocks of its orbit by permuting
+the bit fields (`_permuted_kernel`) and merges the kernels in the
+global column order.  The elements of the dominant blocks are then
 re-verified against the fully formal action, including formal a1; each
 permuted block is certified by an exact span check against its dominant
 block (`_check_permuted`), which the Weyl symmetry of the action extends
@@ -45,14 +46,15 @@ Highest-weight bookkeeping for the standard linear action on components
 (f^(i) -> g * f^(i) for all i at once) lives here too: torus weights are
 component counts, raising and lowering are the root derivations
 f2^(i) -> f1^(i) and f1^(i) -> f2^(i), applied as packed moves like D1
-and D2 (`_root_move`).  For two components, each raised basis vector is
-checked to lie in the span of the basis block it lands in, by the same
-free-column span check as the permuted blocks (`_span_residual`); the
-span is then a GL(2)-module, so the multiplicity of each label is a
-difference of two torus-block sizes, with no elimination.  Lowering
-after raising is a scalar on each weight space of an isotypic component
-that tells the components apart, so `irrep_partition` reads each basis
-element's component off it, with no second basis and no solve.
+and D2 through the same index (`_root_move`).  For two components, each
+raised basis vector is checked to lie in the span of the basis block it
+lands in, by the same free-column span check as the permuted blocks
+(`_span_residual`); the span is then a GL(2)-module, so the multiplicity
+of each label is a difference of two torus-block sizes, with no
+elimination.  Lowering after raising is a scalar on each weight space of
+an isotypic component that tells the components apart, so
+`irrep_partition` reads each basis element's component off it, with no
+second basis and no solve.
 `raising_action`, built from partial derivatives, is the independent
 check of the packed moves.
 """
@@ -365,11 +367,11 @@ class InvariantSpace:
     solved there or carried there from the dominant block of their Weyl
     orbit, so they are stored rather than read back off the polynomials.
     `basis` and the dense `coefficients` hold the same ints as `vectors`.
-    The packed column index of the root moves is built on first use and
-    kept (`_root_move`).
+    `index` is the {packed key: column} of the monomials that
+    `invariant_basis` packs, which the root moves reuse (`_root_move`).
     """
 
-    __slots__ = ("spec", "weight", "monomials", "vectors", "basis", "_torus_weights", "_columns")
+    __slots__ = ("spec", "weight", "monomials", "vectors", "basis", "index", "_torus_weights")
 
     def __init__(
         self,
@@ -378,6 +380,7 @@ class InvariantSpace:
         monomials: Sequence[Monomial],
         vectors: Sequence[Mapping[int, int]],
         torus_weights: Sequence[Tuple[int, ...]],
+        index: Mapping[int, int],
     ):
         self.spec = spec
         self.weight = weight
@@ -388,7 +391,7 @@ class InvariantSpace:
             for vec in self.vectors
         )
         self._torus_weights = tuple(torus_weights)
-        self._columns: Optional[Dict[int, int]] = None
+        self.index = index
 
     @property
     def coefficients(self) -> Tuple[Tuple[int, ...], ...]:
@@ -452,14 +455,15 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     Each block holds the monomials of one torus weight, in global column
     order; its rows are the image monomials of each D_s, kept apart by s,
     as (s, packed image) with one bit field per jet variable, each as wide
-    as the weight (no exponent exceeds it).  Monomial tuples are only
-    built for the columns, which are enumerated already canonical.
+    as the weight (no exponent exceeds it); the columns, enumerated
+    already canonical, are indexed once by packed key for the space.
     Only the dominant blocks (weakly decreasing torus weight) are solved.
     A permutation of the components commutes with D1 and D2, so it carries
     a dominant block's kernel onto the kernel of each block in its orbit;
     those permuted vectors are reduced to canonical form there
-    (`_permuted_kernel`) and checked against the dominant kernel, whose
-    free columns are found once per orbit.  The block kernels are embedded
+    (`_permuted_kernel`, one shift table per permutation) and checked
+    against the dominant kernel, whose free columns are found once per
+    orbit.  The block kernels are embedded
     in the global columns and sorted by free column (the last key), which
     reproduces the canonical nullspace of the whole system: the reduced
     kernel basis is unique once the kernel and the column order are fixed.
@@ -481,29 +485,26 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
         for torus, cols in blocks.items()
         if _is_dominant(torus)
     }
-    column = {mono: col for col, mono in enumerate(monomials)}
-    variables = spec.jet_variables()
-    renamings: Dict[Tuple[int, ...], Dict[Variable, Variable]] = {}
+    index = {sum(e << shift[v] for v, e in mono): col for col, mono in enumerate(monomials)}
+    tables: Dict[Tuple[int, ...], Dict[Variable, int]] = {}
     spans: Dict[Tuple[int, ...], Tuple[Dict[int, Mapping[int, int]], int]] = {}
     keyed: List[Tuple[Dict[int, int], Tuple[int, ...]]] = []
     for torus in blocks:
         kernel = kernels.get(torus)
         if kernel is None:
-            # one renaming per permutation, shared by every block it reaches
+            # one shift table per permutation, shared by every block it reaches
             perm = tuple(sorted(range(spec.rank), key=lambda j: -torus[j]))
-            moved = renamings.get(perm)
-            if moved is None:
-                moved = {v: Variable(JET, v.order, perm[v.comp - 1] + 1) for v in variables}
-                renamings[perm] = moved
+            if perm not in tables:
+                tables[perm] = {v: shift[jet_var(perm[v.comp - 1] + 1, v.order)] for v in shift}
             dominant = tuple(sorted(torus, reverse=True))
             span = spans.get(dominant)
             if span is None:
                 span = spans[dominant] = _free_columns(kernels[dominant])
-            kernel = _permuted_kernel(span, moved, monomials, column)
+            kernel = _permuted_kernel(span, tables[perm], monomials, index)
         keyed.extend((vec, torus) for vec in kernel)
     keyed.sort(key=lambda item: next(reversed(item[0])))
     vectors, tori = [vec for vec, _ in keyed], [torus for _, torus in keyed]
-    space = InvariantSpace(spec, weight, monomials, vectors, tori)
+    space = InvariantSpace(spec, weight, monomials, vectors, tori, index)
     solved = [q for q, torus in zip(space.basis, tori) if torus in kernels]
     for q, verdict in zip(solved, _verify_all(solved, spec)):
         if not verdict.invariant:
@@ -560,17 +561,18 @@ def _packed_derivations(
 
 def _permuted_kernel(
     span: Tuple[Mapping[int, Mapping[int, int]], int],
-    moved: Mapping[Variable, Variable],
+    table: Mapping[Variable, int],
     monomials: Sequence[Monomial],
-    column: Mapping[Monomial, int],
+    index: Mapping[int, int],
 ) -> List[Dict[int, int]]:
     """The canonical kernel of a block, given the kernel of the dominant
     block in its orbit, as `_free_columns` gives it (`span`), and the
-    renaming `moved` of the jet variables that carries the dominant block
-    onto it: component j goes to the position of the j-th largest entry
-    of the block's torus weight (ties in index order).
+    renaming that carries the dominant block onto it as a shift `table`:
+    f_j^(i) goes to the field of f_p^(i), p the position of the j-th
+    largest entry of the block's torus weight (ties in index order).
 
-    `column` maps each renamed monomial back to its global column.  The
+    Every field of `_packed_moves` has one width, so sum(e << table[v])
+    is the renamed monomial's key in `index`, {packed key: column}.  The
     permuted vectors, ints with content 1, span the kernel there;
     `_canonical_span` reduces them over the integers to one vector per
     free column, 1 there and 0 at the other free columns, scaled as
@@ -579,7 +581,7 @@ def _permuted_kernel(
     """
     kernel = span[0].values()
     image = {
-        c: column[tuple(sorted((moved[v], e) for v, e in monomials[c]))]
+        c: index[sum(e << table[v] for v, e in monomials[c])]
         for c in {c for vec in kernel for c in vec}
     }
     permuted = _canonical_span([{image[c]: value for c, value in vec.items()} for vec in kernel])
@@ -723,15 +725,12 @@ def _root_move(
     A column's image is its monomial's packed move (`_packed_derivations`)
     as {image column: nonzero int}, computed once per call.  The operator
     keeps the weight, so every image is a column of the space, found in
-    the space's {packed key: column} index (`_column_index`), which is
-    built on the first move and kept, so raising and lowering share it.
+    the space's {packed key: column} `index`, the one `invariant_basis`
+    built, in the same fields.
     """
-    spec, monomials = space.spec, space.monomials
+    spec, monomials, column = space.spec, space.monomials, space.index
     rule = {jet_var(from_comp, i): (jet_var(to_comp, i), 1) for i in range(1, spec.order + 1)}
     shift, moves = _packed_moves(spec, space.weight, [rule])
-    column = space._columns
-    if column is None:
-        column = space._columns = _column_index(space)
     images: Dict[int, Dict[int, int]] = {}
     out = []
     for vec in vectors:
@@ -745,13 +744,6 @@ def _root_move(
                 moved[target] = moved.get(target, 0) + n * value
         out.append({col: value for col, value in moved.items() if value})
     return out
-
-
-def _column_index(space: InvariantSpace) -> Dict[int, int]:
-    """{packed key: column} of the space's monomials, packed with the
-    bit fields of `_packed_moves` at the space's shape and weight."""
-    shift, _ = _packed_moves(space.spec, space.weight, ())
-    return {sum(e << shift[v] for v, e in mono): col for col, mono in enumerate(space.monomials)}
 
 
 def decompose(space: InvariantSpace) -> List[IrrepLabel]:

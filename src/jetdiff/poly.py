@@ -68,9 +68,13 @@ from them.  The formal re-check of `verify` and `invariant_basis`
 compares each image with the keys of q * a1^m, and unpacks only the image
 of a polynomial that is not invariant, to build its residual.  The
 transition solve keys the basis vectors by the same packed keys as the
-images and unpacks nothing.  `PackedSubstitution.key` is the one packer,
-of image terms and of every other monomial alike: it refuses a monomial
-that does not fit the fields instead of letting it alias another.
+images and unpacks nothing.  Within the substitution kernel,
+`PackedSubstitution.key` is the one packer, of image terms and of every
+other monomial alike: it refuses a monomial that does not fit the fields
+instead of letting it alias another.  invariants.py's derivation blocks,
+Weyl renamings and root moves use their own layout (`_packed_moves`):
+one field per jet variable, each as wide as the weight, so no exponent
+of a monomial of that weight overflows it.
 """
 
 from __future__ import annotations

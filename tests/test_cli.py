@@ -207,10 +207,11 @@ def test_decompose_json(capsys):
 def test_decompose_and_partition_eliminate_nothing(monkeypatch):
     # `decompose` and `irrep_partition` read the labels off torus-block
     # sizes after a span check of the raised vectors, with no `nullspace`
-    # and no coordinate solve; raising and lowering share one packed
-    # column index, built on the first move.
+    # and no coordinate solve; raising and lowering build no column index
+    # of their own, but read every image column off the packed index
+    # that `invariant_basis` built and handed to the space.
     space = invariant_basis(JetSpec(2, 2), 20)
-    calls = {"nullspace": 0, "solve_in_span": 0, "_column_index": 0}
+    calls = {"nullspace": 0, "solve_in_span": 0}
     for name in calls:
 
         def spy(*args, name=name, original=getattr(invariants, name), **kwargs):
@@ -218,10 +219,19 @@ def test_decompose_and_partition_eliminate_nothing(monkeypatch):
             return original(*args, **kwargs)
 
         monkeypatch.setattr(invariants, name, spy)
+    reads = []
+
+    class CountedIndex(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    index = space.index = CountedIndex(space.index)
     labels = decompose(space)
     partition = invariants.irrep_partition(space)
     assert [label for label, _ in partition] == labels and len(labels) == 7
-    assert calls == {"nullspace": 0, "solve_in_span": 0, "_column_index": 1}
+    assert calls == {"nullspace": 0, "solve_in_span": 0}
+    assert reads and space.index is index
 
 
 def leak_raising(monkeypatch, source, target):

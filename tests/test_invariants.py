@@ -535,18 +535,25 @@ def test_basis_rejects_a_perturbed_dominant_kernel(monkeypatch):
     assert done
 
 
+def outside(vectors):
+    """The first column in no vector's support: the reduced vectors span
+    the permuted kernel, so this column is outside the renamed support."""
+    return next(c for c in itertools.count() if all(c not in vec for vec in vectors))
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
         (lambda vectors: [perturbed(vectors[0]), *vectors[1:]], "not in the span"),
         (lambda vectors: vectors[:-1], "vectors, its dominant block"),
         (lambda vectors: [vectors[0], *vectors[:-1]], "share a free column"),
+        (lambda vectors: [{outside(vectors): 1, **vectors[0]}, *vectors[1:]], "renamed columns"),
     ],
-    ids=["perturbed", "dropped", "repeated"],
+    ids=["perturbed", "dropped", "repeated", "escaped"],
 )
 def test_basis_rejects_a_spoiled_permuted_kernel(monkeypatch, spoil, message):
-    # Each permuted block is certified by count, free columns and an
-    # exact span check against its verified dominant block.
+    # Each permuted block is certified by count, free columns, support and
+    # an exact span check against its verified dominant block.
     span = invariants._canonical_span
     done = []
 
@@ -962,9 +969,9 @@ def test_decompose_rejects_a_negative_multiplicity():
     # component swap, so it is no GL(2)-module: torus weight (1, 1) holds
     # no element against one at (2, 0).
     spec = JetSpec(2, 1)
-    monomials = enumerate_monomials(spec, 2)
-    col = monomials.index(mono_from_pairs([(jet_var(1, 1), 2)]))
-    space = invariants.InvariantSpace(spec, 2, monomials, [{col: 1}], [(2, 0)])
+    full = invariant_basis(spec, 2)
+    col = full.monomials.index(mono_from_pairs([(jet_var(1, 1), 2)]))
+    space = invariants.InvariantSpace(spec, 2, full.monomials, [{col: 1}], [(2, 0)], full.index)
     message = re.escape("torus weight (1, 1) holds 0 basis elements, fewer than the 1")
     with pytest.raises(RuntimeError, match=message):
         decompose(space)
