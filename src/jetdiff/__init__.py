@@ -33,7 +33,7 @@ from .jets import (
     compose_reparam,
     invert_reparam,
 )
-from .linalg import RationalMatrix, nullspace, rank, rank_modular_check, rref
+from .linalg import RationalMatrix, nullspace, rank, rank_modular_check
 from .parsing import ParseError, parse_map, parse_polynomial
 from .poly import (
     Monomial,
@@ -101,7 +101,6 @@ __all__ = [
     "raising_action",
     "rank",
     "rank_modular_check",
-    "rref",
     "s_block_closure",
     "splitting_check",
     "theta_lower_bound",

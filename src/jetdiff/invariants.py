@@ -54,9 +54,12 @@ of each label is a difference of two torus-block sizes, with no
 elimination.  Lowering after raising is a scalar on each weight space of
 an isotypic component that tells the components apart, so
 `irrep_partition` reads each basis element's component off it, with no
-second basis and no solve.
-`raising_action`, built from partial derivatives, is the independent
-check of the packed moves.
+second basis and no solve.  The transitions solve nothing either:
+`InvariantSpace.expand_images` reads each packed image's coordinates off
+the basis's free columns and certifies it by the same residual.
+`raising_action`, built from partial derivatives, and `expand_many`,
+which solves over Fraction (`solve_in_span`), are the independent checks
+of the packed moves and of those coordinates.
 """
 
 from __future__ import annotations
@@ -417,27 +420,28 @@ class InvariantSpace:
     def expand_images(self, bindings: Mapping[Variable, PolyLike]) -> List[Dict[int, Fraction]]:
         """The coordinates of each basis element with `bindings`
         substituted, as `expand_many` gives them, read off one
-        `PackedSubstitution` with no image unpacked.
+        `PackedSubstitution` with no image unpacked and nothing eliminated.
 
         The basis vectors are keyed by the checked keys of their monomials
         (`PackedSubstitution.key`); a monomial with none occurs in no
-        image, so it is its own key.  Both go to `solve_in_span` as int
-        columns, and each coordinate is divided by its image's common
-        denominator.  Raises ValueError when an image leaves the span.
+        image, so it is its own key.  The basis is reduced, b_i the one
+        vector nonzero at its free column f (last key), so an image v has
+        coordinate v[f] / b_i[f] (over its common denominator), and v lies
+        in the span exactly when `_span_residual` leaves nothing.  Raises
+        ValueError naming the first image off the span, as `solve_in_span`.
         """
         packing = PackedSubstitution(bindings, (m for q in self.basis for m in q.terms))
-        images = [packing.image(q.terms) for q in self.basis]
-        keys: Dict[int, Hashable] = {}
-        for col in {col for vec in self.vectors for col in vec}:
-            mono = self.monomials[col]
-            key = packing.key(mono)
-            keys[col] = mono if key is None else key
-        columns = [{keys[col]: value for col, value in vec.items()} for vec in self.vectors]
-        coords = solve_in_span(columns, [packed for _, packed in images])
-        return [
-            {i: Fraction(value, common) for i, value in coord.items()}
-            for (common, _), coord in zip(images, coords)
-        ]
+        keys = {c: packing.key(self.monomials[c]) for vec in self.vectors for c in vec}
+        keys = {c: self.monomials[c] if k is None else k for c, k in keys.items()}
+        lead, scale = _free_columns([{keys[c]: n for c, n in vec.items()} for vec in self.vectors])
+        free = list(enumerate(lead.items()))
+        coords = []
+        for j, q in enumerate(self.basis):
+            common, v = packing.image(q.terms)
+            if _span_residual({k: scale * n for k, n in v.items()}, lead):
+                raise ValueError(f"target {j} is outside the span")
+            coords.append({i: Fraction(v[f], common * b[f]) for i, (f, b) in free if f in v})
+        return coords
 
     def torus_weights(self) -> List[Tuple[int, ...]]:
         return list(self._torus_weights)
@@ -453,10 +457,11 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     """The kernel of D1 and D2, one Weyl orbit of torus blocks at a time.
 
     Each block holds the monomials of one torus weight, in global column
-    order; its rows are the image monomials of each D_s, kept apart by s,
-    as (s, packed image) with one bit field per jet variable, each as wide
-    as the weight (no exponent exceeds it); the columns, enumerated
-    already canonical, are indexed once by packed key for the space.
+    order; its rows are the image monomials of D1 and D2, packed with one
+    bit field per jet variable, each as wide as the weight (no exponent
+    exceeds it).  The columns, enumerated already canonical, are packed
+    once, into the space's {packed key: column} index, whose keys the
+    derivations start from.
     Only the dominant blocks (weakly decreasing torus weight) are solved.
     A permutation of the components commutes with D1 and D2, so it carries
     a dominant block's kernel onto the kernel of each block in its orbit;
@@ -479,13 +484,19 @@ def invariant_basis(spec: JetSpec, weight: int) -> InvariantSpace:
     monomials = enumerate_monomials(spec, weight)
     rules = [_reparam_rule(spec, s) for s in (1, 2) if s < spec.order]
     shift, moves = _packed_moves(spec, weight, rules)
+    index: Dict[int, int] = {}
+    for col, mono in enumerate(monomials):
+        key = 0
+        for v, e in mono:
+            key += e << shift[v]
+        index[key] = col
+    keys = list(index)
     blocks = _torus_blocks(_mono_torus_weight(mono, spec.rank) for mono in monomials)
     kernels = {
-        torus: _kernel({col: _packed_derivations(monomials[col], shift, moves) for col in cols})
+        torus: _kernel({c: _packed_derivations(keys[c], monomials[c], moves) for c in cols})
         for torus, cols in blocks.items()
         if _is_dominant(torus)
     }
-    index = {sum(e << shift[v] for v, e in mono): col for col, mono in enumerate(monomials)}
     tables: Dict[Tuple[int, ...], Dict[Variable, int]] = {}
     spans: Dict[Tuple[int, ...], Tuple[Dict[int, Mapping[int, int]], int]] = {}
     keyed: List[Tuple[Dict[int, int], Tuple[int, ...]]] = []
@@ -532,30 +543,25 @@ def _packed_moves(
 
 
 def _packed_derivations(
-    mono: Monomial,
-    shift: Mapping[Variable, int],
-    moves: Sequence[Mapping[Variable, Tuple[int, int]]],
-) -> Dict[Tuple[int, int], int]:
-    """The images of one monomial under each move (D1 and D2, or a root
-    operator), as one sparse integer column with rows (s, packed image).
+    key: int, mono: Monomial, moves: Sequence[Mapping[Variable, Tuple[int, int]]]
+) -> Dict[int, int]:
+    """The images of one monomial, packed as `key`, under each move (D1
+    and D2, or a root operator), as one sparse int column keyed by image.
 
-    A packed monomial has one bit field per jet variable, starting at
-    shift[v] and wide enough for any exponent at this weight.  moves[s]
-    maps each variable v that move s moves to (key change, factor): taking
-    one v into its image changes the key by (1 << shift[image]) -
+    A packed key has one bit field per jet variable, starting at shift[v]
+    (`_packed_moves`) and wide enough for any exponent at this weight.
+    Each move maps each variable v that it moves to (key change, factor):
+    taking one v into its image changes the key by (1 << shift[image]) -
     (1 << shift[v]), and the term's coefficient is e * factor for v^e.
-    Distinct variables have distinct images under one move, so no two
-    terms of the column share a row.
+    Distinct variables have distinct images under one move, and D_s
+    lowers the weight by s, so no two terms of the column share a row.
     """
-    key = 0
-    for v, e in mono:
-        key += e << shift[v]
-    column: Dict[Tuple[int, int], int] = {}
-    for s, move in enumerate(moves):
+    column: Dict[int, int] = {}
+    for move in moves:
         for v, e in mono:
             hit = move.get(v)
             if hit is not None:
-                column[(s, key + hit[0])] = e * hit[1]
+                column[key + hit[0]] = e * hit[1]
     return column
 
 
@@ -624,13 +630,13 @@ def _check_permuted(
 
 
 def _free_columns(
-    vectors: Sequence[Mapping[int, int]],
-) -> Tuple[Dict[int, Mapping[int, int]], int]:
+    vectors: Sequence[Mapping[Hashable, int]],
+) -> Tuple[Dict[Hashable, Mapping[Hashable, int]], int]:
     """(lead, scale) of reduced int vectors for `_span_residual`: lead maps
     each vector's free column (its last key, where the other vectors are
-    0) to the vector, and scale is the lcm of the vectors' entries there
-    (1 when there are none).  Two vectors with one free column would be a
-    bug in the basis, hence RuntimeError."""
+    0) to the vector, in the order given, and scale is the lcm of the
+    vectors' entries there (1 when there are none).  Two vectors with one
+    free column would be a bug in the basis, hence RuntimeError."""
     lead = {next(reversed(b)): b for b in vectors}
     if len(lead) != len(vectors):
         raise RuntimeError("reduced basis vectors share a free column")
@@ -638,8 +644,8 @@ def _free_columns(
 
 
 def _span_residual(
-    residual: Dict[int, int], lead: Mapping[int, Mapping[int, int]]
-) -> Dict[int, int]:
+    residual: Dict[Hashable, int], lead: Mapping[Hashable, Mapping[Hashable, int]]
+) -> Dict[Hashable, int]:
     """Reduce `residual`, an int vector v times the scale that
     `_free_columns` returns with `lead`, in place by the one candidate
     combination of the vectors b_f of `lead`, the sum over their free
@@ -729,8 +735,9 @@ def _root_move(
     built, in the same fields.
     """
     spec, monomials, column = space.spec, space.monomials, space.index
+    keys = list(column)
     rule = {jet_var(from_comp, i): (jet_var(to_comp, i), 1) for i in range(1, spec.order + 1)}
-    shift, moves = _packed_moves(spec, space.weight, [rule])
+    _, moves = _packed_moves(spec, space.weight, [rule])
     images: Dict[int, Dict[int, int]] = {}
     out = []
     for vec in vectors:
@@ -738,8 +745,8 @@ def _root_move(
         for col, value in vec.items():
             image = images.get(col)
             if image is None:
-                packed = _packed_derivations(monomials[col], shift, moves)
-                image = images[col] = {column[key]: n for (_, key), n in packed.items()}
+                packed = _packed_derivations(keys[col], monomials[col], moves)
+                image = images[col] = {column[key]: n for key, n in packed.items()}
             for target, n in image.items():
                 moved[target] = moved.get(target, 0) + n * value
         out.append({col: value for col, value in moved.items() if value})

@@ -18,22 +18,23 @@ choice: the reduced row echelon form of a matrix is unique, and so are
 the nullspace basis and the coordinates read off it, so results are
 byte-identical across runs and across pivot rules.
 
-Both fields run through the one pivot loop, `_eliminate`.  `rref`, `rank`
-and `solve_in_span` eliminate over Fraction; `basis` and `dim` use none
-of them, and `decompose` eliminates nothing.  `nullspace` takes the rows
-as integers and reduces them modulo 2**61 - 1, which is valid for every
-prime: a row of ints is used as it is, with no copy, and any other row is
-cleared of its denominators once per call.  The systems of `basis` and
-`dim` arrive with int entries, so they are not rebuilt.  The
-kernel comes back through rational reconstruction and an exact check
-against the same integer rows, with one Fraction
-elimination (`_nullspace_rational`) as the fallback and the test suite's
-reference.  The check, `_in_kernel`, sums each vector over its own
-columns of a column index; `dim` uses it too, to check the kernel of a
-block's a-linear rows against the whole block.  `rank_modular_check`,
-the rank over 31-bit primes, is a reference for the test suite.  The
-loop itself is checked against a plain column-scan elimination in both
-fields by the test suite.
+Both fields run through the one pivot loop, `_eliminate`.  `rank` and
+`solve_in_span` eliminate over Fraction: `rank` checks that a transition's
+r x r Jacobian or group element is invertible (`dense_rank`), and
+`solve_in_span` backs `InvariantSpace.expand_many`, the tests' reference
+for the transitions' coordinates.  `nullspace` takes the rows as integers
+and reduces them modulo 2**61 - 1, which is valid for every prime: a row
+of ints is used as it is, with no copy, and any other row is cleared of
+its denominators once per call.  The systems of `basis` and `dim` arrive
+with int entries, so they are not rebuilt.  The kernel comes back
+through rational reconstruction and an exact check against the same
+integer rows, with one Fraction elimination (`_nullspace_rational`) as
+the fallback and the test suite's reference.  The check, `_in_kernel`,
+sums each vector over its own columns of a column index; `dim` uses it
+too, to check the kernel of a block's a-linear rows against the whole
+block.  `rank_modular_check`, the rank over 31-bit primes, is a
+reference for the test suite.  The loop itself is checked against a
+plain column-scan elimination in both fields by the test suite.
 
 One reduction runs outside that loop, over the integers: `_canonical_span`
 brings a few int vectors spanning a kernel (in `basis`, a dominant block's
@@ -197,13 +198,6 @@ def _eliminate(rows: List[Row], prime: int = 0) -> Tuple[List[Row], List[int]]:
     out = [rows[i] for i in order]
     out.extend(row for i, row in enumerate(rows) if not used[i])
     return out, pivots
-
-
-def rref(matrix: RationalMatrix) -> RationalMatrix:
-    """Reduced row echelon form (pivots 1, pivot columns cleared)."""
-    rows = [dict(r) for r in matrix.rows]
-    rows, _ = _eliminate(rows)
-    return RationalMatrix(matrix.nrows, matrix.ncols, rows)
 
 
 def rank(matrix: RationalMatrix) -> int:
@@ -440,14 +434,12 @@ def solve_in_span(
 ) -> List[Row]:
     """Express each target vector in the span of `columns`.
 
-    Vectors are sparse: a mapping from coordinate (any hashable: monomial
-    tuples, packed int keys, or both) to value, Fraction or int, where
-    absent coordinates and zero values both mean zero.  The transitions
-    pass int columns keyed by packed monomials.  The columns are assumed
-    linearly independent; each target is written as their unique
-    combination, returned as {column index: nonzero coefficient}, an int
-    or a Fraction.  Raises ValueError naming the first target that is
-    outside the span.
+    Vectors are sparse: a mapping from coordinate (any hashable) to
+    value, Fraction or int, where absent coordinates and zero values both
+    mean zero.  The columns are assumed linearly independent; each target
+    is written as their unique combination, returned as {column index:
+    nonzero coefficient}, an int or a Fraction.  Raises ValueError naming
+    the first target that is outside the span.
     """
     width = len(columns)
     rows, pivots = _eliminate(RationalMatrix.from_columns([*columns, *targets]).rows)

@@ -112,8 +112,8 @@ def _transition_matrix(
     space: InvariantSpace, bindings: Mapping[Variable, SparsePolynomial], failure: str
 ) -> TransitionMatrix:
     """The matrix of Q -> Q(bindings) on the space, densified last (every
-    entry is printed).  The images are solved in the basis as they come
-    out of the substitution kernel, packed (`InvariantSpace.expand_images`).
+    entry is printed).  Each image's coordinates are read off the basis's
+    free columns, packed, with no elimination (`InvariantSpace.expand_images`).
     An image outside the span raises RuntimeError with the message
     `failure: <reason>`."""
     try:

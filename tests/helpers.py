@@ -7,6 +7,7 @@ deterministic.
 
 from fractions import Fraction
 
+from jetdiff import linalg
 from jetdiff.invariants import IrrepLabel, _root_move, _torus_blocks
 from jetdiff.jets import JetPoint, JetSpec, ReparamJet, TargetMap
 from jetdiff.linalg import RationalMatrix, dense_rank, nullspace
@@ -76,6 +77,14 @@ def apply_matrix(matrix, vec):
             s += v * vec[c]
         out.append(s)
     return out
+
+
+def rref(matrix):
+    """Reduced row echelon form (pivots 1, pivot columns cleared) over
+    Fraction, by `jetdiff.linalg._eliminate`, looked up at each call so a
+    test can swap in `scan_eliminate`."""
+    rows, _ = linalg._eliminate([dict(r) for r in matrix.rows])
+    return RationalMatrix(matrix.nrows, matrix.ncols, rows)
 
 
 def scan_eliminate(rows, prime=0):

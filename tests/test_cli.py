@@ -15,6 +15,8 @@ from jetdiff import invariants, linalg
 from jetdiff.cli import _digest, main
 from jetdiff.invariants import decompose, enumerate_monomials, invariance_system, invariant_basis
 from jetdiff.jets import JetSpec
+from jetdiff.parsing import parse_map
+from jetdiff.transitions import associated_action, differential_transition
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -22,6 +24,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = str(Path(jetdiff.__file__).resolve().parent.parent)
 
 SHEAR = "w1 = z1; w2 = z2 + z1^2"
+CUSP = "w1 = z1 + 1/2*z2^2; w2 = z2 - z1^3"
 
 
 def run_module(*argv):
@@ -209,7 +212,9 @@ def test_decompose_and_partition_eliminate_nothing(monkeypatch):
     # sizes after a span check of the raised vectors, with no `nullspace`
     # and no coordinate solve; raising and lowering build no column index
     # of their own, but read every image column off the packed index
-    # that `invariant_basis` built and handed to the space.
+    # that `invariant_basis` built and handed to the space.  Both
+    # transitions read each coordinate off the basis's free columns, with
+    # no `solve_in_span` either.
     space = invariant_basis(JetSpec(2, 2), 20)
     calls = {"nullspace": 0, "solve_in_span": 0}
     for name in calls:
@@ -232,6 +237,9 @@ def test_decompose_and_partition_eliminate_nothing(monkeypatch):
     assert [label for label, _ in partition] == labels and len(labels) == 7
     assert calls == {"nullspace": 0, "solve_in_span": 0}
     assert reads and space.index is index
+    differential_transition(space, parse_map(SHEAR, 2), [0, 0])
+    associated_action([[1, 2], [3, 1]], space)
+    assert calls == {"nullspace": 0, "solve_in_span": 0}
 
 
 def leak_raising(monkeypatch, source, target):
@@ -398,6 +406,18 @@ GOLDEN_CASES = [
             "--weight", "3",
             "--map", SHEAR,
             "--point", "0,0",
+        ],
+    ),
+    # Fraction entries: a nonlinear map at a Fraction basepoint
+    (
+        f"transition_r2_k2_m8_{_digest(CUSP, '1/2,-1')}.json",
+        [
+            "transition",
+            "--rank", "2",
+            "--order", "2",
+            "--weight", "8",
+            "--map", CUSP,
+            "--point", "1/2,-1",
         ],
     ),
     (

@@ -456,7 +456,8 @@ def test_permuted_kernels_match_their_own_block_kernels(monkeypatch):
         permuted.clear()
         space = invariant_basis(spec, m)
         rules = [_reparam_rule(spec, s) for s in (1, 2) if s < spec.order]
-        shift, moves = _packed_moves(spec, m, rules)
+        _, moves = _packed_moves(spec, m, rules)
+        keys = list(space.index)
         blocks = invariants._torus_blocks(
             invariants._mono_torus_weight(mono, r) for mono in space.monomials
         )
@@ -465,7 +466,7 @@ def test_permuted_kernels_match_their_own_block_kernels(monkeypatch):
         multi = 0
         for cols, kernel in zip(others, permuted):
             own = invariants._kernel(
-                {col: _packed_derivations(space.monomials[col], shift, moves) for col in cols}
+                {col: _packed_derivations(keys[col], space.monomials[col], moves) for col in cols}
             )
             assert sorted(kernel, key=lambda vec: next(reversed(vec))) == own, (r, k, m, cols)
             multi += len(own) > 1
@@ -646,7 +647,8 @@ def test_derivation_is_first_order_term_of_reparametrization():
 def test_packed_derivations_match_derivative_formula():
     # The packed block columns of invariant_basis are D1 and D2 of one
     # monomial: unpacking each row, one field as wide as the weight per
-    # variable, gives the images of the checked formula above.
+    # variable, gives the images of the checked formula above, D1's and
+    # D2's together, since their weights differ.
     for r, k, m in [(1, 4, 7), (1, 3, 8), (2, 4, 8), (3, 3, 6), (4, 2, 5)]:
         spec = JetSpec(r, k)
         rules = [_reparam_rule(spec, s) for s in (1, 2) if s < k]
@@ -656,10 +658,11 @@ def test_packed_derivations_match_derivative_formula():
             expected = {}
             for s in range(len(moves)):
                 image = derivation(SparsePolynomial.monomial(mono), spec, s + 1)
-                expected.update({(s, out): coeff for out, coeff in image.terms.items()})
+                expected.update(image.terms)
+            key = sum(e << shift[v] for v, e in mono)
             unpacked = {
-                (s, tuple((v, key >> at & mask) for v, at in shift.items() if key >> at & mask)): c
-                for (s, key), c in _packed_derivations(mono, shift, moves).items()
+                tuple((v, out >> at & mask) for v, at in shift.items() if out >> at & mask): c
+                for out, c in _packed_derivations(key, mono, moves).items()
             }
             assert unpacked == expected
 

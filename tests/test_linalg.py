@@ -12,11 +12,10 @@ from jetdiff.linalg import (
     nullspace,
     rank,
     rank_modular_check,
-    rref,
     solve_in_span,
 )
 
-from helpers import apply_matrix, matmul, nonzero_rational, rational, scan_eliminate
+from helpers import apply_matrix, matmul, nonzero_rational, rational, rref, scan_eliminate
 
 
 def dense(rows):

@@ -169,6 +169,9 @@ def test_transition_leaving_the_span_names_the_failure():
     for bindings in (
         {jet_var(1, 2): f1_2 + f1 ** 3},  # the Wronskian gains f2'*f1'^3
         {jet_var(1, 1): f1 + 1},  # images of lower weight
+        # the Wronskian goes to f1'*f2'', inside its own support but off
+        # the span: only the residual tells it from a coordinate
+        {jet_var(1, 2): 0},
     ):
         reason = unpacked_transition(space, bindings)
         assert reason.endswith("is outside the span")
