@@ -237,9 +237,8 @@ def _cmd_dim(args) -> int:
         "num_monomials": counts.num_monomials,
         "system_shape": [counts.rows, counts.num_monomials],
         "system_rank": counts.rank,
-        # the rank of the a-linear rows, solved modulo 2**61 - 1 on their own;
-        # the check of that kernel against each block's whole columns makes
-        # it the system rank.  The key keeps the output bytes
+        # no modular rank is computed: the key repeats the exact rank and
+        # is kept for the bytes of the output and of the golden files
         "system_rank_modular": counts.rank,
         "dimension": counts.dimension,
     }

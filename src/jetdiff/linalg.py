@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, by integer elimination.
 
 Matrices are stored as sparse rows (dict column -> nonzero Fraction), one
 representation for every size; constraint systems arriving from the
@@ -18,35 +18,37 @@ choice: the reduced row echelon form of a matrix is unique, and so are
 the nullspace basis and the coordinates read off it, so results are
 byte-identical across runs and across pivot rules.
 
-Both fields run through the one pivot loop, `_eliminate`.  `rank` and
-`solve_in_span` eliminate over Fraction: `rank` checks that a transition's
-r x r Jacobian or group element is invertible (`dense_rank`), and
-`solve_in_span` backs `InvariantSpace.expand_many`, the tests' reference
-for the transitions' coordinates.  `nullspace` takes the rows as integers
-and reduces them modulo 2**61 - 1, which is valid for every prime: a row
-of ints is used as it is, with no copy, and any other row is cleared of
-its denominators once per call.  The systems of `basis` and `dim` arrive
-with int entries, so they are not rebuilt.  The kernel comes back
-through rational reconstruction and an exact check against the same
-integer rows, with one Fraction elimination (`_nullspace_rational`) as
-the fallback and the test suite's reference.  The check, `_in_kernel`,
-sums each vector over its own columns of a column index; `dim` uses it
-too, to check the kernel of a block's a-linear rows against the whole
-block.  `rank_modular_check`, the rank over 31-bit primes, is a
-reference for the test suite.  The loop itself is checked against a
-plain column-scan elimination in both fields by the test suite.
+Every elimination is the one pivot loop, `_eliminate`: fraction-free
+Gauss-Jordan on int rows, over Z, or over GF(prime) for
+`rank_modular_check`, the rank over 31-bit primes that the test suite
+compares with the exact one.  No pivot is normalized and no Fraction is
+made; each caller clears the denominators of its rows first
+(`_integer_rows`), which keeps rank, kernel and span.  A row of ints is
+used as it is, and the systems of `basis` and `dim` arrive with int
+entries, so they are not rebuilt.  `nullspace` reads its canonical
+kernel off the integer echelon form and checks every vector exactly
+against the integer rows (`_in_kernel`, which sums each vector over its
+own columns of a column index); `dim` uses that check too, to test the
+kernel of a block's a-linear rows against the whole block.  `rank`
+checks that a transition's r x r Jacobian or group element is invertible
+(`dense_rank`), and `solve_in_span` backs `InvariantSpace.expand_many`,
+the tests' reference for the transitions' coordinates.  The test suite
+checks the loop, in both settings, against a plain column-scan
+elimination over Fraction and GF(p), and `nullspace` against a kernel
+read off that scan.
 
-One reduction runs outside that loop, over the integers: `_canonical_span`
-brings a few int vectors spanning a kernel (in `basis`, a dominant block's
-kernel permuted onto another block) to `nullspace`'s canonical form by
-fraction-free Gauss-Jordan, each row divided by its content after every
-update.  The test suite checks it against `_eliminate` over Fraction.
+One reduction runs outside that loop, also over the integers:
+`_canonical_span` brings a few int vectors spanning a kernel (in
+`basis`, a dominant block's kernel permuted onto another block) to
+`nullspace`'s canonical form, each row's pivot at its last column and
+each row divided by its content after every update.  The test suite
+checks it against the column scan over Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
 from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 _ZERO = Fraction(0)
@@ -57,9 +59,6 @@ Row = Dict[int, Fraction]  # entries may also be ints
 
 # The primes below 2**31 that `rank_modular_check` eliminates with.
 _DEFAULT_PRIMES: Tuple[int, ...] = (2147483647, 2147483629, 2147483587)
-
-# The prime `nullspace` eliminates with.
-_KERNEL_PRIME = 2**61 - 1
 
 
 class RationalMatrix:
@@ -132,15 +131,20 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
 
-def _eliminate(rows: List[Row], prime: int = 0) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot columns).
+def _eliminate(
+    rows: List[Dict[int, int]], prime: int = 0
+) -> Tuple[List[Dict[int, int]], List[int]]:
+    """Fraction-free Gauss-Jordan form.  Returns (rows, pivot columns).
 
-    With `prime` 0 the entries are Fractions and the arithmetic is over Q;
-    otherwise they are ints in [0, prime) and every update is reduced
-    modulo `prime`.  The input rows are reduced in place; the returned list
-    holds the pivot rows in pivot order (pivots normalized to 1, pivot
-    columns cleared everywhere else), followed by the zero rows.
-    `holders` is the column index described in the module docstring.
+    The entries are ints.  With `prime` 0 the arithmetic is over Z;
+    otherwise the entries lie in [0, prime) and every update is reduced
+    modulo `prime`.  A row t holding the pivot column becomes a*t - b*prow,
+    where a and b are the pivot-column entries of prow and t divided by
+    their gcd; over Z it is then divided by its content.  No pivot is
+    normalized.  The input rows are reduced in place; the returned list
+    holds the pivot rows in pivot order (each pivot column cleared in
+    every other row), followed by the zero rows.  `holders` is the column
+    index described in the module docstring.
     """
     holders: Dict[int, Set[int]] = {}
     for i, row in enumerate(rows):
@@ -164,27 +168,26 @@ def _eliminate(rows: List[Row], prime: int = 0) -> Tuple[List[Row], List[int]]:
             continue
         p = min(free, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        inv = pow(prow[col], -1, prime) if prime else _ONE / prow[col]
-        if inv != 1:
-            if prime:
-                prow = {c: v * inv % prime for c, v in prow.items()}
-            else:
-                prow = {c: v * inv for c, v in prow.items()}
-            rows[p] = prow
+        lead = prow[col]
         tail = [(c, v) for c, v in prow.items() if c != col]
         for t in cands:
             if t == p:
                 continue
             target = rows[t]
-            factor = target.pop(col)
+            b = target.pop(col)
+            g = gcd(lead, b)
+            a, b = lead // g, b // g
+            if a != 1:
+                for c, v in target.items():
+                    target[c] = a * v % prime if prime else a * v
             for c, v in tail:
                 old = target.get(c)
                 if old is None:
-                    s = -factor * v
+                    s = -b * v
                     target[c] = s % prime if prime else s
                     holders[c].add(t)
                 else:
-                    s = old - factor * v
+                    s = old - b * v
                     if prime:
                         s %= prime
                     if s:
@@ -192,6 +195,11 @@ def _eliminate(rows: List[Row], prime: int = 0) -> Tuple[List[Row], List[int]]:
                     else:
                         del target[c]
                         holders[c].discard(t)
+            if not prime and target:
+                g = gcd(*target.values())
+                if g > 1:
+                    for c, v in target.items():
+                        target[c] = v // g
         used[p] = True
         order.append(p)
         pivots.append(col)
@@ -201,18 +209,15 @@ def _eliminate(rows: List[Row], prime: int = 0) -> Tuple[List[Row], List[int]]:
 
 
 def rank(matrix: RationalMatrix) -> int:
-    rows = [dict(r) for r in matrix.rows]
-    _, pivots = _eliminate(rows)
-    return len(pivots)
+    return len(_eliminate([dict(r) for r in _integer_rows(matrix.rows)])[1])
 
 
-def _canonical_vector(vec: Row) -> Dict[int, int]:
-    """Scale to int entries with content 1 and positive leading entry."""
-    (ints,) = _integer_rows([vec])
-    g = gcd(*ints.values())
-    if next(iter(ints.values())) < 0:
+def _canonical_vector(vec: Mapping[int, int]) -> Dict[int, int]:
+    """A nonzero int vector scaled to content 1 and a positive leading entry."""
+    g = gcd(*vec.values())
+    if next(iter(vec.values())) < 0:
         g = -g
-    return {c: n // g for c, n in ints.items()}
+    return {c: n // g for c, n in vec.items()}
 
 
 def _cross_eliminate(row: Dict[int, int], prow: Dict[int, int], col: int) -> Dict[int, int]:
@@ -256,21 +261,6 @@ def _canonical_span(rows: Sequence[Mapping[int, int]]) -> List[Dict[int, int]]:
     return [_canonical_vector(dict(sorted(reduced[p].items()))) for p in sorted(reduced)]
 
 
-def _rref_kernel(rows: List[Row], pivots: List[int], ncols: int, prime: int = 0) -> List[Row]:
-    """The kernel basis read off a reduced echelon form over Q, or over
-    GF(prime): per free column, in increasing order, the vector with 1
-    there and 0 at the other free columns.  A pivot row holds its pivot
-    and free columns right of it, so each vector's entries come in
-    increasing column order, its free column last."""
-    entries: Dict[int, Row] = {}
-    for r, pcol in enumerate(pivots):
-        for c, v in rows[r].items():
-            if c != pcol:
-                entries.setdefault(c, {})[pcol] = prime - v if prime else -v
-    pivot_set = set(pivots)
-    return [{**entries.get(f, {}), f: 1} for f in range(ncols) if f not in pivot_set]
-
-
 def _integer_rows(rows: Sequence[Row]) -> List[Dict[int, int]]:
     """The nonzero rows as ints, each times the lcm of its denominators (a
     row scale keeps rank and kernel).  A row of ints is returned itself,
@@ -282,11 +272,7 @@ def _integer_rows(rows: Sequence[Row]) -> List[Dict[int, int]]:
         if all(type(v) is int for v in row.values()):
             out.append(row)
             continue
-        den = 1
-        for v in row.values():
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
+        den = lcm(*(v.denominator for v in row.values()))
         out.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
     return out
 
@@ -294,60 +280,6 @@ def _integer_rows(rows: Sequence[Row]) -> List[Dict[int, int]]:
 def _modular_rows(ints: Sequence[Dict[int, int]], prime: int) -> List[Dict[int, int]]:
     """Integer rows reduced modulo `prime`, zero entries dropped."""
     return [{c: r for c, a in row.items() if (r := a % prime)} for row in ints]
-
-
-def _log_retry(message: str, *args) -> None:
-    import logging  # only here: a retry is rare, and logging is slow to import
-
-    logging.getLogger(__name__).info(message, *args)
-
-
-def _nullspace_rational(matrix: RationalMatrix) -> List[Dict[int, int]]:
-    """`nullspace` by Fraction elimination: its fallback and reference."""
-    rows, pivots = _eliminate([dict(r) for r in matrix.rows])
-    return [_canonical_vector(vec) for vec in _rref_kernel(rows, pivots, matrix.ncols)]
-
-
-def _reconstructed_kernel(
-    rows: List[Row], pivots: List[int], ncols: int, prime: int
-) -> Optional[List[Dict[int, int]]]:
-    """The canonical vectors of `_rref_kernel` over GF(prime), as ints, or
-    None.
-
-    Each entry but the free column's 1, times the lcm `den` of the
-    denominators found before it, is rebuilt as the n/d congruent to it
-    with |n|, d <= sqrt(prime/2), unique when it exists (Wang 1981;
-    Monagan 2004); carrying `den` makes most rebuilds trivial.  None when
-    some entry has no such n/d.  Each n/d is in lowest terms, so the
-    vector times the final `den` already has content 1.
-    """
-    bound = isqrt(prime // 2)
-    basis: List[Dict[int, int]] = []
-    for vec in _rref_kernel(rows, pivots, ncols, prime):
-        free_col, _ = vec.popitem()
-        den = 1
-        for c, a in vec.items():
-            # extended Euclid on (prime, a * den), with r == t * a * den
-            r0, r1, t0, t1 = prime, a * den % prime, 0, 1
-            while r1 > bound:
-                q = r0 // r1
-                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-            if t1 < 0:
-                r1, t1 = -r1, -t1
-            if t1 != 1:
-                if t1 > bound:
-                    return None
-                den *= t1
-                for k in vec:  # the entries before c, now times the new den
-                    if k == c:
-                        break
-                    vec[k] *= t1
-            vec[c] = r1
-        vec[free_col] = den
-        if next(iter(vec.values())) < 0:
-            vec = {c: -n for c, n in vec.items()}
-        basis.append(vec)
-    return basis
 
 
 def _in_kernel(vec: Mapping[int, int], columns: Sequence[Mapping[Hashable, int]]) -> bool:
@@ -368,33 +300,41 @@ def nullspace(matrix: RationalMatrix) -> List[Dict[int, int]]:
     column is the last key; its entries have content 1 and a positive
     leading (first) entry.  The result is fully deterministic.
 
-    The rows are taken as integers (`_integer_rows`), reduced and
-    eliminated modulo p = 2**61 - 1, and each kernel entry is rebuilt by
-    rational reconstruction; every vector must then satisfy A.v = 0
-    exactly over the integer rows (`_in_kernel`), which makes it the
-    rational one.  Write F for the free columns of A over Q and F' for
-    those modulo p.  Rank can only drop modulo p, so |F'| >= |F|.  A
-    checked vector is a kernel vector of A over Q whose last nonzero
-    entry is at its free column f', so f' depends on the columns before
-    it and lies in F: F' is F.  A kernel vector is fixed by its entries on
-    F, so each checked vector is the rational one up to the canonical
-    scale, and there are exactly ncols - rank(A) of them.
-    There is one modular attempt.  An entry with no reconstruction (too
-    large for the bound) or a failed check (p divides a pivotal minor)
-    logs one retry and falls back to Fraction elimination.
+    The rows are taken as integers (`_integer_rows`) and brought to
+    fraction-free Gauss-Jordan form over Z.  There a pivot row holds its
+    pivot d and, right of it, free columns only.  The vector of free
+    column f holds L at f, where L is the lcm of the pivots of the rows
+    holding f, and -row[f] * L / d at each such row's pivot; it is then
+    scaled to content 1 with a positive lead.  Every vector must satisfy
+    A.v = 0 exactly over the integer rows (`_in_kernel`); one that does
+    not raises RuntimeError.
     """
-    p = _KERNEL_PRIME
     ints = _integer_rows(matrix.rows)
-    basis = _reconstructed_kernel(*_eliminate(_modular_rows(ints, p), p), matrix.ncols, p)
-    if basis is not None:
-        columns: List[Dict[int, int]] = [{} for _ in range(matrix.ncols)]
-        for i, row in enumerate(ints):
-            for c, a in row.items():
-                columns[c][i] = a
-        if all(_in_kernel(vec, columns) for vec in basis):
-            return basis
-    _log_retry("nullspace: no checked kernel mod %d, retrying over Q", p)
-    return _nullspace_rational(matrix)
+    rows, pivots = _eliminate([dict(row) for row in ints])
+    entries: Dict[int, List[Tuple[int, int, int]]] = {}  # free column -> (pivot, d, row[f])
+    for row, pcol in zip(rows, pivots):
+        d = row[pcol]
+        for c, v in row.items():
+            if c != pcol:
+                entries.setdefault(c, []).append((pcol, d, v))
+    pivot_set = set(pivots)
+    columns: List[Dict[int, int]] = [{} for _ in range(matrix.ncols)]
+    for i, row in enumerate(ints):
+        for c, a in row.items():
+            columns[c][i] = a
+    basis: List[Dict[int, int]] = []
+    for f in range(matrix.ncols):
+        if f in pivot_set:
+            continue
+        held = entries.get(f, ())
+        scale = lcm(*(d for _, d, _ in held))
+        vec = {pcol: -v * (scale // d) for pcol, d, v in held}
+        vec[f] = scale
+        vec = _canonical_vector(vec)
+        if not _in_kernel(vec, columns):
+            raise RuntimeError(f"nullspace: the vector of free column {f} is not in the kernel")
+        basis.append(vec)
+    return basis
 
 
 def rank_modular_check(matrix: RationalMatrix, stop_at: int) -> int:
@@ -438,11 +378,11 @@ def solve_in_span(
     value, Fraction or int, where absent coordinates and zero values both
     mean zero.  The columns are assumed linearly independent; each target
     is written as their unique combination, returned as {column index:
-    nonzero coefficient}, an int or a Fraction.  Raises ValueError naming
-    the first target that is outside the span.
+    nonzero Fraction coefficient}.  Raises ValueError naming the first
+    target that is outside the span.
     """
     width = len(columns)
-    rows, pivots = _eliminate(RationalMatrix.from_columns([*columns, *targets]).rows)
+    rows, pivots = _eliminate(_integer_rows(RationalMatrix.from_columns([*columns, *targets]).rows))
     for p in pivots:
         if p >= width:
             raise ValueError(f"target {p - width} is outside the span")
@@ -450,8 +390,9 @@ def solve_in_span(
         raise ValueError("columns are not linearly independent")
     out: List[Row] = [{} for _ in targets]
     for i in range(width):
-        # pivot row i holds coordinate i of every target in the span
-        for c, v in rows[i].items():
+        # pivot row i holds coordinate i of every target in the span, times its pivot
+        row = rows[i]
+        for c, v in row.items():
             if c >= width:
-                out[c - width][i] = v
+                out[c - width][i] = Fraction(v, row[i])
     return out

@@ -6,6 +6,7 @@ deterministic.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from jetdiff import linalg
 from jetdiff.invariants import IrrepLabel, _root_move, _torus_blocks
@@ -79,25 +80,70 @@ def apply_matrix(matrix, vec):
     return out
 
 
+def pivot_rows(rows, pivots, prime=0):
+    """The pivot rows of an echelon form, each divided by its pivot, over
+    Q (Fraction entries) or GF(prime)."""
+    out = []
+    for row, p in zip(rows, pivots):
+        if prime:
+            inv = pow(row[p], -1, prime)
+            out.append({c: v * inv % prime for c, v in row.items()})
+        else:
+            out.append({c: Fraction(v) / row[p] for c, v in row.items()})
+    return out
+
+
 def rref(matrix):
     """Reduced row echelon form (pivots 1, pivot columns cleared) over
-    Fraction, by `jetdiff.linalg._eliminate`, looked up at each call so a
-    test can swap in `scan_eliminate`."""
-    rows, _ = linalg._eliminate([dict(r) for r in matrix.rows])
-    return RationalMatrix(matrix.nrows, matrix.ncols, rows)
+    Fraction: `jetdiff.linalg._eliminate` on the integer rows, each pivot
+    row then divided by its pivot, zero rows last."""
+    out = pivot_rows(*linalg._eliminate([dict(r) for r in linalg._integer_rows(matrix.rows)]))
+    out.extend({} for _ in range(matrix.nrows - len(out)))
+    return RationalMatrix(matrix.nrows, matrix.ncols, out)
+
+
+def rational_nullspace(matrix):
+    """The canonical kernel basis of `jetdiff.linalg.nullspace`, by the
+    column scan over Fraction (`scan_eliminate`): per free column, in
+    increasing order, the vector with 1 there, 0 at the other free
+    columns and minus the pivot row's entry at each pivot, cleared of
+    denominators, content 1, positive lead.  It shares no pivot loop with
+    `nullspace`, so it is the reference for it."""
+    rows, pivots = scan_eliminate([{c: Fraction(v) for c, v in r.items()} for r in matrix.rows])
+    entries = {}
+    for row, p in zip(rows, pivots):
+        for c, v in row.items():
+            if c != p:
+                entries.setdefault(c, {})[p] = -v
+    return [
+        canonical({**entries.get(f, {}), f: Fraction(1)})
+        for f in sorted(set(range(matrix.ncols)) - set(pivots))
+    ]
+
+
+def canonical(vec):
+    """A nonzero rational vector scaled to coprime ints with a positive
+    leading entry."""
+    den = lcm(*(Fraction(v).denominator for v in vec.values()))
+    ints = {c: int(v * den) for c, v in vec.items()}
+    g = gcd(*ints.values())
+    if next(iter(ints.values())) < 0:
+        g = -g
+    return {c: n // g for c, n in ints.items()}
 
 
 def scan_eliminate(rows, prime=0):
-    """Reference Gauss-Jordan elimination with the same contract as
-    `jetdiff.linalg._eliminate`: reduces `rows` and returns (pivot rows in
-    pivot order then zero rows, pivot columns).  With `prime` 0 the rows
-    are dicts column -> nonzero Fraction and the field is Q; otherwise
-    their entries are ints in [0, prime) and the field is GF(prime).
+    """Reference Gauss-Jordan elimination with the contract of
+    `jetdiff.linalg._eliminate`, but with each pivot normalized to 1:
+    reduces `rows` and returns (pivot rows in pivot order then zero rows,
+    pivot columns).  With `prime` 0 the rows are dicts column -> nonzero
+    Fraction or int and the field is Q; otherwise their entries are ints
+    in [0, prime) and the field is GF(prime).
 
     This is the plain column scan: for each column in order, the first
     row at or below the current pivot position holding it becomes the
     pivot.  No index, no pivot choice, so it is the oracle for the
-    indexed kernels.
+    indexed kernel.
     """
     ncols = 1 + max((c for row in rows for c in row), default=-1)
     pivots = []
@@ -115,7 +161,7 @@ def scan_eliminate(rows, prime=0):
             continue
         rows[piv_row], rows[hit] = rows[hit], rows[piv_row]
         prow = rows[piv_row]
-        inv = pow(prow[col], -1, prime) if prime else 1 / prow[col]
+        inv = pow(prow[col], -1, prime) if prime else Fraction(1) / prow[col]
         if inv != 1:
             prow = {c: v * inv for c, v in prow.items()}
             if prime:

@@ -148,11 +148,10 @@ def test_orbit_route_solves_dominant_blocks_only(capsys, monkeypatch):
 
 
 def test_dim_eliminates_once_per_block(capsys, monkeypatch):
-    # Per dominant block, one kernel modulo 2**61 - 1 and nothing else: no
-    # Fraction elimination, no 31-bit prime.  The block systems are built
-    # with int entries, so the kernel neither clears nor copies a row:
-    # each block's rows are cleared to integers at most once, where they
-    # are built.
+    # Per dominant block, one elimination over Z and nothing else: no
+    # prime.  The block systems are built with int entries, so the kernel
+    # does not clear a row: each block's rows are cleared to integers at
+    # most once, where they are built.
     primes = []
     calls = []
     eliminate = linalg._eliminate
@@ -173,28 +172,8 @@ def test_dim_eliminates_once_per_block(capsys, monkeypatch):
     run_json(capsys, ["dim", "--rank", "2", "--order", "4", "--weight", "12"])
     blocks = len(dominant_weights(JetSpec(2, 4), 12))
     assert blocks == 45
-    assert primes == [2**61 - 1] * blocks
+    assert primes == [0] * blocks
     assert calls == [True] * blocks
-
-
-@pytest.mark.parametrize("prime", [3, 101])
-def test_dim_is_exact_at_small_kernel_primes(capsys, monkeypatch, caplog, prime):
-    # `dim` takes each block's rank from the checked kernel alone.  Modulo
-    # 3 the rank drops in 32 of r2k4m12's 45 dominant blocks; modulo 101
-    # entries outgrow the reconstruction bound.  Either way those blocks
-    # get no checked kernel and fall back to Fraction elimination, and the
-    # counts must still be exact.
-    shapes = [("2", "2", "6"), ("2", "4", "8"), ("3", "3", "6"), ("2", "4", "12")]
-
-    def dim(shape):
-        r, k, m = shape
-        return run_json(capsys, ["dim", "--rank", r, "--order", k, "--weight", m])
-
-    expected = [dim(shape) for shape in shapes]
-    monkeypatch.setattr(linalg, "_KERNEL_PRIME", prime)
-    with caplog.at_level("INFO", logger="jetdiff.linalg"):
-        assert [dim(shape) for shape in shapes] == expected
-    assert any("retrying" in record.getMessage() for record in caplog.records)
 
 
 def test_decompose_json(capsys):

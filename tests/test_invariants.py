@@ -43,7 +43,7 @@ from jetdiff.poly import (
     substitute_all,
 )
 
-from helpers import raising_kernel_labels, random_poly, reference_substitute
+from helpers import raising_kernel_labels, random_poly, rational_nullspace, reference_substitute
 
 
 def var(v):
@@ -308,30 +308,13 @@ def basis_and_labels(spec, m):
 
 
 def test_modular_kernels_match_fraction_kernels(monkeypatch):
-    # The block kernels through GF(2**61 - 1) and through Fraction RREF
-    # must give the same basis, weights and labels.
+    # The block kernels through the integer elimination and through the
+    # column scan over Fraction (`rational_nullspace`) must give the same
+    # basis, weights and labels.
     shapes = [(2, 4, 10), (3, 3, 6), (4, 3, 5), (2, 2, 12)]
-    modular = [basis_and_labels(JetSpec(r, k), m) for r, k, m in shapes]
-    monkeypatch.setattr(invariants, "nullspace", linalg._nullspace_rational)
-    assert modular == [basis_and_labels(JetSpec(r, k), m) for r, k, m in shapes]
-
-
-def test_ladder_kernels_take_no_fallback(monkeypatch, caplog):
-    # A fallback keeps the bytes but loses the speed, so only this spy
-    # sees it: the benchmark's basis shapes, and the whole system and
-    # the dominant blocks behind its dim shapes, must stay on the modular
-    # route.
-    def no_fallback(matrix):
-        raise AssertionError("nullspace fell back to Fraction elimination")
-
-    monkeypatch.setattr(linalg, "_nullspace_rational", no_fallback)
-    with caplog.at_level("INFO", logger="jetdiff.linalg"):
-        for r, k, m in [(2, 4, 10), (2, 4, 12), (4, 3, 7), (3, 4, 9)]:
-            invariant_basis(JetSpec(r, k), m)
-        for r, k, m in [(2, 4, 10), (2, 4, 12)]:
-            nullspace(invariance_system(JetSpec(r, k), m))
-            invariant_dimension(JetSpec(r, k), m)
-    assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
+    integer = [basis_and_labels(JetSpec(r, k), m) for r, k, m in shapes]
+    monkeypatch.setattr(invariants, "nullspace", rational_nullspace)
+    assert integer == [basis_and_labels(JetSpec(r, k), m) for r, k, m in shapes]
 
 
 def dim_block_systems(monkeypatch, spec, m):
@@ -357,14 +340,14 @@ def dim_block_systems(monkeypatch, spec, m):
     return [(RationalMatrix.from_columns(cols), *call) for cols, call in zip(columns, calls)]
 
 
-def test_a_linear_rows_span_each_dominant_block(monkeypatch, caplog):
+def test_a_linear_rows_span_each_dominant_block(monkeypatch):
     # `dim` hands `nullspace` only a block's rows of total a-degree 1, the
     # matrices of D_1, ..., D_(k-1); the count rests on their spanning the
     # block's row space.  Every dominant block at r, k <= 4, m <= 12
     # (shapes of at most 1,500 monomials) and at the tall order-3 shape
     # r2k3m16 (3,354 rows, 836 a-linear): the a-linear rows have the rank
     # of all the rows, and the kernel from them alone is the Fraction
-    # kernel of the whole block, taken on the modular route.
+    # kernel of the whole block.
     shapes = [
         (r, k, m)
         for r, k, m in itertools.product(range(1, 5), range(1, 5), range(13))
@@ -372,14 +355,12 @@ def test_a_linear_rows_span_each_dominant_block(monkeypatch, caplog):
     ]
     assert len(shapes) == 189
     blocks = 0
-    with caplog.at_level("INFO", logger="jetdiff.linalg"):
-        for r, k, m in shapes + [(2, 3, 16)]:
-            for system, linear, kernel in dim_block_systems(monkeypatch, JetSpec(r, k), m):
-                blocks += 1
-                assert rank(linear) == rank(system), (r, k, m)
-                assert kernel == linalg._nullspace_rational(system), (r, k, m)
+    for r, k, m in shapes + [(2, 3, 16)]:
+        for system, linear, kernel in dim_block_systems(monkeypatch, JetSpec(r, k), m):
+            blocks += 1
+            assert rank(linear) == rank(system), (r, k, m)
+            assert kernel == rational_nullspace(system), (r, k, m)
     assert blocks == 2206 + 69
-    assert not [r for r in caplog.records if r.name == "jetdiff.linalg"]
 
 
 def test_dim_exits_3_when_the_a_linear_rows_miss_the_row_space(capsys, monkeypatch):
@@ -585,16 +566,17 @@ def test_basis_rejects_a_repeated_dominant_vector(monkeypatch):
         invariant_basis(JetSpec(3, 4), 9)
 
 
-def test_basis_eliminates_only_modulo_a_prime(monkeypatch):
-    # Fraction elimination must not creep back into `basis`: every
+def test_basis_eliminates_only_over_the_integers(monkeypatch):
+    # Neither a Fraction nor a prime may creep back into `basis`: every
     # elimination behind these bases, the permuted blocks included, is
-    # modular.  The spy replaces the pivot loop under every name a jetdiff
-    # module holds it by.
+    # over Z, on rows of ints.  The spy replaces the pivot loop under
+    # every name a jetdiff module holds it by.
     primes = []
     eliminate = linalg._eliminate
 
     def spy(rows, prime=0):
         primes.append(prime)
+        assert all(type(v) is int for row in rows for v in row.values())
         return eliminate(rows, prime)
 
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "jetdiff"]
@@ -603,7 +585,7 @@ def test_basis_eliminates_only_modulo_a_prime(monkeypatch):
             monkeypatch.setattr(module, name, spy)
     for r, k, m in [(3, 4, 9), (4, 3, 7)]:
         invariant_basis(JetSpec(r, k), m)
-    assert primes and 0 not in primes
+    assert primes and set(primes) == {0}
 
 
 def derivation(q, spec, s):

@@ -1,4 +1,4 @@
-"""Tests for exact rational elimination and the modular rank cross-check."""
+"""Tests for exact integer elimination and the modular rank cross-check."""
 
 import random
 from fractions import Fraction
@@ -15,7 +15,17 @@ from jetdiff.linalg import (
     solve_in_span,
 )
 
-from helpers import apply_matrix, matmul, nonzero_rational, rational, rref, scan_eliminate
+from helpers import (
+    apply_matrix,
+    canonical,
+    matmul,
+    nonzero_rational,
+    pivot_rows,
+    rational,
+    rational_nullspace,
+    rref,
+    scan_eliminate,
+)
 
 
 def dense(rows):
@@ -85,7 +95,7 @@ def test_nullspace_vectors_are_canonical_and_exact():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
         m = random_matrix(rng, nrows, ncols)
         basis = nullspace(m)
-        assert basis == linalg._nullspace_rational(m)
+        assert basis == rational_nullspace(m)
         assert len(basis) == ncols - rank(m)
         free = [next(reversed(vec)) for vec in basis]
         assert free == sorted(set(free))
@@ -115,7 +125,7 @@ def test_nullspace_is_deterministic():
 
 
 def spy_eliminate(monkeypatch):
-    """The list of primes `_eliminate` is called with, 0 for Q."""
+    """The list of primes `_eliminate` is called with, 0 for Z."""
     primes = []
     eliminate = linalg._eliminate
 
@@ -127,29 +137,19 @@ def spy_eliminate(monkeypatch):
     return primes
 
 
-def test_nullspace_fallbacks_match_rational(caplog, monkeypatch):
-    # Each fallback of the modular route is logged once as a retry on
-    # "jetdiff.linalg" (perfbench counts these), runs one modular
-    # elimination and then exactly one over Q, and the result is still
-    # the Fraction one.
+def test_nullspace_is_one_integer_elimination(caplog, monkeypatch):
+    # Entries past any small modulus, a row a prime would zero, a pivot
+    # of 2**40: each kernel is one elimination over Z, read off the
+    # integer echelon form, with nothing logged.
     p = 2**61 - 1
     cases = [
-        # entries with no n/d within the bound: straight to Fraction
         (
             [[Fraction(1, 3**25), Fraction(1, 5**13), 1]],
             [{0: 3**25, 1: -(5**13)}, {0: 3**25, 2: -1}],
         ),
-        # p zeroes the row, so the kernel mod p is too big and fails the
-        # exact check
         ([[p, p]], [{0: 1, 1: -1}]),
-        # p zeroes the first entry, so the kernel mod p is {0: 1}, which
-        # the check rejects
         ([[p, 1]], [{0: 1, 1: -p}]),
-        # -1/2**40 is -2**21 mod p: it reconstructs to that wrong small
-        # integer, which the check rejects
         ([[2**40, 1]], [{0: 1, 1: -(2**40)}]),
-        # p zeroes the second row only: the first vector mod p is right, and
-        # the second, {2: 1}, meets the lost row through one column
         ([[1, 1, 0, 0], [0, 0, p, p]], [{0: 1, 1: -1}, {2: 1, 3: -1}]),
     ]
     primes = spy_eliminate(monkeypatch)
@@ -157,37 +157,53 @@ def test_nullspace_fallbacks_match_rational(caplog, monkeypatch):
         m = dense(rows)
         caplog.clear()
         primes.clear()
-        with caplog.at_level("INFO", logger="jetdiff.linalg"):
+        with caplog.at_level("DEBUG", logger="jetdiff.linalg"):
             assert nullspace(m) == expected
-        assert primes == [p, 0], rows
-        retries = [r for r in caplog.records if r.name == "jetdiff.linalg"]
-        assert len(retries) == 1, rows
-        assert "retrying" in retries[0].getMessage()
-        assert expected == linalg._nullspace_rational(m)
+        assert primes == [0], rows
+        assert [r for r in caplog.records if r.name == "jetdiff.linalg"] == [], rows
+        assert expected == rational_nullspace(m)
+
+
+def test_nullspace_raises_on_a_spoiled_elimination(monkeypatch):
+    # Every vector is checked against the integer rows: an echelon form
+    # with one entry off gives a vector outside the kernel, which raises.
+    eliminate = linalg._eliminate
+
+    def spoiled(rows, prime=0):
+        rows, pivots = eliminate(rows, prime)
+        rows[0][next(reversed(rows[0]))] += 1
+        return rows, pivots
+
+    monkeypatch.setattr(linalg, "_eliminate", spoiled)
+    with pytest.raises(RuntimeError, match="free column 2 is not in the kernel"):
+        nullspace(dense([[1, 0, 2], [0, 1, 3]]))
 
 
 def test_nullspace_rational_takes_ints():
-    # Block columns arrive as ints; either route must read them as the
-    # Fractions they equal, and both return the kernel as int vectors.
+    # Block columns arrive as ints; both `nullspace` and its reference
+    # must read them as the Fractions they equal, and return the kernel
+    # as int vectors.
     mixed = RationalMatrix(2, 4, [{0: 2, 1: Fraction(1, 3), 3: -1}, {1: 6, 2: Fraction(-1, 2)}])
     as_fractions = dense(mixed.to_rows())
     expected = [{0: 1, 1: -6, 2: -72}, {0: 1, 3: 2}]
-    assert linalg._nullspace_rational(mixed) == expected
-    assert linalg._nullspace_rational(as_fractions) == expected
+    assert rational_nullspace(mixed) == expected
+    assert rational_nullspace(as_fractions) == expected
     assert nullspace(mixed) == expected
-    for kernel in (nullspace(mixed), linalg._nullspace_rational(mixed)):
+    assert nullspace(as_fractions) == expected
+    for kernel in (nullspace(mixed), rational_nullspace(mixed)):
         assert all(type(v) is int for vec in kernel for v in vec.values())
 
 
 def last_pivot_reference(rows):
-    """The Fraction route to `_canonical_span`: `_eliminate` on negated
-    column labels (so each pivot is its row's last column), then
-    `_canonical_vector` on each nonzero row, in increasing pivot order."""
-    reduced, _ = linalg._eliminate([{-c: Fraction(v) for c, v in row.items()} for row in rows])
+    """The Fraction route to `_canonical_span`: the column scan on
+    reversed column labels (so each pivot is its row's last column), then
+    `canonical` on each pivot row, in increasing pivot order."""
+    top = max(c for row in rows for c in row)
+    flipped = [{top - c: Fraction(v) for c, v in row.items()} for row in rows]
+    reduced, pivots = scan_eliminate(flipped)
     out = [
-        linalg._canonical_vector({-c: row[c] for c in sorted(row, reverse=True)})
-        for row in reduced
-        if row
+        canonical({top - c: row[c] for c in sorted(row, reverse=True)})
+        for row in reduced[: len(pivots)]
     ]
     return sorted(out, key=lambda vec: next(reversed(vec)))
 
@@ -243,20 +259,18 @@ def test_modular_rank_agrees_on_structured_low_rank():
         assert rank_modular_check(m, stop_at=r) == r
 
 
-def test_denominator_divisible_by_prime_is_cleared_not_skipped(caplog, monkeypatch):
+def test_denominator_divisible_by_prime_is_cleared_not_skipped(monkeypatch):
     # Rows are cleared to integers before they are reduced, so a
     # denominator equal to the working prime costs nothing: one elimination
-    # mod p reaches the rank, the kernel takes the modular route, and
-    # nothing is retried.
+    # mod p reaches the rank.  `nullspace` clears them the same way and
+    # eliminates once over Z.
     p, q = 2147483647, 2**61 - 1
     primes = spy_eliminate(monkeypatch)
-    with caplog.at_level("INFO", logger="jetdiff.linalg"):
-        assert rank_modular_check(dense([[Fraction(1, p), 0], [0, 1]]), 2) == 2
-        assert primes == [p]
-        primes.clear()
-        assert nullspace(dense([[Fraction(1, q), Fraction(2, q)]])) == [{0: 2, 1: -1}]
-        assert primes == [q]
-    assert [r for r in caplog.records if r.name == "jetdiff.linalg"] == []
+    assert rank_modular_check(dense([[Fraction(1, p), 0], [0, 1]]), 2) == 2
+    assert primes == [p]
+    primes.clear()
+    assert nullspace(dense([[Fraction(1, q), Fraction(2, q)]])) == [{0: 2, 1: -1}]
+    assert primes == [0]
 
 
 def test_modular_rank_undercounts_only_at_one_prime(monkeypatch):
@@ -412,15 +426,25 @@ def mod_rows(m, p):
     return rows
 
 
-def test_kernels_match_column_scan(monkeypatch):
+def test_kernels_match_column_scan():
+    # The indexed loop over Z and over GF(p) against the column scan over
+    # Fraction and GF(p): the same pivots and, each divided by its pivot,
+    # the same pivot rows.
     p = 2147483647
     for m in oracle_matrices():
-        for fn in (rref, rank, nullspace, linalg._nullspace_rational):
-            assert fn(m) == reference(monkeypatch, fn, m), (fn.__name__, m.to_rows())
-        assert nullspace(m) == linalg._nullspace_rational(m), m.to_rows()
+        ints = [dict(row) for row in linalg._integer_rows(m.rows)]
+        over_q = scan_eliminate([dict(row) for row in m.rows])
+        for got, expected, prime in [
+            (linalg._eliminate(ints), over_q, 0),
+            (linalg._eliminate(mod_rows(m, p), p), scan_eliminate(mod_rows(m, p), p), p),
+        ]:
+            (rows, pivots), (ref_rows, ref_pivots) = got, expected
+            assert pivots == ref_pivots, (prime, m.to_rows())
+            assert pivot_rows(rows, pivots, prime) == ref_rows[: len(pivots)], (prime, m.to_rows())
+            assert not any(rows[len(pivots) :]), (prime, m.to_rows())
+        assert rank(m) == len(over_q[1]), m.to_rows()
+        assert nullspace(m) == rational_nullspace(m), m.to_rows()
         assert rank_modular_check(m, stop_at=rank(m)) == rank(m), m.to_rows()
-        # the same pivot loop over GF(p), rows and pivots
-        assert linalg._eliminate(mod_rows(m, p), p) == scan_eliminate(mod_rows(m, p), p), m.to_rows()
 
 
 def test_solve_in_span_sparse_errors():
